@@ -9,9 +9,11 @@ the verdict lines:
 
 import csv
 import filecmp
+import hashlib
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -251,3 +253,36 @@ def test_fixture_rank_series_are_monotone_with_selectivity_at_least_one(
                 assert [e.rank for e in entries] == list(range(1, len(entries) + 1))
                 if measure.endswith("selectivity"):
                     assert all(v >= 1 for v in values)
+
+
+# sha256 of the fixture ``compare --svg`` output tree; a refactor must keep it
+FIXTURE_TREE_DIGEST = "a86e4a6e3690633f0b0705a7a364a47494d47837a2f09130f960202cb0b39470"
+
+
+def _tree_digest(root: Path) -> str:
+    """sha256 over the sorted files, each as relative path + NUL + file sha256."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
+def test_fixture_compare_output_tree_matches_golden_digest(
+    tmp_path, capsys, formal_text_path, informal_text_path
+):
+    with criterion("fixture compare --svg output bytes unchanged", 30.0):
+        out = tmp_path / "out"
+        code = main(
+            [
+                "compare",
+                str(formal_text_path),
+                str(informal_text_path),
+                "--svg",
+                "--out",
+                str(out),
+            ]
+        )
+        capsys.readouterr()
+        assert code == 0
+        assert _tree_digest(out) == FIXTURE_TREE_DIGEST
