@@ -16,11 +16,11 @@ from coocnet import (
     compare_pair,
     export_pair_csv,
     export_rank_csv,
-    export_summary,
     extract_sentences,
     format_value,
     load_document,
     render_rank_svg,
+    write_summary_csv,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,7 +50,10 @@ print(f"{'rank-excluded share':<24}"
       f"{float(cmp.excluded_a):>12.3f}{float(cmp.excluded_b):>12.3f}\n")
 
 OUT_DIR.mkdir(exist_ok=True)
-export_summary(cmp, OUT_DIR / "summary.csv")
+write_summary_csv(
+    [(cmp.label_a, cmp.summary_a), (cmp.label_b, cmp.summary_b)],
+    OUT_DIR / "summary.csv",
+)
 for measure in MEASURES:
     a, b = cmp.series_a[measure], cmp.series_b[measure]
     export_rank_csv(a, OUT_DIR / f"formal.{measure}.rank.csv")

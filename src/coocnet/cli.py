@@ -22,14 +22,12 @@ from pathlib import Path
 from .metrics import GlobalMetrics, all_node_metrics, global_summary
 from .network import (
     CooccurrenceNetwork,
-    EdgeListFormatError,
     build_network,
     read_edge_list,
     write_edge_list,
 )
 from .pipeline import (
     DEFAULT_CONFIG,
-    IngestionError,
     PipelineConfig,
     extract_sentences,
     load_config,
@@ -296,10 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IngestionError, EdgeListFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # the package's errors subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

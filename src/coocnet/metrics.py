@@ -23,8 +23,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
-from .network import CooccurrenceNetwork, undirected_projection, weak_components
+from .network import (
+    ComponentLabeling,
+    CooccurrenceNetwork,
+    undirected_projection,
+    weak_components,
+)
 
 _SAMPLE_SEED = 1729
 
@@ -59,22 +65,25 @@ class GlobalMetrics:
     largest_component_size: int
 
 
+def _side(
+    net: CooccurrenceNetwork, node: int, direction: str
+) -> Mapping[int, int]:
+    """Neighbor id -> edge weight on the node's in- or out-side."""
+    if direction == "in":
+        return net.in_weights(node)
+    if direction == "out":
+        return net.out_weights(node)
+    raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
+
+
 def degree(net: CooccurrenceNetwork, node: int, direction: str) -> int:
     """Number of distinct in- or out-neighbors."""
-    if direction == "in":
-        return len(net.in_weights(node))
-    if direction == "out":
-        return len(net.out_weights(node))
-    raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
+    return len(_side(net, node, direction))
 
 
 def strength(net: CooccurrenceNetwork, node: int, direction: str) -> int:
     """Sum of edge weights on the node's in- or out-side."""
-    if direction == "in":
-        return sum(net.in_weights(node).values())
-    if direction == "out":
-        return sum(net.out_weights(node).values())
-    raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
+    return sum(_side(net, node, direction).values())
 
 
 def selectivity(
@@ -85,10 +94,10 @@ def selectivity(
     Weights count repeated co-occurrences, so selectivity is the average
     weight per distinct neighbor and is always >= 1 when defined.
     """
-    k = degree(net, node, direction)
-    if k == 0:
+    weights = _side(net, node, direction)
+    if not weights:
         return None
-    return Fraction(strength(net, node, direction), k)
+    return Fraction(sum(weights.values()), len(weights))
 
 
 def average_degree(net: CooccurrenceNetwork) -> Fraction:
@@ -158,7 +167,21 @@ def _bfs_sum_and_ecc(
     return total, ecc, reached
 
 
-def _distance_stats(net: CooccurrenceNetwork, sample: int | None) -> dict:
+@dataclass(frozen=True)
+class _DistanceStats:
+    """Hop-distance aggregates over the sources of the largest component."""
+
+    labeling: ComponentLabeling
+    n_prime: int  # size of the largest component
+    n_sources: int
+    node_sum: dict[int, int]  # source id -> sum of its hop distances
+    total: int
+    max_dist: int
+
+
+def _distance_stats(
+    net: CooccurrenceNetwork, sample: int | None
+) -> _DistanceStats:
     """All-pairs (or sampled) hop-distance aggregates on the largest component.
 
     Cached on the network, keyed by the sample size.
@@ -194,16 +217,14 @@ def _distance_stats(net: CooccurrenceNetwork, sample: int | None) -> dict:
         if ecc > max_dist:
             max_dist = ecc
 
-    stats = {
-        "n_prime": n_prime,
-        "n_sources": len(sources),
-        "node_sum": node_sum,
-        "total": total,
-        "max_dist": max_dist,
-        "labels": labeling.labels,
-        "largest": labeling.largest,
-        "n_components": labeling.count,
-    }
+    stats = _DistanceStats(
+        labeling=labeling,
+        n_prime=n_prime,
+        n_sources=len(sources),
+        node_sum=node_sum,
+        total=total,
+        max_dist=max_dist,
+    )
     net._distance_cache[sample] = stats
     return stats
 
@@ -220,12 +241,10 @@ def node_average_distance(
     """
     net._check_node(node)
     stats = _distance_stats(net, sample)
-    if stats["labels"][node] != stats["largest"]:
-        return None
-    dist_sum = stats["node_sum"].get(node)
+    dist_sum = stats.node_sum.get(node)  # sources all lie in the component
     if dist_sum is None:
         return None
-    return Fraction(dist_sum, stats["n_prime"])
+    return Fraction(dist_sum, stats.n_prime)
 
 
 def average_shortest_path(
@@ -237,9 +256,9 @@ def average_shortest_path(
     outer sum runs over the sampled sources only.
     """
     stats = _distance_stats(net, sample)
-    if stats["n_prime"] < 2:
+    if stats.n_prime < 2:
         return None
-    return Fraction(stats["total"], stats["n_sources"] * (stats["n_prime"] - 1))
+    return Fraction(stats.total, stats.n_sources * (stats.n_prime - 1))
 
 
 def diameter(net: CooccurrenceNetwork, sample: int | None = None) -> int | None:
@@ -249,9 +268,9 @@ def diameter(net: CooccurrenceNetwork, sample: int | None = None) -> int | None:
     is max eccentricity over the sampled sources, a lower bound.
     """
     stats = _distance_stats(net, sample)
-    if stats["n_prime"] < 2:
+    if stats.n_prime < 2:
         return None
-    return stats["max_dist"]
+    return stats.max_dist
 
 
 def all_node_metrics(
@@ -289,6 +308,6 @@ def global_summary(
         diameter=diameter(net, sample),
         avg_clustering=average_clustering(net),
         density=density(net),
-        n_components=stats["n_components"],
-        largest_component_size=stats["n_prime"],
+        n_components=stats.labeling.count,
+        largest_component_size=stats.n_prime,
     )

@@ -6,9 +6,9 @@ immediately followed by word ``j`` inside a sentence ``w`` times.  The
 graph is simple: consecutive duplicate tokens never create self-loops, and
 sentence boundaries never create edges.
 
-A finished network is treated as immutable; derived views (undirected
-projection, component labeling) are cached on the instance and safe for
-concurrent readers.
+A finished network is treated as immutable; the undirected projection and
+the hop-distance aggregates of `metrics` are cached on the instance and
+safe for concurrent readers.
 
 On-disk edge-list format: UTF-8 TSV, one ``src<TAB>dst<TAB>weight`` record
 per line, LF endings, sorted lexicographically by (src, dst).  The writer
@@ -91,13 +91,6 @@ class CooccurrenceNetwork:
 
     def node_id(self, word: str) -> int:
         return self._ids[word]
-
-    def has_word(self, word: str) -> bool:
-        return word in self._ids
-
-    def word_of(self, node: int) -> str:
-        self._check_node(node)
-        return self._words[node]
 
     def out_weights(self, node: int) -> Mapping[int, int]:
         """dst id -> weight for the node's outgoing edges (do not mutate)."""
@@ -336,26 +329,3 @@ def weak_components(net: CooccurrenceNetwork) -> ComponentLabeling:
         if largest is None or size > sizes[largest]:
             largest = comp
     return ComponentLabeling(labels=tuple(labels), sizes=tuple(sizes), largest=largest)
-
-
-def largest_component_subgraph(net: CooccurrenceNetwork) -> CooccurrenceNetwork:
-    """Induced subgraph on the largest weak component.
-
-    Keeps directed edges with both endpoints inside the component; node ids
-    are reassigned in ascending order of the original ids.  Raises
-    ValueError on an empty network.
-    """
-    if net.n_nodes == 0:
-        raise ValueError("empty network has no largest component")
-    labeling = weak_components(net)
-    keep = [
-        node for node in range(net.n_nodes) if labeling.labels[node] == labeling.largest
-    ]
-    remap = {old: new for new, old in enumerate(keep)}
-    words = [net.words[old] for old in keep]
-    weights = {
-        (remap[src], remap[dst]): weight
-        for (src, dst), weight in net.edge_items()
-        if src in remap and dst in remap
-    }
-    return CooccurrenceNetwork(words, weights)

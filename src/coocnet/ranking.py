@@ -114,19 +114,7 @@ def rank_sequence(
     return RankSeries(measure=measure, entries=entries)
 
 
-def _measure_value(
-    net: CooccurrenceNetwork, node: int, measure: str
-) -> int | Fraction | None:
-    side, _, kind = measure.partition("-")
-    if kind == "degree":
-        k = degree(net, node, side)
-        return k if k > 0 else None
-    if kind == "strength":
-        s = strength(net, node, side)
-        return s if s > 0 else None
-    if kind == "selectivity":
-        return selectivity(net, node, side)
-    raise ValueError(f"unknown measure {measure!r}")
+_MEASURE_KINDS = {"degree": degree, "strength": strength, "selectivity": selectivity}
 
 
 def network_rank_series(net: CooccurrenceNetwork, measure: str) -> RankSeries:
@@ -139,8 +127,10 @@ def network_rank_series(net: CooccurrenceNetwork, measure: str) -> RankSeries:
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
+    side, _, kind = measure.partition("-")
+    value_of = _MEASURE_KINDS[kind]
     pairs = [
-        (net.words[node], _measure_value(net, node, measure))
+        (net.words[node], value_of(net, node, side) or None)
         for node in range(net.n_nodes)
     ]
     return rank_sequence(measure, pairs)
@@ -212,17 +202,43 @@ def format_value(value: int | Fraction | None) -> str:
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return str(value.numerator)
-        return f"{float(value):.6g}"
+        try:
+            return f"{float(value):.6g}"
+        except OverflowError:
+            return _format_huge(value)
     return str(value)
+
+
+def _format_huge(value: Fraction) -> str:
+    """float's ``.6g`` rendering, computed exactly, for |value| > float max."""
+    if value < 0:
+        return "-" + _format_huge(-value)
+    exponent = len(str(value.numerator // value.denominator)) - 1
+    digits = round(value / 10 ** (exponent - 5))  # half-even, like float
+    if digits == 10**6:  # rounding carried into a new decade
+        digits //= 10
+        exponent += 1
+    mantissa = f"{digits // 10**5}.{digits % 10**5:05d}".rstrip("0").rstrip(".")
+    return f"{mantissa}e+{exponent:02d}"
+
+
+def _write_csv(
+    path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
+) -> None:
+    """Write a header and rows as UTF-8 CSV with LF line endings."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def export_rank_csv(series: RankSeries, path: str | Path) -> None:
     """Write one rank series as ``rank,value,word`` rows (with header)."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["rank", "value", "word"])
-        for entry in series.entries:
-            writer.writerow([entry.rank, format_value(entry.value), entry.word])
+    _write_csv(
+        path,
+        ("rank", "value", "word"),
+        ((e.rank, format_value(e.value), e.word) for e in series.entries),
+    )
 
 
 def summary_row(label: str, metrics: GlobalMetrics) -> list[str]:
@@ -245,21 +261,10 @@ def write_summary_csv(
     rows: Sequence[tuple[str, GlobalMetrics]], path: str | Path
 ) -> None:
     """Write labeled global summaries as one CSV table."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for label, metrics in rows:
-            writer.writerow(summary_row(label, metrics))
-
-
-def export_summary(comparison: PairComparison, path: str | Path) -> None:
-    """Write the two global summaries of a comparison as one CSV table."""
-    write_summary_csv(
-        [
-            (comparison.label_a, comparison.summary_a),
-            (comparison.label_b, comparison.summary_b),
-        ],
+    _write_csv(
         path,
+        SUMMARY_COLUMNS,
+        (summary_row(label, metrics) for label, metrics in rows),
     )
 
 
@@ -280,23 +285,24 @@ def write_node_metrics_csv(
     records: Sequence[NodeMetrics], path: str | Path
 ) -> None:
     """Write per-node measures, one row per node in node-id order."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(NODE_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.word,
-                    rec.in_degree,
-                    rec.out_degree,
-                    rec.in_strength,
-                    rec.out_strength,
-                    format_value(rec.in_selectivity),
-                    format_value(rec.out_selectivity),
-                    format_value(rec.clustering),
-                    format_value(rec.avg_distance),
-                ]
+    _write_csv(
+        path,
+        NODE_COLUMNS,
+        (
+            (
+                rec.word,
+                rec.in_degree,
+                rec.out_degree,
+                rec.in_strength,
+                rec.out_strength,
+                format_value(rec.in_selectivity),
+                format_value(rec.out_selectivity),
+                format_value(rec.clustering),
+                format_value(rec.avg_distance),
             )
+            for rec in records
+        ),
+    )
 
 
 def export_pair_csv(
@@ -311,21 +317,19 @@ def export_pair_csv(
         raise ValueError(
             f"cannot pair {series_a.measure!r} with {series_b.measure!r}"
         )
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["rank", "value_a", "value_b", "ratio_a_over_b"])
-        length = max(len(series_a), len(series_b))
-        for i in range(length):
-            value_a = series_a.entries[i].value if i < len(series_a) else None
-            value_b = series_b.entries[i].value if i < len(series_b) else None
-            ratio = (
-                Fraction(value_a, value_b)
-                if value_a is not None and value_b is not None
-                else None
-            )
-            writer.writerow(
-                [i + 1, format_value(value_a), format_value(value_b), format_value(ratio)]
-            )
+    rows = []
+    for i in range(max(len(series_a), len(series_b))):
+        value_a = series_a.entries[i].value if i < len(series_a) else None
+        value_b = series_b.entries[i].value if i < len(series_b) else None
+        ratio = (
+            Fraction(value_a, value_b)
+            if value_a is not None and value_b is not None
+            else None
+        )
+        rows.append(
+            (i + 1, format_value(value_a), format_value(value_b), format_value(ratio))
+        )
+    _write_csv(path, ("rank", "value_a", "value_b", "ratio_a_over_b"), rows)
 
 
 # -- SVG rank plot ----------------------------------------------------------

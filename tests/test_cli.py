@@ -163,6 +163,15 @@ class TestRank:
         assert lines[1] == "1,2,a"
 
 
+    def test_value_beyond_float_range(self, tmp_path, capsys):
+        edges = tmp_path / "big.tsv"
+        edges.write_text("a\tb\t" + "9" * 400 + "\na\tc\t2\n", encoding="utf-8")
+        code, _, err = run(capsys, "rank", str(edges), "--out", str(tmp_path))
+        assert code == 0 and err == ""
+        lines = (tmp_path / "big.out-selectivity.rank.csv").read_text().splitlines()
+        assert lines[1] == "1,5e+399,a"
+
+
 class TestCompare:
     def _write_pair(self, tmp_path):
         alpha = write_text(

@@ -7,7 +7,6 @@ from coocnet import (
     EdgeRecord,
     build_network,
     from_edge_list,
-    largest_component_subgraph,
     read_edge_list,
     to_edge_list,
     undirected_projection,
@@ -229,33 +228,6 @@ class TestProjectionAndComponents:
             for node, comp in enumerate(labeling.labels):
                 mine[comp].add(node)
             assert mine == expected
-
-
-class TestLargestComponentSubgraph:
-    def test_isolated_node_dropped(self):
-        net = build_network([["a", "b"], ["c"]])
-        sub = largest_component_subgraph(net)
-        assert sub.words == ("a", "b")
-        assert sub.n_edges == 1
-
-    def test_connected_network_is_unchanged(self, complete_triad):
-        assert largest_component_subgraph(complete_triad) == complete_triad
-
-    def test_empty_network_rejected(self):
-        with pytest.raises(ValueError):
-            largest_component_subgraph(build_network([]))
-
-    def test_retained_edges_stay_inside_component(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            net = oracles.random_network(rng, max_nodes=40)
-            comp_words = {net.words[n] for n in oracles.largest_component(net)}
-            sub = largest_component_subgraph(net)
-            assert set(sub.words) == comp_words
-            for (src, dst), weight in sub.edge_items():
-                a, b = sub.words[src], sub.words[dst]
-                assert a in comp_words and b in comp_words
-                assert weight == net.weight(net.node_id(a), net.node_id(b))
 
 
 class TestHandshake:

@@ -17,13 +17,14 @@ from coocnet import (
     excluded_fraction,
     export_pair_csv,
     export_rank_csv,
-    export_summary,
     format_value,
     from_edge_list,
     global_summary,
     network_rank_series,
     rank_sequence,
     render_rank_svg,
+    selectivity,
+    strength,
     write_node_metrics_csv,
     write_summary_csv,
 )
@@ -82,9 +83,22 @@ class TestNetworkSeries:
                 active = sum(
                     1 for n in range(net.n_nodes) if degree(net, n, side) > 0
                 )
-                for kind in ("degree", "strength", "selectivity"):
+                for kind, value_of in (
+                    ("degree", degree),
+                    ("strength", strength),
+                    ("selectivity", selectivity),
+                ):
                     series = network_rank_series(net, f"{side}-{kind}")
                     assert len(series) == active
+                    expected = {
+                        net.words[n]: value_of(net, n, side)
+                        for n in range(net.n_nodes)
+                    }
+                    assert {e.word: e.value for e in series.entries} == {
+                        word: value
+                        for word, value in expected.items()
+                        if value not in (0, None)
+                    }
 
     def test_values_non_increasing(self):
         rng = np.random.default_rng(14)
@@ -150,6 +164,10 @@ class TestValueFormatting:
     def test_large_integral_values_stay_plain(self):
         assert format_value(Fraction(1234567, 1)) == "1234567"
 
+    def test_values_beyond_float_range_render_exactly(self):
+        assert format_value(Fraction(10**400 + 1, 2)) == "5e+399"
+        assert format_value(Fraction(10**400, 3)) == "3.33333e+399"
+
 
 class TestCsvExports:
     def test_rank_csv_bytes(self, tmp_path):
@@ -190,10 +208,12 @@ class TestCsvExports:
         )
         assert row == "solo,1,0,0,,,0,,1,1"
 
-    def test_export_summary_lists_both_labels(self, tmp_path, complete_triad):
+    def test_summary_csv_lists_both_labels(self, tmp_path, complete_triad):
         cmp = compare_pair(complete_triad, complete_triad, "first", "second")
         path = tmp_path / "summary.csv"
-        export_summary(cmp, path)
+        write_summary_csv(
+            [(cmp.label_a, cmp.summary_a), (cmp.label_b, cmp.summary_b)], path
+        )
         lines = path.read_text("utf-8").splitlines()
         assert len(lines) == 3
         assert lines[1].startswith("first,") and lines[2].startswith("second,")
