@@ -1,6 +1,6 @@
 """Smoke test: every demo script runs to completion against the package.
 
-Each demo is copied into a scratch tree (with the fixtures linked beside
+Each demo is copied into a temporary tree (with the fixtures linked beside
 it) so the files it writes under ``demos/output/`` stay out of the
 repository.
 """
