@@ -57,14 +57,9 @@ def sanitize_label(label: str) -> str:
     return cleaned or "network"
 
 
-def _default_label(path: str | Path) -> str:
-    return sanitize_label(Path(path).stem)
-
-
-def _load_pipeline_config(path: str | None) -> PipelineConfig:
-    if path is None:
-        return DEFAULT_CONFIG
-    return load_config(path)
+def _label(given: str | None, path: str | Path) -> str:
+    """The sanitized given label, or the input's file stem when none is given."""
+    return sanitize_label(Path(path).stem if given is None else given)
 
 
 def _build_from_text(path: str, config: PipelineConfig) -> CooccurrenceNetwork:
@@ -104,31 +99,28 @@ def _print_summary(label: str, metrics: GlobalMetrics, excluded) -> None:
 
 
 def _write(path: Path, writer, *args) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     writer(*args, path)
     print(f"wrote {path}")
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
-    config = _load_pipeline_config(args.config)
+def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for text_path in args.texts:
         net = _build_from_text(text_path, config)
-        label = _default_label(text_path)
+        label = _label(None, text_path)
         print(f"{label}: N={net.n_nodes} K={net.n_edges}")
         _write(out_dir / f"{label}.edges.tsv", write_edge_list, net)
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    config = _load_pipeline_config(args.config)
+def _cmd_analyze(args: argparse.Namespace, config: PipelineConfig) -> int:
     net = _load_network(args.input, config, args.format)
-    label = sanitize_label(args.label) if args.label else _default_label(args.input)
+    label = _label(args.label, args.input)
     metrics = global_summary(net, args.sample)
     excluded = excluded_fraction(net)
     _print_summary(label, metrics, excluded)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write(out_dir / f"{label}.summary.csv", write_summary_csv, [(label, metrics)])
     _write(
         out_dir / f"{label}.nodes.csv",
@@ -138,34 +130,28 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_rank(args: argparse.Namespace) -> int:
-    config = _load_pipeline_config(args.config)
+def _cmd_rank(args: argparse.Namespace, config: PipelineConfig) -> int:
     net = _load_network(args.input, config, args.format)
-    label = sanitize_label(args.label) if args.label else _default_label(args.input)
+    label = _label(args.label, args.input)
     measures = MEASURES if args.measure == "all" else (args.measure,)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for measure in measures:
         series = network_rank_series(net, measure)
         _write(out_dir / f"{label}.{measure}.rank.csv", export_rank_csv, series)
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    config = _load_pipeline_config(args.config)
+def _cmd_compare(args: argparse.Namespace, config: PipelineConfig) -> int:
     net_a = _build_from_text(args.text_a, config)
     net_b = _build_from_text(args.text_b, config)
-    if args.labels:
-        label_a, label_b = (sanitize_label(raw) for raw in args.labels)
-    else:
-        label_a = _default_label(args.text_a)
-        label_b = _default_label(args.text_b)
+    given_a, given_b = args.labels or (None, None)
+    label_a = _label(given_a, args.text_a)
+    label_b = _label(given_b, args.text_b)
     if label_a == label_b:
         raise ValueError(f"labels must differ, both are {label_a!r}")
 
     comparison = compare_pair(net_a, net_b, label_a, label_b, args.sample)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     _write(out_dir / f"{label_a}.edges.tsv", write_edge_list, net_a)
     _write(out_dir / f"{label_b}.edges.tsv", write_edge_list, net_b)
@@ -293,7 +279,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        config = DEFAULT_CONFIG if args.config is None else load_config(args.config)
+        return args.func(args, config)
     except (ValueError, OSError) as exc:  # the package's errors subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,14 +11,16 @@ the hop-distance aggregates of `metrics` are cached on the instance and
 safe for concurrent readers.
 
 On-disk edge-list format: UTF-8 TSV, one ``src<TAB>dst<TAB>weight`` record
-per line, LF endings, sorted lexicographically by (src, dst).  The writer
-is byte-deterministic so output files can be hash-compared.  The format
-has no node section, so words without any edge (from one-word sentences)
-do not survive a write/read round trip.
+per line, LF endings, sorted lexicographically by (src, dst).  Weights
+are ASCII digits without sign or leading zero; the reader rejects other
+spellings.  The writer is byte-deterministic so output files can be
+hash-compared.  The format has no node section, so words without any edge
+(from one-word sentences) do not survive a write/read round trip.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -26,6 +28,10 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 class EdgeListFormatError(ValueError):
     """An edge-list record or file violates the format contract."""
+
+
+# the weights write_edge_list writes: ASCII decimal, no sign, no leading zero
+_WEIGHT = re.compile("[1-9][0-9]*")
 
 
 class EdgeRecord(NamedTuple):
@@ -259,15 +265,14 @@ def read_edge_list(path: str | Path) -> CooccurrenceNetwork:
             )
         src, dst, weight_text = fields
         try:
-            weight = int(weight_text)
+            if not _WEIGHT.fullmatch(weight_text):
+                raise ValueError
+            weight = int(weight_text)  # also raises past int's digit limit
         except ValueError:
             raise EdgeListFormatError(
-                f"{path}: line {lineno}: weight {weight_text!r} is not an integer"
+                f"{path}: line {lineno}: weight {weight_text!r} is not a "
+                f"positive decimal integer"
             ) from None
-        if weight < 1:
-            raise EdgeListFormatError(
-                f"{path}: line {lineno}: weight must be >= 1, got {weight}"
-            )
         if src == dst:
             raise EdgeListFormatError(f"{path}: line {lineno}: self-loop {src!r}")
         if (src, dst) in seen:

@@ -96,8 +96,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     and ``keep_digits`` (true/false).  Lines starting with ``#`` and blank
     lines are ignored.  Unknown keys raise ValueError.
     """
-    terminators = DEFAULT_TERMINATORS
-    keep_digits = True
+    overrides: dict[str, str | bool] = {}
     for lineno, raw_line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -108,19 +107,19 @@ def load_config(path: str | Path) -> PipelineConfig:
         key = key.strip()
         value = value.strip()
         if key == "terminators":
-            terminators = value
+            overrides[key] = value
         elif key == "keep_digits":
             if value.lower() in ("true", "yes", "1"):
-                keep_digits = True
+                overrides[key] = True
             elif value.lower() in ("false", "no", "0"):
-                keep_digits = False
+                overrides[key] = False
             else:
                 raise ValueError(
                     f"{path}: line {lineno}: keep_digits must be true or false"
                 )
         else:
             raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
-    return PipelineConfig(terminators=terminators, keep_digits=keep_digits)
+    return PipelineConfig(**overrides)
 
 
 @lru_cache(maxsize=None)
@@ -177,10 +176,8 @@ def normalize(text: str, config: PipelineConfig | None = None) -> str:
 def segment_sentences(text: str, config: PipelineConfig | None = None) -> list[str]:
     """Split normalized text into sentence strings at terminator characters."""
     cfg = config or DEFAULT_CONFIG
-    if not cfg.terminators:
-        stripped = text.strip()
-        return [stripped] if stripped else []
-    parts = re.split("[" + re.escape(cfg.terminators) + "]", text)
+    terminator = "[" + re.escape(cfg.terminators) + "]"
+    parts = re.split(terminator, text) if cfg.terminators else [text]
     return [part.strip() for part in parts if part.strip()]
 
 

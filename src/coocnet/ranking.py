@@ -15,9 +15,10 @@ inputs, same bytes.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -41,6 +42,7 @@ MEASURES = (
     "out-selectivity",
 )
 
+# "label", then one column per GlobalMetrics field in field order
 SUMMARY_COLUMNS = (
     "label",
     "N",
@@ -191,11 +193,11 @@ def compare_pair(
     )
 
 
-def format_value(value: int | Fraction | None) -> str:
+def format_value(value: str | int | Fraction | None) -> str:
     """Render a measure value for CSV cells and reports.
 
-    None becomes the empty string, integral values print without a decimal
-    point, and everything else is rounded to 6 significant digits.
+    None becomes the empty string, words and integral values print as they
+    are, and everything else is rounded to 6 significant digits.
     """
     if value is None:
         return ""
@@ -241,44 +243,25 @@ def export_rank_csv(series: RankSeries, path: str | Path) -> None:
     )
 
 
-def summary_row(label: str, metrics: GlobalMetrics) -> list[str]:
-    """One summary-CSV row; undefined measures become empty cells."""
-    return [
-        label,
-        str(metrics.n_nodes),
-        str(metrics.n_edges),
-        format_value(metrics.avg_degree),
-        format_value(metrics.avg_shortest_path),
-        format_value(metrics.diameter),
-        format_value(metrics.avg_clustering),
-        format_value(metrics.density),
-        str(metrics.n_components),
-        str(metrics.largest_component_size),
-    ]
-
-
 def write_summary_csv(
     rows: Sequence[tuple[str, GlobalMetrics]], path: str | Path
 ) -> None:
-    """Write labeled global summaries as one CSV table."""
+    """Write labeled global summaries as one CSV table; None is an empty cell."""
     _write_csv(
         path,
         SUMMARY_COLUMNS,
-        (summary_row(label, metrics) for label, metrics in rows),
+        (
+            [label]
+            + [
+                format_value(getattr(metrics, field.name))
+                for field in fields(metrics)
+            ]
+            for label, metrics in rows
+        ),
     )
 
 
-NODE_COLUMNS = (
-    "word",
-    "in_degree",
-    "out_degree",
-    "in_strength",
-    "out_strength",
-    "in_selectivity",
-    "out_selectivity",
-    "clustering",
-    "avg_distance",
-)
+NODE_COLUMNS = tuple(field.name for field in fields(NodeMetrics))
 
 
 def write_node_metrics_csv(
@@ -289,17 +272,7 @@ def write_node_metrics_csv(
         path,
         NODE_COLUMNS,
         (
-            (
-                rec.word,
-                rec.in_degree,
-                rec.out_degree,
-                rec.in_strength,
-                rec.out_strength,
-                format_value(rec.in_selectivity),
-                format_value(rec.out_selectivity),
-                format_value(rec.clustering),
-                format_value(rec.avg_distance),
-            )
+            [format_value(getattr(rec, name)) for name in NODE_COLUMNS]
             for rec in records
         ),
     )
@@ -318,16 +291,13 @@ def export_pair_csv(
             f"cannot pair {series_a.measure!r} with {series_b.measure!r}"
         )
     rows = []
-    for i in range(max(len(series_a), len(series_b))):
-        value_a = series_a.entries[i].value if i < len(series_a) else None
-        value_b = series_b.entries[i].value if i < len(series_b) else None
-        ratio = (
-            Fraction(value_a, value_b)
-            if value_a is not None and value_b is not None
-            else None
-        )
+    pairs = itertools.zip_longest(series_a.entries, series_b.entries)
+    for rank, (entry_a, entry_b) in enumerate(pairs, 1):
+        value_a = entry_a.value if entry_a else None
+        value_b = entry_b.value if entry_b else None
+        ratio = Fraction(value_a, value_b) if entry_a and entry_b else None
         rows.append(
-            (i + 1, format_value(value_a), format_value(value_b), format_value(ratio))
+            (rank, format_value(value_a), format_value(value_b), format_value(ratio))
         )
     _write_csv(path, ("rank", "value_a", "value_b", "ratio_a_over_b"), rows)
 
@@ -340,6 +310,8 @@ _MARGIN_LEFT = 62.0
 _MARGIN_RIGHT = 18.0
 _MARGIN_TOP = 22.0
 _MARGIN_BOTTOM = 52.0
+_PLOT_W = _SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+_PLOT_H = _SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 _COLOR_A = "#1f77b4"
 _COLOR_B = "#d62728"
 
@@ -347,12 +319,10 @@ _COLOR_B = "#d62728"
 def _polyline_points(
     series: RankSeries, x_span: float, y_span: float
 ) -> str:
-    plot_w = _SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = _SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     points = []
     for entry in series.entries:
-        x = _MARGIN_LEFT + math.log10(entry.rank) / x_span * plot_w
-        y = _MARGIN_TOP + plot_h - math.log10(float(entry.value)) / y_span * plot_h
+        x = _MARGIN_LEFT + math.log10(entry.rank) / x_span * _PLOT_W
+        y = _MARGIN_TOP + _PLOT_H - math.log10(float(entry.value)) / y_span * _PLOT_H
         points.append(f"{x:.2f},{y:.2f}")
     return " ".join(points)
 
@@ -383,9 +353,7 @@ def render_rank_svg(
     x_span = max(math.log10(max_rank) if max_rank >= 1 else 0.0, 1.0)
     y_span = max(math.log10(max_value), 1.0)
 
-    plot_w = _SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = _SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
-    x_axis_y = _MARGIN_TOP + plot_h
+    x_axis_y = _MARGIN_TOP + _PLOT_H
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
@@ -401,12 +369,12 @@ def render_rank_svg(
     )
     parts.append(
         f'<line x1="{_MARGIN_LEFT:.2f}" y1="{x_axis_y:.2f}" '
-        f'x2="{_MARGIN_LEFT + plot_w:.2f}" y2="{x_axis_y:.2f}" stroke="black"/>\n'
+        f'x2="{_MARGIN_LEFT + _PLOT_W:.2f}" y2="{x_axis_y:.2f}" stroke="black"/>\n'
     )
 
     # decade ticks
     for decade in range(int(x_span) + 1):
-        x = _MARGIN_LEFT + decade / x_span * plot_w
+        x = _MARGIN_LEFT + decade / x_span * _PLOT_W
         parts.append(
             f'<line x1="{x:.2f}" y1="{x_axis_y:.2f}" x2="{x:.2f}" '
             f'y2="{x_axis_y + 5:.2f}" stroke="black"/>\n'
@@ -416,7 +384,7 @@ def render_rank_svg(
             f'text-anchor="middle">{10 ** decade}</text>\n'
         )
     for decade in range(int(y_span) + 1):
-        y = _MARGIN_TOP + plot_h - decade / y_span * plot_h
+        y = _MARGIN_TOP + _PLOT_H - decade / y_span * _PLOT_H
         parts.append(
             f'<line x1="{_MARGIN_LEFT - 5:.2f}" y1="{y:.2f}" '
             f'x2="{_MARGIN_LEFT:.2f}" y2="{y:.2f}" stroke="black"/>\n'
@@ -428,12 +396,12 @@ def render_rank_svg(
 
     # axis titles
     parts.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" '
+        f'<text x="{_MARGIN_LEFT + _PLOT_W / 2:.2f}" '
         f'y="{_SVG_HEIGHT - 12:.2f}" text-anchor="middle">rank</text>\n'
     )
     parts.append(
-        f'<text x="16" y="{_MARGIN_TOP + plot_h / 2:.2f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:.2f})">'
+        f'<text x="16" y="{_MARGIN_TOP + _PLOT_H / 2:.2f}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {_MARGIN_TOP + _PLOT_H / 2:.2f})">'
         f"{series_a.measure}</text>\n"
     )
 
@@ -446,7 +414,7 @@ def render_rank_svg(
             )
 
     # legend, top right
-    legend_x = _MARGIN_LEFT + plot_w - 150
+    legend_x = _MARGIN_LEFT + _PLOT_W - 150
     for i, (label, color) in enumerate(((label_a, _COLOR_A), (label_b, _COLOR_B))):
         y = _MARGIN_TOP + 14 + 18 * i
         parts.append(

@@ -118,6 +118,26 @@ class TestAnalyze:
         assert code == 1
         assert "line 3" in err
 
+    def test_crlf_weight_reported_without_traceback(self, tmp_path, capsys):
+        edges = tmp_path / "crlf.tsv"
+        edges.write_bytes(b"a\tb\t1\r\nb\ta\t1\r\n")
+        code, _, err = run(capsys, "analyze", str(edges), "--out", str(tmp_path))
+        assert code == 1
+        assert "line 1" in err
+        assert "Traceback" not in err
+
+    def test_empty_label_names_outputs_network(self, tmp_path, capsys):
+        text = write_text(tmp_path, "x.txt", "a b. b c.")
+        out = tmp_path / "out"
+        code, _, _ = run(
+            capsys, "analyze", str(text), "--label", "", "--out", str(out)
+        )
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "network.nodes.csv",
+            "network.summary.csv",
+        ]
+
     def test_text_input_via_format_flag(self, tmp_path, capsys):
         text = write_text(tmp_path, "story.dat", "a b. b c.")
         code, _, _ = run(
@@ -210,6 +230,19 @@ class TestCompare:
         for measure_file in out.glob("one.*.rank.csv"):
             twin_file = out / measure_file.name.replace("one.", "two.", 1)
             assert measure_file.read_bytes() == twin_file.read_bytes()
+
+    def test_empty_label_names_outputs_network(self, tmp_path, capsys):
+        alpha, beta = self._write_pair(tmp_path)
+        out = tmp_path / "cmp"
+        code, stdout, _ = run(
+            capsys,
+            "compare", str(alpha), str(beta),
+            "--labels", "", "b", "--out", str(out),
+        )
+        assert code == 0
+        assert (out / "network.edges.tsv").exists()
+        assert (out / "network_vs_b.in-degree.pair.csv").exists()
+        assert "network: network" in stdout
 
     def test_equal_labels_rejected(self, tmp_path, capsys):
         text = write_text(tmp_path, "same.txt", "a b.")

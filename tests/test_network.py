@@ -171,6 +171,18 @@ class TestEdgeListFiles:
         with pytest.raises(EdgeListFormatError, match="line 1"):
             read_edge_list(path)
 
+    @pytest.mark.parametrize(
+        "weight", ["1\r", "+2", "1_000", "\u0661", " 3", "007", "0", "-1"]
+    )
+    def test_non_canonical_weight_rejected(self, tmp_path, weight):
+        # only [1-9][0-9]* in ASCII, the spelling write_edge_list writes
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"a\tb\t1\nb\ta\t{weight}\n", encoding="utf-8", newline="")
+        with pytest.raises(EdgeListFormatError, match="line 2") as info:
+            read_edge_list(path)
+        assert str(path) in str(info.value)
+        assert repr(weight) in str(info.value)
+
     def test_duplicate_cites_both_lines(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("a\tb\t1\na\tb\t2\n", encoding="utf-8")

@@ -89,6 +89,7 @@ class TestSegmentSentences:
     def test_empty_terminator_set_means_one_sentence(self):
         cfg = PipelineConfig(terminators="")
         assert segment_sentences("a. b", cfg) == ["a. b"]
+        assert segment_sentences(" \t ", cfg) == []
 
 
 class TestTokenize:
@@ -159,6 +160,13 @@ class TestLoadConfig:
         path = tmp_path / "pipeline.conf"
         path.write_text("\n# nothing here\n", encoding="utf-8")
         assert load_config(path) == PipelineConfig()
+
+    def test_single_override_keeps_other_defaults(self, tmp_path):
+        path = tmp_path / "pipeline.conf"
+        path.write_text("keep_digits = false\n", encoding="utf-8")
+        cfg = load_config(path)
+        assert cfg.keep_digits is False
+        assert cfg.terminators == DEFAULT_TERMINATORS
 
     def test_unknown_key_cites_line(self, tmp_path):
         path = tmp_path / "pipeline.conf"
