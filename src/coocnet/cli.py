@@ -105,12 +105,11 @@ def _write(path: Path, writer, *args) -> None:
 
 
 def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
-    out_dir = Path(args.out)
-    for text_path in args.texts:
-        net = _build_from_text(text_path, config)
-        label = _label(None, text_path)
+    # every input loads before the first write, so a failure writes nothing
+    nets = [(_label(None, path), _build_from_text(path, config)) for path in args.texts]
+    for label, net in nets:
         print(f"{label}: N={net.n_nodes} K={net.n_edges}")
-        _write(out_dir / f"{label}.edges.tsv", write_edge_list, net)
+        _write(Path(args.out) / f"{label}.edges.tsv", write_edge_list, net)
     return 0
 
 

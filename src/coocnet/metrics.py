@@ -28,6 +28,7 @@ from typing import Mapping
 from .network import (
     ComponentLabeling,
     CooccurrenceNetwork,
+    _bfs_levels,
     undirected_projection,
     weak_components,
 )
@@ -144,26 +145,12 @@ def _bfs_sum_and_ecc(
     adjacency: list[set[int]], source: int
 ) -> tuple[int, int, int]:
     """(sum of hop distances, eccentricity, reached count) from one source."""
-    dist = [-1] * len(adjacency)
-    dist[source] = 0
-    frontier = [source]
-    total = 0
-    ecc = 0
+    total = ecc = 0
     reached = 1
-    depth = 0
-    while frontier:
-        depth += 1
-        next_frontier = []
-        for node in frontier:
-            for nbr in adjacency[node]:
-                if dist[nbr] == -1:
-                    dist[nbr] = depth
-                    next_frontier.append(nbr)
-        if next_frontier:
-            total += depth * len(next_frontier)
-            reached += len(next_frontier)
-            ecc = depth
-        frontier = next_frontier
+    levels = _bfs_levels(adjacency, source, [-1] * len(adjacency), 0)
+    for ecc, level in enumerate(levels, 1):
+        total += ecc * len(level)
+        reached += len(level)
     return total, ecc, reached
 
 

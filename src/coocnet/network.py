@@ -8,7 +8,14 @@ sentence boundaries never create edges.
 
 A finished network is treated as immutable; the undirected projection and
 the hop-distance aggregates of `metrics` are cached on the instance and
-safe for concurrent readers.
+safe for concurrent readers.  `weak_components` and the distances of
+`metrics` walk the projection with one breadth-first kernel, `_bfs_levels`.
+
+The constructor and every edge-record reader keep one set of rules: a word
+is non-empty and holds no whitespace, there is no self-loop, a weight is
+an ``int >= 1`` (never a ``bool``), and a (src, dst) pair appears once.
+`from_edge_list` errors cite the record number, `read_edge_list` errors
+the file and line.
 
 On-disk edge-list format: UTF-8 TSV, one ``src<TAB>dst<TAB>weight`` record
 per line, LF endings, sorted lexicographically by (src, dst).  Weights
@@ -23,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class EdgeListFormatError(ValueError):
@@ -40,6 +47,22 @@ class EdgeRecord(NamedTuple):
     weight: int
 
 
+def _word_problem(word: str) -> str | None:
+    """Why ``word`` cannot name a node (empty, or holds whitespace), or None."""
+    if word.split() != [word]:  # str.split() cuts at str.isspace() characters
+        return f"invalid word {word!r}"
+    return None
+
+
+def _edge_problem(src: str, dst: str, weight: object) -> str | None:
+    """Why an edge cannot exist (self-loop, weight not an int >= 1), or None."""
+    if src == dst:
+        return f"self-loop on {src!r}"
+    if type(weight) is not int or weight < 1:  # a bool would be written "True"
+        return f"weight must be a positive integer, got {weight!r}"
+    return None
+
+
 class CooccurrenceNetwork:
     """Immutable directed weighted graph over a word <-> node-id table."""
 
@@ -51,8 +74,9 @@ class CooccurrenceNetwork:
         words = tuple(words)
         ids: dict[str, int] = {}
         for i, word in enumerate(words):
-            if not word or any(ch.isspace() for ch in word):
-                raise ValueError(f"invalid word for node {i}: {word!r}")
+            problem = _word_problem(word)
+            if problem:
+                raise ValueError(f"node {i}: {problem}")
             if word in ids:
                 raise ValueError(f"duplicate word in node table: {word!r}")
             ids[word] = i
@@ -63,10 +87,9 @@ class CooccurrenceNetwork:
         for (src, dst), weight in edge_weights.items():
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError(f"edge ({src}, {dst}) endpoint out of range")
-            if src == dst:
-                raise ValueError(f"self-loop on node {src} ({words[src]!r})")
-            if not isinstance(weight, int) or weight < 1:
-                raise ValueError(f"edge ({src}, {dst}) weight must be >= 1")
+            problem = _edge_problem(words[src], words[dst], weight)
+            if problem:
+                raise ValueError(f"edge ({src}, {dst}): {problem}")
             out_adj[src][dst] = weight
             in_adj[dst][src] = weight
 
@@ -130,13 +153,7 @@ class CooccurrenceNetwork:
             return NotImplemented
         if set(self._words) != set(other._words):
             return False
-        mine = {
-            (self._words[s], self._words[d]): w for (s, d), w in self.edge_items()
-        }
-        theirs = {
-            (other._words[s], other._words[d]): w for (s, d), w in other.edge_items()
-        }
-        return mine == theirs
+        return to_edge_list(self) == to_edge_list(other)
 
     def __repr__(self) -> str:
         return (
@@ -166,21 +183,16 @@ def build_network(sentences: Iterable[Sequence[str]]) -> CooccurrenceNetwork:
     observed token becomes a node, even from one-word sentences.
     """
     ids: dict[str, int] = {}
-    words: list[str] = []
     weights: dict[tuple[int, int], int] = {}
     for sentence in sentences:
         prev: int | None = None
         for token in sentence:
-            node = ids.get(token)
-            if node is None:
-                node = len(words)
-                ids[token] = node
-                words.append(token)
+            node = ids.setdefault(token, len(ids))
             if prev is not None and prev != node:
                 key = (prev, node)
                 weights[key] = weights.get(key, 0) + 1
             prev = node
-    return CooccurrenceNetwork(words, weights)
+    return CooccurrenceNetwork(list(ids), weights)
 
 
 def to_edge_list(net: CooccurrenceNetwork) -> list[EdgeRecord]:
@@ -199,36 +211,34 @@ def from_edge_list(
     """Build a network from (src, dst, weight) records.
 
     Node ids are assigned in first-appearance order (src before dst within a
-    record).  Raises EdgeListFormatError on duplicate (src, dst) pairs,
-    non-positive weights, or self-loops.
+    record).  A record that breaks a rule raises EdgeListFormatError citing
+    its 1-based number.
     """
+    return _network_from_records(records, "record")
+
+
+def _network_from_records(
+    records: Iterable[EdgeRecord | tuple[str, str, int]], unit: str, prefix: str = ""
+) -> CooccurrenceNetwork:
+    """Intern and validate records; errors cite ``{prefix}{unit} {number}``."""
     ids: dict[str, int] = {}
-    words: list[str] = []
     weights: dict[tuple[int, int], int] = {}
-
-    def intern(word: str) -> int:
-        node = ids.get(word)
-        if node is None:
-            node = len(words)
-            ids[word] = node
-            words.append(word)
-        return node
-
-    for src_word, dst_word, weight in records:
-        if src_word == dst_word:
-            raise EdgeListFormatError(f"self-loop record: {src_word!r}")
-        if not isinstance(weight, int) or weight < 1:
-            raise EdgeListFormatError(
-                f"weight for ({src_word!r}, {dst_word!r}) must be a positive "
-                f"integer, got {weight!r}"
+    first_seen: dict[tuple[int, int], int] = {}
+    for number, (src, dst, weight) in enumerate(records, 1):
+        problem = (
+            _word_problem(src) or _word_problem(dst) or _edge_problem(src, dst, weight)
+        )
+        key = (ids.setdefault(src, len(ids)), ids.setdefault(dst, len(ids)))
+        if not problem and key in first_seen:
+            problem = (
+                f"duplicate edge ({src!r}, {dst!r}), "
+                f"first seen on {unit} {first_seen[key]}"
             )
-        key = (intern(src_word), intern(dst_word))
-        if key in weights:
-            raise EdgeListFormatError(
-                f"duplicate edge record: ({src_word!r}, {dst_word!r})"
-            )
+        if problem:
+            raise EdgeListFormatError(f"{prefix}{unit} {number}: {problem}")
+        first_seen[key] = number
         weights[key] = weight
-    return CooccurrenceNetwork(words, weights)
+    return CooccurrenceNetwork(list(ids), weights)
 
 
 def write_edge_list(net: CooccurrenceNetwork, path: str | Path) -> None:
@@ -240,20 +250,21 @@ def write_edge_list(net: CooccurrenceNetwork, path: str | Path) -> None:
 
 
 def read_edge_list(path: str | Path) -> CooccurrenceNetwork:
-    """Parse a TSV edge list; errors cite the offending line number."""
-    records: list[EdgeRecord] = []
-    seen: dict[tuple[str, str], int] = {}
-    text = Path(path).read_bytes()
+    """Parse a TSV edge list; errors cite the file and the line number."""
     try:
-        decoded = text.decode("utf-8")
+        decoded = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise EdgeListFormatError(
             f"{path}: invalid UTF-8 at byte offset {exc.start}"
         ) from exc
-
     lines = decoded.split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()  # trailing newline, not an empty record
+    return _network_from_records(_parse_lines(path, lines), "line", f"{path}: ")
+
+
+def _parse_lines(path: str | Path, lines: list[str]) -> Iterator[EdgeRecord]:
+    """The records of the lines; raises on the syntax: field count, weight."""
     for lineno, line in enumerate(lines, 1):
         if line == "":
             raise EdgeListFormatError(f"{path}: line {lineno}: empty line")
@@ -273,16 +284,7 @@ def read_edge_list(path: str | Path) -> CooccurrenceNetwork:
                 f"{path}: line {lineno}: weight {weight_text!r} is not a "
                 f"positive decimal integer"
             ) from None
-        if src == dst:
-            raise EdgeListFormatError(f"{path}: line {lineno}: self-loop {src!r}")
-        if (src, dst) in seen:
-            raise EdgeListFormatError(
-                f"{path}: line {lineno}: duplicate edge ({src!r}, {dst!r}), "
-                f"first seen on line {seen[(src, dst)]}"
-            )
-        seen[(src, dst)] = lineno
-        records.append(EdgeRecord(src, dst, weight))
-    return from_edge_list(records)
+        yield EdgeRecord(src, dst, weight)
 
 
 def undirected_projection(net: CooccurrenceNetwork) -> list[set[int]]:
@@ -301,6 +303,28 @@ def undirected_projection(net: CooccurrenceNetwork) -> list[set[int]]:
     return net._projection_cache
 
 
+def _bfs_levels(
+    adjacency: list[set[int]], source: int, marks: list[int], mark: int
+) -> Iterator[list[int]]:
+    """Breadth-first search over the nodes whose mark is -1.
+
+    Marks the source and every node it reaches with ``mark`` and yields
+    each new frontier: the nodes at depth 1, 2, ... from the source.
+    """
+    marks[source] = mark
+    frontier = [source]
+    while frontier:
+        next_frontier = []
+        for node in frontier:
+            for nbr in adjacency[node]:
+                if marks[nbr] == -1:
+                    marks[nbr] = mark
+                    next_frontier.append(nbr)
+        frontier = next_frontier
+        if frontier:
+            yield frontier
+
+
 def weak_components(net: CooccurrenceNetwork) -> ComponentLabeling:
     """Connected components of the undirected projection.
 
@@ -312,25 +336,8 @@ def weak_components(net: CooccurrenceNetwork) -> ComponentLabeling:
     labels = [-1] * net.n_nodes
     sizes: list[int] = []
     for start in range(net.n_nodes):
-        if labels[start] != -1:
-            continue
-        comp = len(sizes)
-        labels[start] = comp
-        frontier = [start]
-        size = 1
-        while frontier:
-            next_frontier = []
-            for node in frontier:
-                for nbr in adjacency[node]:
-                    if labels[nbr] == -1:
-                        labels[nbr] = comp
-                        next_frontier.append(nbr)
-                        size += 1
-            frontier = next_frontier
-        sizes.append(size)
-
-    largest: int | None = None
-    for comp, size in enumerate(sizes):
-        if largest is None or size > sizes[largest]:
-            largest = comp
+        if labels[start] == -1:
+            levels = _bfs_levels(adjacency, start, labels, len(sizes))
+            sizes.append(1 + sum(len(level) for level in levels))
+    largest = max(range(len(sizes)), key=sizes.__getitem__, default=None)
     return ComponentLabeling(labels=tuple(labels), sizes=tuple(sizes), largest=largest)

@@ -96,6 +96,8 @@ def load_config(path: str | Path) -> PipelineConfig:
     and ``keep_digits`` (true/false).  Lines starting with ``#`` and blank
     lines are ignored.  Unknown keys raise ValueError.
     """
+    if path == "":
+        raise ValueError("config path is empty")  # Path("") would read "."
     overrides: dict[str, str | bool] = {}
     for lineno, raw_line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
         line = raw_line.strip()

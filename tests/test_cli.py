@@ -61,6 +61,24 @@ class TestBuild:
         assert code == 1
         assert "byte offset" in err
 
+    def test_missing_second_input_writes_nothing(self, tmp_path, capsys):
+        good = write_text(tmp_path, "good.txt", "a b.")
+        out = tmp_path / "d"
+        code, _, err = run(
+            capsys, "build", str(good), str(tmp_path / "missing.txt"), "--out", str(out)
+        )
+        assert code == 1
+        assert "missing.txt" in err
+        assert not out.exists()
+
+    def test_empty_config_path_named(self, tmp_path, capsys):
+        text = write_text(tmp_path, "t.txt", "a b.")
+        code, _, err = run(
+            capsys, "build", str(text), "--out", str(tmp_path), "--config", ""
+        )
+        assert code == 1
+        assert err == "error: config path is empty\n"
+
     def test_config_changes_segmentation(self, tmp_path, capsys):
         text = write_text(tmp_path, "t.txt", "a b; a b")
         conf = write_text(tmp_path, "p.conf", "terminators = ;\n")
@@ -125,6 +143,13 @@ class TestAnalyze:
         assert code == 1
         assert "line 1" in err
         assert "Traceback" not in err
+
+    def test_bad_word_reported_with_file_and_line(self, tmp_path, capsys):
+        edges = tmp_path / "spacey.tsv"
+        edges.write_text("a\tb\t1\nx y\tb\t1\n", encoding="utf-8")
+        code, _, err = run(capsys, "analyze", str(edges), "--out", str(tmp_path))
+        assert code == 1
+        assert err == f"error: {edges}: line 2: invalid word 'x y'\n"
 
     def test_empty_label_names_outputs_network(self, tmp_path, capsys):
         text = write_text(tmp_path, "x.txt", "a b. b c.")

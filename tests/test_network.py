@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coocnet import (
     CooccurrenceNetwork,
@@ -82,6 +87,9 @@ class TestValidation:
     def test_bad_weight_rejected(self):
         with pytest.raises(ValueError, match="weight"):
             CooccurrenceNetwork(("a", "b"), {(0, 1): 0})
+        # bool subclasses int, but True would be written as "True"
+        with pytest.raises(ValueError, match="weight"):
+            CooccurrenceNetwork(("a", "b"), {(0, 1): True})
 
     def test_out_of_range_endpoint_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -119,6 +127,18 @@ class TestEdgeListConversion:
     def test_non_positive_weight_rejected(self):
         with pytest.raises(EdgeListFormatError, match="positive"):
             from_edge_list([("a", "b", 0)])
+
+    def test_bool_weight_rejected(self):
+        with pytest.raises(EdgeListFormatError, match="record 1: weight"):
+            from_edge_list([("a", "b", True)])
+
+    def test_invalid_word_rejected(self):
+        with pytest.raises(EdgeListFormatError, match="record 2: invalid word"):
+            from_edge_list([("a", "b", 1), ("b", "c d", 1)])
+
+    def test_duplicate_cites_both_record_numbers(self):
+        with pytest.raises(EdgeListFormatError, match="record 3: .*record 1"):
+            from_edge_list([("a", "b", 1), ("b", "a", 1), ("a", "b", 2)])
 
     def test_round_trip_on_random_networks(self):
         # records carry no isolated nodes, so compare against the network
@@ -183,6 +203,23 @@ class TestEdgeListFiles:
         assert str(path) in str(info.value)
         assert repr(weight) in str(info.value)
 
+    @pytest.mark.parametrize(
+        "line", ["\tb\t1", "a\t\t1", "x y\tb\t1", "a\tb c\t1", "a\r\tb\t1"]
+    )
+    def test_bad_word_cites_file_and_line(self, tmp_path, line):
+        # a word is non-empty and holds no whitespace, CR included
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"a\tb\t1\n{line}\n", encoding="utf-8", newline="")
+        with pytest.raises(EdgeListFormatError, match="line 2: invalid word") as info:
+            read_edge_list(path)
+        assert str(path) in str(info.value)
+
+    def test_self_loop_cites_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("a\tb\t1\nb\tb\t1\n", encoding="utf-8")
+        with pytest.raises(EdgeListFormatError, match="line 2: self-loop"):
+            read_edge_list(path)
+
     def test_duplicate_cites_both_lines(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("a\tb\t1\na\tb\t2\n", encoding="utf-8")
@@ -194,6 +231,39 @@ class TestEdgeListFiles:
         path.write_bytes(b"a\tb\t1\n\xff\tc\t1\n")
         with pytest.raises(EdgeListFormatError, match="UTF-8"):
             read_edge_list(path)
+
+
+_WORD = st.text(alphabet="ab\u00e9 \r", max_size=3)
+_LINE = st.tuples(_WORD, _WORD, st.sampled_from(["1", "2", "10", "0", "x"]))
+_EDGE_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.lists(
+        st.sampled_from(
+            [b"a", b"\xc3\xa9", b"\t", b"\n", b"1", b"0", b" ", b"\r", b"\xff"]
+        ),
+        max_size=40,
+    ).map(b"".join),
+    st.lists(_LINE, max_size=6).map(
+        lambda lines: "".join(f"{s}\t{d}\t{w}\n" for s, d, w in lines).encode("utf-8")
+    ),
+)
+
+
+@given(_EDGE_BYTES)
+@settings(max_examples=300, deadline=None)
+def test_read_edge_list_round_trips_or_names_the_file(data):
+    # any bytes: a network that survives a rewrite, or EdgeListFormatError
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.edges.tsv"
+        path.write_bytes(data)
+        try:
+            net = read_edge_list(path)
+        except EdgeListFormatError as exc:
+            assert str(path) in str(exc)
+            return
+        rewritten = Path(tmp) / "out.edges.tsv"
+        write_edge_list(net, rewritten)
+        assert read_edge_list(rewritten) == net
 
 
 class TestProjectionAndComponents:
