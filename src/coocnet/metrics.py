@@ -10,12 +10,15 @@ All ratios are exact `fractions.Fraction` values; a measure that has no
 defined value (selectivity of an isolated direction, path lengths of a
 trivial component, density of a single node) is None rather than NaN.
 
-Pairwise distances cost one breadth-first search per source node.  For
-quick looks at large networks the distance-family functions accept
-``sample=m`` to run the searches from m deterministically chosen source
-nodes: the average shortest path becomes an estimate, the diameter a lower
-bound, and node average distances are only available for sampled sources.
-Exact computation (``sample=None``) is the default everywhere.
+Pairwise distances come from bit-parallel breadth-first sweeps: one sweep
+walks the component once per depth for a whole block of up to 1,024
+sources, each source one bit of a Python int per node, so its memory is
+O(N' * 1024 / 8) bytes for any number of sources.  For very large networks
+the distance-family functions accept ``sample=m`` to sweep from m
+deterministically chosen source nodes only: the average shortest path
+becomes an estimate, the diameter a lower bound, and node average
+distances are only available for sampled sources.  Exact computation
+(``sample=None``) is the default everywhere.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import Mapping
 from .network import (
     ComponentLabeling,
     CooccurrenceNetwork,
-    _bfs_levels,
     undirected_projection,
     weak_components,
 )
@@ -115,43 +117,127 @@ def density(net: CooccurrenceNetwork) -> Fraction | None:
     return Fraction(net.n_edges, net.n_nodes * (net.n_nodes - 1))
 
 
+def _clustering_terms(adjacency: list[set[int]], node: int) -> tuple[int, int]:
+    """(2E, k(k-1)) for the node's k projection neighbors; (0, 0) when k < 2."""
+    neighbors = adjacency[node]
+    k = len(neighbors)
+    if k < 2:
+        return 0, 0
+    # each neighbor pair link is found from both ends, hence 2E
+    twice_links = sum(len(adjacency[nbr] & neighbors) for nbr in neighbors)
+    return twice_links, k * (k - 1)
+
+
 def local_clustering(net: CooccurrenceNetwork, node: int) -> Fraction:
     """2E/(k(k-1)) on the undirected projection; 0 when k < 2.
 
     E counts undirected links among the node's k projection neighbors.
     """
-    adjacency = undirected_projection(net)
-    neighbors = adjacency[node]
-    k = len(neighbors)
-    if k < 2:
-        return Fraction(0)
-    # each neighbor pair link is found from both ends, hence the halving
-    twice_links = sum(len(adjacency[nbr] & neighbors) for nbr in neighbors)
-    return Fraction(twice_links, k * (k - 1))
+    twice_links, pairs = _clustering_terms(undirected_projection(net), node)
+    return Fraction(twice_links, pairs) if pairs else Fraction(0)
 
 
 def average_clustering(net: CooccurrenceNetwork) -> Fraction:
-    """Mean local clustering over all nodes, isolated ones included."""
+    """Mean local clustering over all nodes, isolated ones included.
+
+    The numerators are summed as integers per denominator k(k-1), so the
+    exact sum takes one `Fraction` per distinct degree, not one per node.
+    """
     if net.n_nodes == 0:
         raise ValueError("average clustering of an empty network is undefined")
+    adjacency = undirected_projection(net)
+    links_by_pairs: dict[int, int] = {}
+    for node in range(net.n_nodes):
+        twice_links, pairs = _clustering_terms(adjacency, node)
+        if pairs:
+            links_by_pairs[pairs] = links_by_pairs.get(pairs, 0) + twice_links
     total = sum(
-        (local_clustering(net, node) for node in range(net.n_nodes)),
+        (Fraction(links, pairs) for pairs, links in links_by_pairs.items()),
         Fraction(0),
     )
     return total / net.n_nodes
 
 
-def _bfs_sum_and_ecc(
-    adjacency: list[set[int]], source: int
-) -> tuple[int, int, int]:
-    """(sum of hop distances, eccentricity, reached count) from one source."""
-    total = ecc = 0
-    reached = 1
-    levels = _bfs_levels(adjacency, source, [-1] * len(adjacency), 0)
-    for ecc, level in enumerate(levels, 1):
-        total += ecc * len(level)
-        reached += len(level)
-    return total, ecc, reached
+# Sources per bit-parallel sweep.  A sweep's bitsets take O(N' * _BLOCK / 8)
+# bytes, so memory stays linear in the component size for any source count.
+_BLOCK = 1024
+
+
+def _sweep(
+    adjacency: list[set[int]],
+    component: list[int],
+    block: list[int],
+    sums: list[int],
+    by_source: bool,
+) -> tuple[int, int]:
+    """One breadth-first search from every source of ``block`` at once.
+
+    The multi-source BFS of Then et al., "The More the Merrier: Efficient
+    Multi-Source Graph Traversal" (PVLDB 8(4), 2014).  Source ``block[i]``
+    owns bit i.  Each node of ``component`` (the sources' component) keeps
+    the bits of the sources that have reached it (``seen``) and of those
+    that reached it at the last depth (``frontier``).  One level ORs the
+    frontier bits of each node's neighbors into the node and keeps the bits
+    it had not seen, so a level costs one pass over the adjacency however
+    many sources the block holds.  A node that every source has reached
+    drops out of later passes.
+
+    Adds each hop distance d(s, v) to ``sums[v]``, which over all sources
+    of the component is v's own distance sum as distances are symmetric;
+    with ``by_source`` it adds it to ``sums[s]`` instead, from per-source
+    counts of the nodes reached at each depth.  Returns the largest
+    distance and the number of (source, node) pairs reached, sources
+    included.
+    """
+    full = (1 << len(block)) - 1
+    seen = [0] * len(adjacency)
+    frontier = [0] * len(adjacency)
+    for bit, source in enumerate(block):
+        seen[source] = frontier[source] = 1 << bit
+    reached = len(block)
+    depth = 0
+    todo = component
+    while True:
+        depth += 1
+        next_frontier = [0] * len(adjacency)
+        # by_source: how many nodes each source reached at this depth, bit
+        # sliced; source i's count is the sum of (bit i of planes[j]) << j
+        planes: list[int] = []
+        unfinished = []
+        level = 0
+        for node in todo:
+            bits = 0
+            for nbr in adjacency[node]:
+                bits |= frontier[nbr]
+            node_seen = seen[node]
+            new = bits & ~node_seen
+            if new:
+                next_frontier[node] = new
+                node_seen |= new
+                seen[node] = node_seen
+                count = new.bit_count()
+                level += count
+                if by_source:
+                    j = 0
+                    while new:  # ripple-carry add of one bit per source
+                        if j == len(planes):
+                            planes.append(0)
+                        planes[j], new = planes[j] ^ new, planes[j] & new
+                        j += 1
+                else:
+                    sums[node] += depth * count
+            if node_seen != full:
+                unfinished.append(node)
+        for j, plane in enumerate(planes):
+            while plane:
+                low = plane & -plane  # lowest set bit
+                sums[block[low.bit_length() - 1]] += depth << j
+                plane ^= low
+        if not level:
+            return depth - 1, reached
+        reached += level
+        frontier = next_frontier
+        todo = unfinished
 
 
 @dataclass(frozen=True)
@@ -192,24 +278,24 @@ def _distance_stats(
         rng = random.Random(_SAMPLE_SEED)
         sources = sorted(rng.sample(comp_nodes, sample))
 
+    # with every component node a source, v's sum over the sources is its own
+    by_source = len(sources) < n_prime
     adjacency = undirected_projection(net)
-    node_sum: dict[int, int] = {}
-    total = 0
+    sums = [0] * net.n_nodes
     max_dist = 0
-    for source in sources:
-        dist_sum, ecc, reached = _bfs_sum_and_ecc(adjacency, source)
-        assert reached == n_prime, "source must reach its whole component"
-        node_sum[source] = dist_sum
-        total += dist_sum
-        if ecc > max_dist:
-            max_dist = ecc
+    for start in range(0, len(sources), _BLOCK):
+        block = sources[start : start + _BLOCK]
+        block_max, reached = _sweep(adjacency, comp_nodes, block, sums, by_source)
+        assert reached == n_prime * len(block), "sources must reach their component"
+        max_dist = max(max_dist, block_max)
+    node_sum = {source: sums[source] for source in sources}
 
     stats = _DistanceStats(
         labeling=labeling,
         n_prime=n_prime,
         n_sources=len(sources),
         node_sum=node_sum,
-        total=total,
+        total=sum(node_sum.values()),
         max_dist=max_dist,
     )
     net._distance_cache[sample] = stats

@@ -8,8 +8,9 @@ sentence boundaries never create edges.
 
 A finished network is treated as immutable; the undirected projection and
 the hop-distance aggregates of `metrics` are cached on the instance and
-safe for concurrent readers.  `weak_components` and the distances of
-`metrics` walk the projection with one breadth-first kernel, `_bfs_levels`.
+safe for concurrent readers.  `weak_components` walks the projection with
+the breadth-first kernel `_bfs_levels`; the distances of `metrics` sweep it
+from blocks of sources at once, with O(N' * block / 8) bytes of bitsets.
 
 The constructor and every edge-record reader keep one set of rules: a word
 is non-empty and holds no whitespace, there is no self-loop, a weight is

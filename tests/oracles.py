@@ -75,11 +75,16 @@ def largest_component(net: CooccurrenceNetwork) -> set[int]:
     return best
 
 
+def _component_distances(net: CooccurrenceNetwork):
+    """(members in id order, their hop-distance matrix) of the largest component."""
+    comp = sorted(largest_component(net))
+    return comp, distance_matrix(net)[np.ix_(comp, comp)]
+
+
 def path_stats(net: CooccurrenceNetwork):
     """(L, D, node -> d_i) on the largest component via the matrix route."""
-    comp = sorted(largest_component(net))
+    comp, sub = _component_distances(net)
     n_prime = len(comp)
-    sub = distance_matrix(net)[np.ix_(comp, comp)]
     node_avg = {
         node: Fraction(int(sub[row].sum()), n_prime)
         for row, node in enumerate(comp)
@@ -88,6 +93,12 @@ def path_stats(net: CooccurrenceNetwork):
         return None, None, node_avg
     avg_path = Fraction(int(sub.sum()), n_prime * (n_prime - 1))
     return avg_path, int(sub.max()), node_avg
+
+
+def eccentricities(net: CooccurrenceNetwork) -> dict[int, int]:
+    """Node -> largest hop distance within the largest component."""
+    comp, sub = _component_distances(net)
+    return {node: int(sub[row].max()) for row, node in enumerate(comp)}
 
 
 def local_clustering(net: CooccurrenceNetwork, node: int) -> Fraction:

@@ -13,14 +13,17 @@ from coocnet import (
     degree,
     density,
     diameter,
+    extract_sentences,
     from_edge_list,
     global_summary,
+    load_document,
     local_clustering,
     node_average_distance,
     selectivity,
     strength,
     undirected_projection,
 )
+from coocnet import metrics
 
 import oracles
 
@@ -204,20 +207,77 @@ class TestDistances:
         assert diameter(light) == diameter(heavy)
 
 
+def assert_distances_match_oracle(net: CooccurrenceNetwork) -> None:
+    """Exact L, D and every node average distance equal the matrix oracle."""
+    want_l, want_d, want_node = oracles.path_stats(net)
+    assert average_shortest_path(net) == want_l
+    assert diameter(net) == want_d
+    for node in range(net.n_nodes):
+        assert node_average_distance(net, node) == want_node.get(node)
+
+
+def assert_sampled_distances_match_oracle(
+    net: CooccurrenceNetwork, sample: int
+) -> None:
+    """Sampled values are the oracle's rows of the sampled sources."""
+    _, _, want_node = oracles.path_stats(net)
+    eccentricity = oracles.eccentricities(net)
+    n_prime = len(want_node)
+    values = {
+        node: node_average_distance(net, node, sample=sample)
+        for node in range(net.n_nodes)
+    }
+    sources = [node for node, value in values.items() if value is not None]
+    assert len(sources) == min(sample, n_prime)
+    for node in sources:
+        assert values[node] == want_node[node]
+    if n_prime < 2:
+        assert average_shortest_path(net, sample=sample) is None
+        assert diameter(net, sample=sample) is None
+        return
+    row_total = sum(want_node[node] * n_prime for node in sources)
+    assert average_shortest_path(net, sample=sample) == row_total / (
+        len(sources) * (n_prime - 1)
+    )
+    assert diameter(net, sample=sample) == max(eccentricity[n] for n in sources)
+
+
 class TestOracleEquivalence:
     def test_distances_components_clustering(self):
         rng = np.random.default_rng(2024)
         for _ in range(60):
             net = oracles.random_network(rng, max_nodes=50)
-            want_l, want_d, want_node = oracles.path_stats(net)
-            assert average_shortest_path(net) == want_l
-            assert diameter(net) == want_d
-            for node, expected in want_node.items():
-                assert node_average_distance(net, node) == expected
+            assert_distances_match_oracle(net)
             for node in range(net.n_nodes):
                 assert local_clustering(net, node) == oracles.local_clustering(
                     net, node
                 )
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_distances_over_several_source_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(metrics, "_BLOCK", block)
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            net = oracles.random_network(rng, max_nodes=50)
+            assert_distances_match_oracle(net)
+            assert_sampled_distances_match_oracle(net, 5)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_small_components_over_several_source_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(metrics, "_BLOCK", block)
+        pair_and_singletons = build_network([["a", "b"], ["c"], ["d"]])
+        only_singletons = build_network([["solo"], ["other"]])
+        for net in (pair_and_singletons, only_singletons):
+            assert_distances_match_oracle(net)
+            for sample in (1, 2):
+                assert_sampled_distances_match_oracle(net, sample)
+        assert average_shortest_path(pair_and_singletons) == 1
+        assert diameter(pair_and_singletons) == 1
+        assert node_average_distance(pair_and_singletons, 0) == Fraction(1, 2)
+        assert node_average_distance(pair_and_singletons, 2) is None
+        assert node_average_distance(only_singletons, 0) == 0
+        assert node_average_distance(only_singletons, 1) is None
+        assert diameter(only_singletons) is None
 
     def test_l_never_exceeds_diameter(self):
         rng = np.random.default_rng(17)
@@ -340,6 +400,35 @@ class TestSampledEstimates:
         values = [node_average_distance(net, n, sample=2) for n in range(5)]
         assert sum(v is not None for v in values) == 2
 
+    def test_sampled_values_match_oracle(self):
+        rng = np.random.default_rng(88)
+        for _ in range(30):
+            net = oracles.random_network(rng, max_nodes=50)
+            for sample in (1, 3, 7):
+                assert_sampled_distances_match_oracle(net, sample)
+
     def test_invalid_sample_size(self, path4):
         with pytest.raises(ValueError):
             average_shortest_path(path4, sample=0)
+
+
+class TestNetworkxCrossCheck:
+    def test_formal_fixture_measures(self, formal_text_path):
+        nx = pytest.importorskip("networkx")
+        net = build_network(extract_sentences(load_document(formal_text_path).content))
+        graph = nx.Graph()
+        graph.add_nodes_from(range(net.n_nodes))
+        graph.add_edges_from(edge for edge, _ in net.edge_items())
+        largest = max(nx.connected_components(graph), key=len)
+        component = graph.subgraph(largest).copy()  # a view walks 10x slower
+        lengths = dict(nx.all_pairs_shortest_path_length(component))
+        n_prime = len(lengths)
+        total = sum(sum(row.values()) for row in lengths.values())
+        assert average_shortest_path(net) == Fraction(total, n_prime * (n_prime - 1))
+        assert diameter(net) == max(max(row.values()) for row in lengths.values())
+        assert float(average_clustering(net)) == pytest.approx(
+            nx.average_clustering(graph), rel=1e-12
+        )
+        assert global_summary(net).n_components == nx.number_connected_components(
+            graph
+        )
