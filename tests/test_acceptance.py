@@ -16,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from coocnet import (
     average_clustering,
@@ -286,3 +287,53 @@ def test_fixture_compare_output_tree_matches_golden_digest(
         capsys.readouterr()
         assert code == 0
         assert _tree_digest(out) == FIXTURE_TREE_DIGEST
+
+
+
+# Fixture ``analyze`` and ``rank`` runs: (argv, where "formal" and "informal"
+# name the fixture texts and "edges" the formal one's built edge list;
+# sha256 of the output tree; sha256 of stdout with the output directory
+# printed as ``<out>``).  A refactor must keep both digests.
+FIXTURE_RUNS = {
+    "analyze-formal-edges": (
+        ("analyze", "edges"),
+        "08ed9e889eae045bfb28486cef178f65bae3d8c41042aa0ee65c768e8ff227b9",
+        "8f61f0eadad0cfb0a919f7c0ef6ea2a26a628415ce54ed90ed4cc755d7e922e9",
+    ),
+    "analyze-informal": (
+        ("analyze", "informal"),
+        "b97e4bbb39602f84ff301b96ae6ce3cc83001f25d49c95c3c352c37ee6e4ecc9",
+        "565fc2d4e2417ad41b0e981078e0625f062f30776ee404c215d9c574eb45a115",
+    ),
+    "analyze-informal-sample": (
+        ("analyze", "informal", "--sample", "4"),
+        "0bcf128323444c5c3ee0fd101acd15497c7db6aed3d338fbdc570ba43bed9be6",
+        "78d1cc73288ffe2d873283c281aed257be008c406610918dbe9cf787571fc223",
+    ),
+    "rank-formal": (
+        ("rank", "formal"),
+        "a4e1342b9137e600418a34f0808c3882807199cf1dbbdcaccd3c05dd1dbf7765",
+        "61a31603eeafad4c5e721c1af86e51b6a51c3c502c0bc981981523d3f1656476",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(FIXTURE_RUNS))
+def test_fixture_analyze_and_rank_outputs_match_golden_digests(
+    run, tmp_path, capsys, formal_text_path, informal_text_path
+):
+    args, tree_digest, stdout_digest = FIXTURE_RUNS[run]
+    with criterion(f"fixture {run} output bytes unchanged", 30.0):
+        assert main(["build", str(formal_text_path), "--out", str(tmp_path)]) == 0
+        inputs = {
+            "formal": formal_text_path,
+            "informal": informal_text_path,
+            "edges": tmp_path / "formal_excerpt.edges.tsv",
+        }
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = main([str(inputs.get(arg, arg)) for arg in args] + ["--out", str(out)])
+        stdout = capsys.readouterr().out.replace(str(out), "<out>")
+        assert code == 0
+        assert _tree_digest(out) == tree_digest
+        assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == stdout_digest
