@@ -4,7 +4,9 @@ Degree-family measures (degree, strength, selectivity) respect edge
 direction.  Distance-family measures (node average distance, average
 shortest path, diameter) and clustering ignore direction and weights: they
 are computed with unweighted hops on the simple undirected projection, and
-path measures are restricted to the largest weak component.
+path measures are restricted to the largest weak component.  Every
+per-node measure but distances is read from one table, `_node_table`,
+built in a single pass over the nodes and cached on the network.
 
 All ratios are exact `fractions.Fraction` values; a measure that has no
 defined value (selectivity of an isolated direction, path lengths of a
@@ -26,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import NamedTuple
 
 from .network import (
     ComponentLabeling,
@@ -68,25 +70,67 @@ class GlobalMetrics:
     largest_component_size: int
 
 
+class _NodeTable(NamedTuple):
+    """Per-node columns, lists indexed by node id.
+
+    The degree-family fields of `NodeMetrics` in field order, then the
+    projection degree k and 2E, the projection links among the node's
+    neighbors, each found from both ends.
+    """
+
+    in_degree: list[int]
+    out_degree: list[int]
+    in_strength: list[int]
+    out_strength: list[int]
+    in_selectivity: list[Fraction | None]
+    out_selectivity: list[Fraction | None]
+    k: list[int]
+    twice_links: list[int]
+
+
+def _node_table(net: CooccurrenceNetwork) -> _NodeTable:
+    """Every per-node measure but distances, in one pass; cached on the network."""
+    if net._node_cache is None:
+        nodes = range(net.n_nodes)
+        sides = [list(map(net.in_weights, nodes)), list(map(net.out_weights, nodes))]
+        degrees = [[len(weights) for weights in side] for side in sides]
+        strengths = [[sum(weights.values()) for weights in side] for side in sides]
+        selectivities = [
+            [Fraction(s, k) if k else None for s, k in zip(side_s, side_k)]
+            for side_s, side_k in zip(strengths, degrees)
+        ]
+        adjacency = undirected_projection(net)
+        net._node_cache = _NodeTable(
+            *degrees,
+            *strengths,
+            *selectivities,
+            k=[len(neighbors) for neighbors in adjacency],
+            twice_links=[
+                sum(len(adjacency[nbr] & neighbors) for nbr in neighbors)
+                for neighbors in adjacency
+            ],
+        )
+    return net._node_cache
+
+
 def _side(
-    net: CooccurrenceNetwork, node: int, direction: str
-) -> Mapping[int, int]:
-    """Neighbor id -> edge weight on the node's in- or out-side."""
-    if direction == "in":
-        return net.in_weights(node)
-    if direction == "out":
-        return net.out_weights(node)
-    raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
+    net: CooccurrenceNetwork, node: int, direction: str, kind: str
+) -> int | Fraction | None:
+    """The node's in- or out-side value of one degree-family measure."""
+    if direction not in ("in", "out"):
+        raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
+    net._check_node(node)  # a list index would accept -1
+    return getattr(_node_table(net), f"{direction}_{kind}")[node]
 
 
 def degree(net: CooccurrenceNetwork, node: int, direction: str) -> int:
     """Number of distinct in- or out-neighbors."""
-    return len(_side(net, node, direction))
+    return _side(net, node, direction, "degree")
 
 
 def strength(net: CooccurrenceNetwork, node: int, direction: str) -> int:
     """Sum of edge weights on the node's in- or out-side."""
-    return sum(_side(net, node, direction).values())
+    return _side(net, node, direction, "strength")
 
 
 def selectivity(
@@ -97,10 +141,7 @@ def selectivity(
     Weights count repeated co-occurrences, so selectivity is the average
     weight per distinct neighbor and is always >= 1 when defined.
     """
-    weights = _side(net, node, direction)
-    if not weights:
-        return None
-    return Fraction(sum(weights.values()), len(weights))
+    return _side(net, node, direction, "selectivity")
 
 
 def average_degree(net: CooccurrenceNetwork) -> Fraction:
@@ -117,45 +158,33 @@ def density(net: CooccurrenceNetwork) -> Fraction | None:
     return Fraction(net.n_edges, net.n_nodes * (net.n_nodes - 1))
 
 
-def _clustering_terms(adjacency: list[set[int]], node: int) -> tuple[int, int]:
-    """(2E, k(k-1)) for the node's k projection neighbors; (0, 0) when k < 2."""
-    neighbors = adjacency[node]
-    k = len(neighbors)
-    if k < 2:
-        return 0, 0
-    # each neighbor pair link is found from both ends, hence 2E
-    twice_links = sum(len(adjacency[nbr] & neighbors) for nbr in neighbors)
-    return twice_links, k * (k - 1)
-
-
 def local_clustering(net: CooccurrenceNetwork, node: int) -> Fraction:
     """2E/(k(k-1)) on the undirected projection; 0 when k < 2.
 
     E counts undirected links among the node's k projection neighbors.
     """
-    twice_links, pairs = _clustering_terms(undirected_projection(net), node)
-    return Fraction(twice_links, pairs) if pairs else Fraction(0)
+    net._check_node(node)
+    table = _node_table(net)
+    k = table.k[node]
+    return Fraction(table.twice_links[node], k * (k - 1)) if k > 1 else Fraction(0)
 
 
 def average_clustering(net: CooccurrenceNetwork) -> Fraction:
     """Mean local clustering over all nodes, isolated ones included.
 
-    The numerators are summed as integers per denominator k(k-1), so the
+    The numerators are summed as integers per projection degree k, so the
     exact sum takes one `Fraction` per distinct degree, not one per node.
     """
     if net.n_nodes == 0:
         raise ValueError("average clustering of an empty network is undefined")
-    adjacency = undirected_projection(net)
-    links_by_pairs: dict[int, int] = {}
-    for node in range(net.n_nodes):
-        twice_links, pairs = _clustering_terms(adjacency, node)
-        if pairs:
-            links_by_pairs[pairs] = links_by_pairs.get(pairs, 0) + twice_links
-    total = sum(
-        (Fraction(links, pairs) for pairs, links in links_by_pairs.items()),
-        Fraction(0),
+    table = _node_table(net)
+    links_by_k: dict[int, int] = {}
+    for k, twice_links in zip(table.k, table.twice_links):
+        links_by_k[k] = links_by_k.get(k, 0) + twice_links
+    return Fraction(
+        sum(Fraction(links, k * (k - 1)) for k, links in links_by_k.items() if k > 1),
+        net.n_nodes,
     )
-    return total / net.n_nodes
 
 
 # Sources per bit-parallel sweep.  A sweep's bitsets take O(N' * _BLOCK / 8)
@@ -350,19 +379,15 @@ def all_node_metrics(
     net: CooccurrenceNetwork, sample: int | None = None
 ) -> list[NodeMetrics]:
     """NodeMetrics for every node, indexed by node id."""
+    table = _node_table(net)
     return [
         NodeMetrics(
-            word=net.words[node],
-            in_degree=degree(net, node, "in"),
-            out_degree=degree(net, node, "out"),
-            in_strength=strength(net, node, "in"),
-            out_strength=strength(net, node, "out"),
-            in_selectivity=selectivity(net, node, "in"),
-            out_selectivity=selectivity(net, node, "out"),
+            word,
+            *degree_family,
             clustering=local_clustering(net, node),
             avg_distance=node_average_distance(net, node, sample),
         )
-        for node in range(net.n_nodes)
+        for node, (word, *degree_family) in enumerate(zip(net.words, *table[:6]))
     ]
 
 

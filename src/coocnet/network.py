@@ -6,11 +6,13 @@ immediately followed by word ``j`` inside a sentence ``w`` times.  The
 graph is simple: consecutive duplicate tokens never create self-loops, and
 sentence boundaries never create edges.
 
-A finished network is treated as immutable; the undirected projection and
-the hop-distance aggregates of `metrics` are cached on the instance and
-safe for concurrent readers.  `weak_components` walks the projection with
-the breadth-first kernel `_bfs_levels`; the distances of `metrics` sweep it
-from blocks of sources at once, with O(N' * block / 8) bytes of bitsets.
+A finished network is treated as immutable and caches three derived
+views on the instance, each filled on first use and safe for concurrent
+readers: the undirected projection, the per-node table of `metrics`
+(degree family and neighbor links), and the hop-distance aggregates of
+`metrics` per sample size.  `weak_components` floods the projection
+breadth-first; the distances of `metrics` sweep it from blocks of sources
+at once, with O(N' * block / 8) bytes of bitsets.
 
 The constructor and every edge-record reader keep one set of rules: a word
 is non-empty and holds no whitespace, there is no self-loop, a weight is
@@ -101,6 +103,7 @@ class CooccurrenceNetwork:
         self._edge_count = sum(len(nbrs) for nbrs in out_adj)
         # lazily filled caches, see undirected_projection / metrics
         self._projection_cache: list[set[int]] | None = None
+        self._node_cache = None  # metrics._node_table
         self._distance_cache: dict = {}
 
     # -- basic accessors ---------------------------------------------------
@@ -304,28 +307,6 @@ def undirected_projection(net: CooccurrenceNetwork) -> list[set[int]]:
     return net._projection_cache
 
 
-def _bfs_levels(
-    adjacency: list[set[int]], source: int, marks: list[int], mark: int
-) -> Iterator[list[int]]:
-    """Breadth-first search over the nodes whose mark is -1.
-
-    Marks the source and every node it reaches with ``mark`` and yields
-    each new frontier: the nodes at depth 1, 2, ... from the source.
-    """
-    marks[source] = mark
-    frontier = [source]
-    while frontier:
-        next_frontier = []
-        for node in frontier:
-            for nbr in adjacency[node]:
-                if marks[nbr] == -1:
-                    marks[nbr] = mark
-                    next_frontier.append(nbr)
-        frontier = next_frontier
-        if frontier:
-            yield frontier
-
-
 def weak_components(net: CooccurrenceNetwork) -> ComponentLabeling:
     """Connected components of the undirected projection.
 
@@ -337,8 +318,15 @@ def weak_components(net: CooccurrenceNetwork) -> ComponentLabeling:
     labels = [-1] * net.n_nodes
     sizes: list[int] = []
     for start in range(net.n_nodes):
-        if labels[start] == -1:
-            levels = _bfs_levels(adjacency, start, labels, len(sizes))
-            sizes.append(1 + sum(len(level) for level in levels))
+        if labels[start] != -1:
+            continue
+        labels[start] = label = len(sizes)
+        queue = [start]
+        for node in queue:  # the queue grows while it is walked
+            for nbr in adjacency[node]:
+                if labels[nbr] == -1:
+                    labels[nbr] = label
+                    queue.append(nbr)
+        sizes.append(len(queue))
     largest = max(range(len(sizes)), key=sizes.__getitem__, default=None)
     return ComponentLabeling(labels=tuple(labels), sizes=tuple(sizes), largest=largest)

@@ -23,14 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .metrics import (
-    GlobalMetrics,
-    NodeMetrics,
-    degree,
-    global_summary,
-    selectivity,
-    strength,
-)
+from .metrics import GlobalMetrics, NodeMetrics, _node_table, global_summary
 from .network import CooccurrenceNetwork
 
 MEASURES = (
@@ -116,9 +109,6 @@ def rank_sequence(
     return RankSeries(measure=measure, entries=entries)
 
 
-_MEASURE_KINDS = {"degree": degree, "strength": strength, "selectivity": selectivity}
-
-
 def network_rank_series(net: CooccurrenceNetwork, measure: str) -> RankSeries:
     """Rank series of one measure over a network's nodes.
 
@@ -129,13 +119,10 @@ def network_rank_series(net: CooccurrenceNetwork, measure: str) -> RankSeries:
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
-    side, _, kind = measure.partition("-")
-    value_of = _MEASURE_KINDS[kind]
-    pairs = [
-        (net.words[node], value_of(net, node, side) or None)
-        for node in range(net.n_nodes)
-    ]
-    return rank_sequence(measure, pairs)
+    values = getattr(_node_table(net), measure.replace("-", "_"))
+    return rank_sequence(
+        measure, [(word, value or None) for word, value in zip(net.words, values)]
+    )
 
 
 def all_rank_series(net: CooccurrenceNetwork) -> dict[str, RankSeries]:
@@ -150,11 +137,9 @@ def excluded_fraction(net: CooccurrenceNetwork) -> Fraction:
     """
     if net.n_nodes == 0:
         raise ValueError("excluded fraction of an empty network is undefined")
-    excluded = sum(
-        1
-        for node in range(net.n_nodes)
-        if degree(net, node, "in") == 0 or degree(net, node, "out") == 0
-    )
+    table = _node_table(net)
+    sides = zip(table.in_degree, table.out_degree)
+    excluded = sum(1 for k_in, k_out in sides if k_in == 0 or k_out == 0)
     return Fraction(excluded, net.n_nodes)
 
 

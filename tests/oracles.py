@@ -3,8 +3,9 @@
 Each oracle takes a deliberately different algorithmic route than the
 package: hop distances come from dense matrix relaxation instead of
 breadth-first search, components from union-find instead of flood fill,
-and clustering from exhaustive neighbor-pair enumeration instead of set
-intersections.  Agreement between the two routes is what the equivalence
+degrees and strengths from one tally per edge instead of the neighbor
+maps, and clustering from exhaustive neighbor-pair enumeration instead of
+set intersections.  Agreement between the two routes is what the equivalence
 tests assert.
 """
 
@@ -99,6 +100,30 @@ def eccentricities(net: CooccurrenceNetwork) -> dict[int, int]:
     """Node -> largest hop distance within the largest component."""
     comp, sub = _component_distances(net)
     return {node: int(sub[row].max()) for row, node in enumerate(comp)}
+
+
+def degree_family(net: CooccurrenceNetwork) -> dict[str, list]:
+    """Per-node degree-family columns, keyed by `NodeMetrics` field name.
+
+    Degrees and strengths are tallied edge by edge; a selectivity is the
+    strength over the degree, None when the degree is 0.
+    """
+    columns = {
+        f"{side}_{kind}": [0] * net.n_nodes
+        for kind in ("degree", "strength")
+        for side in ("in", "out")
+    }
+    for (src, dst), weight in net.edge_items():
+        columns["out_degree"][src] += 1
+        columns["out_strength"][src] += weight
+        columns["in_degree"][dst] += 1
+        columns["in_strength"][dst] += weight
+    for side in ("in", "out"):
+        columns[f"{side}_selectivity"] = [
+            Fraction(s, k) if k else None
+            for s, k in zip(columns[f"{side}_strength"], columns[f"{side}_degree"])
+        ]
+    return columns
 
 
 def local_clustering(net: CooccurrenceNetwork, node: int) -> Fraction:

@@ -70,11 +70,29 @@ class TestDegreeFamily:
         assert strength(net, 0, "in") == 0
         assert strength(net, 0, "out") == 0
 
-    def test_direction_validated(self, two_node_net):
-        with pytest.raises(ValueError):
-            degree(two_node_net, 0, "both")
-        with pytest.raises(ValueError):
-            strength(two_node_net, 0, "sideways")
+    @pytest.mark.parametrize(
+        "measure", [degree, strength, selectivity], ids=lambda f: f.__name__
+    )
+    def test_direction_validated(self, two_node_net, measure):
+        for direction in ("both", "sideways", "IN", ""):
+            with pytest.raises(ValueError, match="direction"):
+                measure(two_node_net, 0, direction)
+
+    @pytest.mark.parametrize("node", [-1, 3])  # the triad's ids are 0..2
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            lambda net, node: degree(net, node, "in"),
+            lambda net, node: strength(net, node, "out"),
+            lambda net, node: selectivity(net, node, "in"),
+            local_clustering,
+            node_average_distance,
+        ],
+        ids=["degree", "strength", "selectivity", "clustering", "avg_distance"],
+    )
+    def test_node_id_out_of_range(self, complete_triad, reader, node):
+        with pytest.raises(IndexError):
+            reader(complete_triad, node)
 
 
 class TestSelectivity:
@@ -252,6 +270,21 @@ class TestOracleEquivalence:
                 assert local_clustering(net, node) == oracles.local_clustering(
                     net, node
                 )
+
+    def test_node_metrics_match_oracles(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(40):
+            net = oracles.random_network(rng, max_nodes=40)
+            expected = oracles.degree_family(net)
+            _, _, node_avg = oracles.path_stats(net)
+            records = all_node_metrics(net)
+            assert len(records) == net.n_nodes
+            for node, rec in enumerate(records):
+                assert rec.word == net.words[node]
+                for name, column in expected.items():
+                    assert getattr(rec, name) == column[node], name
+                assert rec.clustering == oracles.local_clustering(net, node)
+                assert rec.avg_distance == node_avg.get(node)
 
     @pytest.mark.parametrize("block", [1, 3])
     def test_distances_over_several_source_blocks(self, monkeypatch, block):

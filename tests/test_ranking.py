@@ -13,7 +13,6 @@ from coocnet import (
     all_rank_series,
     build_network,
     compare_pair,
-    degree,
     excluded_fraction,
     export_pair_csv,
     export_rank_csv,
@@ -23,8 +22,6 @@ from coocnet import (
     network_rank_series,
     rank_sequence,
     render_rank_svg,
-    selectivity,
-    strength,
     write_node_metrics_csv,
     write_summary_csv,
 )
@@ -79,24 +76,16 @@ class TestNetworkSeries:
         rng = np.random.default_rng(8)
         for _ in range(20):
             net = oracles.random_network(rng, max_nodes=40)
+            expected = oracles.degree_family(net)
             for side in ("in", "out"):
-                active = sum(
-                    1 for n in range(net.n_nodes) if degree(net, n, side) > 0
-                )
-                for kind, value_of in (
-                    ("degree", degree),
-                    ("strength", strength),
-                    ("selectivity", selectivity),
-                ):
+                active = sum(1 for k in expected[f"{side}_degree"] if k > 0)
+                for kind in ("degree", "strength", "selectivity"):
                     series = network_rank_series(net, f"{side}-{kind}")
                     assert len(series) == active
-                    expected = {
-                        net.words[n]: value_of(net, n, side)
-                        for n in range(net.n_nodes)
-                    }
+                    column = expected[f"{side}_{kind}"]
                     assert {e.word: e.value for e in series.entries} == {
                         word: value
-                        for word, value in expected.items()
+                        for word, value in zip(net.words, column)
                         if value not in (0, None)
                     }
 
@@ -110,6 +99,15 @@ class TestNetworkSeries:
     def test_all_six_series(self, two_node_net):
         series = all_rank_series(two_node_net)
         assert tuple(series) == MEASURES
+
+    def test_excluded_fraction_matches_oracle(self):
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            net = oracles.random_network(rng, max_nodes=40)
+            expected = oracles.degree_family(net)
+            sides = zip(expected["in_degree"], expected["out_degree"])
+            excluded = sum(1 for k_in, k_out in sides if 0 in (k_in, k_out))
+            assert excluded_fraction(net) == Fraction(excluded, net.n_nodes)
 
     def test_excluded_fraction(self):
         # b has both sides, a lacks in, c lacks out, d lacks both
