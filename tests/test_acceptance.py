@@ -289,7 +289,6 @@ def test_fixture_compare_output_tree_matches_golden_digest(
         assert _tree_digest(out) == FIXTURE_TREE_DIGEST
 
 
-
 # Fixture ``analyze`` and ``rank`` runs: (argv, where "formal" and "informal"
 # name the fixture texts and "edges" the formal one's built edge list;
 # sha256 of the output tree; sha256 of stdout with the output directory
