@@ -20,6 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -98,13 +99,23 @@ def rank_sequence(
     """Rank (word, value) pairs; None values are dropped, zeros are kept.
 
     Sorting is by descending value, then ascending word; ranks are the
-    1-based positions after the sort.
+    1-based positions after the sort.  The pairs are grouped by exact value
+    in one dict (equal ints and Fractions hash alike and compare equal),
+    only the distinct values are sorted, and each group is sorted by word:
+    exact `Fraction` comparisons run over a network's few hundred distinct
+    values, not its thousands of nodes.  Every entry keeps its own value
+    object, and pairs with equal value and word keep their input order.
     """
-    kept = [(word, value) for word, value in pairs if value is not None]
-    kept.sort(key=lambda item: (-item[1], item[0]))
+    groups: dict[int | Fraction, list[tuple[str, int | Fraction]]] = {}
+    for word, value in pairs:
+        if value is not None:
+            groups.setdefault(value, []).append((word, value))
+    by_word = itemgetter(0)
+    ordered = itertools.chain.from_iterable(
+        sorted(groups[value], key=by_word) for value in sorted(groups, reverse=True)
+    )
     entries = tuple(
-        RankEntry(rank, value, word)
-        for rank, (word, value) in enumerate(kept, 1)
+        RankEntry(rank, value, word) for rank, (word, value) in enumerate(ordered, 1)
     )
     return RankSeries(measure=measure, entries=entries)
 
@@ -269,7 +280,8 @@ def export_pair_csv(
     """Write two same-measure series aligned rank by rank.
 
     Rows run to the longer series; a missing value and its ratio are empty
-    cells.  The ratio column divides the first series by the second.
+    cells.  The ratio column divides the first series by the second; it is
+    empty where the second value is 0.
     """
     if series_a.measure != series_b.measure:
         raise ValueError(
@@ -280,7 +292,7 @@ def export_pair_csv(
     for rank, (entry_a, entry_b) in enumerate(pairs, 1):
         value_a = entry_a.value if entry_a else None
         value_b = entry_b.value if entry_b else None
-        ratio = Fraction(value_a, value_b) if entry_a and entry_b else None
+        ratio = Fraction(value_a, value_b) if entry_a and value_b else None
         rows.append(
             (rank, format_value(value_a), format_value(value_b), format_value(ratio))
         )
@@ -322,13 +334,22 @@ def render_rank_svg(
     """Draw both series of one measure as log-log polylines.
 
     Plain hand-assembled SVG so the bytes depend only on the data.  Both
-    axes are base-10 logarithmic with ticks at the decades; values are
-    >= 1 by construction (zeros are never ranked), so logs are >= 0.
+    axes are base-10 logarithmic with ticks at the decades.  A log-log
+    plot needs positive values, so a series holding a zero or a negative
+    value (`rank_sequence` keeps zeros) raises ValueError.  Network series
+    hold values >= 1, as `network_rank_series` drops zeros, so their logs
+    are >= 0.
     """
     if series_a.measure != series_b.measure:
         raise ValueError(
             f"cannot plot {series_a.measure!r} against {series_b.measure!r}"
         )
+    for series in (series_a, series_b):
+        if series.entries and series.entries[-1].value <= 0:  # the smallest
+            raise ValueError(
+                f"cannot plot {series.measure!r}: a log-log plot needs positive "
+                f"values, got {format_value(series.entries[-1].value)}"
+            )
     max_rank = max((len(s) for s in (series_a, series_b)), default=0)
     max_value = 1.0
     for series in (series_a, series_b):

@@ -4,9 +4,10 @@ Each oracle takes a deliberately different algorithmic route than the
 package: hop distances come from dense matrix relaxation instead of
 breadth-first search, components from union-find instead of flood fill,
 degrees and strengths from one tally per edge instead of the neighbor
-maps, and clustering from exhaustive neighbor-pair enumeration instead of
-set intersections.  Agreement between the two routes is what the equivalence
-tests assert.
+maps, clustering from exhaustive neighbor-pair enumeration instead of
+forward triangle counting, and rank order from one keyed sort instead of
+grouping by value.  Agreement between the two routes is what the
+equivalence tests assert.
 """
 
 from fractions import Fraction
@@ -139,6 +140,17 @@ def local_clustering(net: CooccurrenceNetwork, node: int) -> Fraction:
         1 for a, b in combinations(neighbors, 2) if (min(a, b), max(a, b)) in edges
     )
     return Fraction(2 * links, k * (k - 1))
+
+
+def rank_order(pairs) -> list[tuple]:
+    """(word, value) pairs without None values, by descending value, then word.
+
+    One stable sort keyed on (-value, word), so pairs with equal value and
+    word keep their input order.
+    """
+    kept = [(word, value) for word, value in pairs if value is not None]
+    kept.sort(key=lambda item: (-item[1], item[0]))
+    return kept
 
 
 def random_network(

@@ -171,6 +171,85 @@ class TestClustering:
             average_clustering(build_network([]))
 
 
+def undirected_graph(edges, order=None) -> CooccurrenceNetwork:
+    """Network whose projection has the given undirected edges.
+
+    Edges alternate between one direction and both, which the projection
+    must merge.  ``order`` lists the node names in node-id order, so one
+    graph can be laid out under several id orders.
+    """
+    weights = {}
+    names = order or sorted({name for edge in edges for name in edge})
+    ids = {name: i for i, name in enumerate(names)}
+    for n, (a, b) in enumerate(edges):
+        weights[(ids[a], ids[b])] = 1
+        if n % 2:
+            weights[(ids[b], ids[a])] = 2
+    return CooccurrenceNetwork(names, weights)
+
+
+def complete(n):
+    return [(f"v{i}", f"v{j}") for i in range(n) for j in range(i + 1, n)]
+
+
+def cycle(n):
+    return [(f"v{i}", f"v{(i + 1) % n}") for i in range(n)]
+
+
+def wheel(n):
+    return cycle(n) + [("hub", f"v{i}") for i in range(n)]
+
+
+# graphs full of (k, id) ties, where the forward orientation decides by id
+TIED_GRAPHS = {
+    **{f"K{n}": complete(n) for n in range(3, 8)},
+    **{f"C{n}": cycle(n) for n in range(3, 8)},
+    **{f"W{n}": wheel(n) for n in range(3, 8)},
+    "two-triangles-sharing-an-edge": [
+        ("a", "b"), ("b", "c"), ("c", "a"), ("b", "d"), ("d", "c")
+    ],
+    "K5-with-pendant-path": complete(5) + [("v0", "p1"), ("p1", "p2"), ("p2", "p3")],
+}
+
+
+class TestTriangleOrientation:
+    @pytest.mark.parametrize("name", TIED_GRAPHS)
+    def test_every_node_matches_oracle_under_shuffled_ids(self, name):
+        edges = TIED_GRAPHS[name]
+        names = sorted({node for edge in edges for node in edge})
+        rng = np.random.default_rng(41)
+        for layout in range(4):
+            order = names if layout == 0 else list(rng.permutation(names))
+            net = undirected_graph(edges, order)
+            expected = [oracles.local_clustering(net, v) for v in range(net.n_nodes)]
+            assert [local_clustering(net, v) for v in range(net.n_nodes)] == expected
+            assert average_clustering(net) == sum(expected) / net.n_nodes
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_closed_forms(self, n):
+        clique = undirected_graph(complete(n))
+        assert all(local_clustering(clique, v) == 1 for v in range(n))
+        ring = undirected_graph(cycle(n))
+        assert average_clustering(ring) == (1 if n == 3 else 0)
+        spokes = undirected_graph(wheel(n))
+        hub = spokes.node_id("hub")
+        # the hub's n neighbors form an n-cycle: n links among them
+        assert local_clustering(spokes, hub) == Fraction(2 * n, n * (n - 1))
+        # a rim node sees the hub and two rim neighbors: two links, or three in W3
+        rim = spokes.node_id("v0")
+        assert local_clustering(spokes, rim) == (1 if n == 3 else Fraction(2, 3))
+
+    def test_shared_edge_and_pendant_path(self):
+        diamond = undirected_graph(TIED_GRAPHS["two-triangles-sharing-an-edge"])
+        values = {w: local_clustering(diamond, diamond.node_id(w)) for w in "abcd"}
+        assert values == {"a": 1, "b": Fraction(2, 3), "c": Fraction(2, 3), "d": 1}
+        tail = undirected_graph(TIED_GRAPHS["K5-with-pendant-path"])
+        # v0 has its four clique neighbors plus p1: 6 links among 5 neighbors
+        assert local_clustering(tail, tail.node_id("v0")) == Fraction(12, 20)
+        for word in ("p1", "p2", "p3"):
+            assert local_clustering(tail, tail.node_id(word)) == 0
+
+
 class TestDensity:
     def test_complete_triad(self, complete_triad):
         assert density(complete_triad) == 1
@@ -447,7 +526,8 @@ class TestSampledEstimates:
 
 class TestNetworkxCrossCheck:
     def test_formal_fixture_measures(self, formal_text_path):
-        nx = pytest.importorskip("networkx")
+        import networkx as nx  # declared in the test extra
+
         net = build_network(extract_sentences(load_document(formal_text_path).content))
         graph = nx.Graph()
         graph.add_nodes_from(range(net.n_nodes))
@@ -459,9 +539,14 @@ class TestNetworkxCrossCheck:
         total = sum(sum(row.values()) for row in lengths.values())
         assert average_shortest_path(net) == Fraction(total, n_prime * (n_prime - 1))
         assert diameter(net) == max(max(row.values()) for row in lengths.values())
-        assert float(average_clustering(net)) == pytest.approx(
-            nx.average_clustering(graph), rel=1e-12
-        )
+        triangles = nx.triangles(graph)
+        clustering = []
+        for node in range(net.n_nodes):
+            k = graph.degree(node)
+            want = Fraction(2 * triangles[node], k * (k - 1)) if k > 1 else Fraction(0)
+            assert local_clustering(net, node) == want
+            clustering.append(want)
+        assert average_clustering(net) == sum(clustering) / net.n_nodes
         assert global_summary(net).n_components == nx.number_connected_components(
             graph
         )

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coocnet import (
     MEASURES,
@@ -62,6 +64,76 @@ class TestRankSequence:
         assert sorted(e.value for e in series.entries) == sorted(
             v for v in values if v is not None
         )
+
+
+# small ranges so equal values of mixed type (2 and Fraction(2)), zeros,
+# duplicate words and equal-value runs are all common
+_RANK_VALUES = st.one_of(
+    st.none(),
+    st.just(0),
+    st.integers(min_value=-3, max_value=6),
+    st.fractions(min_value=-3, max_value=6, max_denominator=4),
+)
+_RANK_PAIRS = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c", "ab", "ba", "é"]), _RANK_VALUES),
+    max_size=40,
+)
+
+
+def assert_matches_rank_order(series, pairs):
+    """Entry for entry the oracle's pair, holding the same value object."""
+    expected = oracles.rank_order(pairs)
+    assert [e.rank for e in series.entries] == list(range(1, len(expected) + 1))
+    assert [(e.word, e.value) for e in series.entries] == expected
+    assert [type(e.value) for e in series.entries] == [
+        type(value) for _, value in expected
+    ]
+    assert all(
+        entry.value is value for entry, (_, value) in zip(series.entries, expected)
+    )
+
+
+class TestRankOrderOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_RANK_PAIRS)
+    def test_matches_keyed_sort(self, pairs):
+        assert_matches_rank_order(rank_sequence("in-selectivity", pairs), pairs)
+
+    def test_colliding_floats_rank_exactly(self):
+        # both sides round to the float 1.0; only the exact order puts b first
+        above_one = Fraction(2**53 + 1, 2**53)
+        assert float(above_one) == 1.0
+        pairs = [
+            ("a", 1),
+            ("b", above_one),
+            ("c", Fraction(2**53 - 1, 2**53)),
+            ("d", Fraction(2**54 + 1, 2**54)),
+        ]
+        series = rank_sequence("out-selectivity", pairs)
+        assert [e.word for e in series.entries] == ["b", "d", "a", "c"]
+        assert_matches_rank_order(series, pairs)
+
+    def test_equal_values_of_mixed_type_keep_their_objects(self):
+        pairs = [("b", Fraction(1)), ("a", 1), ("c", 1), ("a", Fraction(1)), ("z", 2)]
+        series = rank_sequence("in-strength", pairs)
+        assert [(e.word, type(e.value)) for e in series.entries] == [
+            ("z", int),
+            ("a", int),
+            ("a", Fraction),
+            ("b", Fraction),
+            ("c", int),
+        ]
+        assert_matches_rank_order(series, pairs)
+
+    def test_zeros_are_kept_below_positive_values(self):
+        pairs = [("a", 0), ("b", None), ("c", Fraction(1, 3)), ("d", Fraction(0))]
+        series = rank_sequence("in-selectivity", pairs)
+        assert [(e.word, e.value) for e in series.entries] == [
+            ("c", Fraction(1, 3)),
+            ("a", 0),
+            ("d", 0),
+        ]
+        assert_matches_rank_order(series, pairs)
 
 
 class TestNetworkSeries:
@@ -237,6 +309,18 @@ class TestCsvExports:
             "2,2,,",
         ]
 
+    def test_pair_csv_zero_denominator_gives_empty_ratio(self, tmp_path):
+        left = rank_sequence("in-strength", [("a", 3), ("b", 0), ("c", 0)])
+        right = rank_sequence("in-strength", [("x", 2), ("y", 0), ("z", Fraction(0))])
+        path = tmp_path / "pair.csv"
+        export_pair_csv(left, right, path)
+        assert path.read_text("utf-8").splitlines() == [
+            "rank,value_a,value_b,ratio_a_over_b",
+            "1,3,2,1.5",
+            "2,0,0,",
+            "3,0,0,",
+        ]
+
     def test_pair_csv_requires_matching_measures(self, tmp_path):
         left = rank_sequence("in-degree", [("a", 1)])
         right = rank_sequence("out-degree", [("a", 1)])
@@ -281,3 +365,13 @@ class TestSvgRendering:
         right = rank_sequence("out-degree", [("a", 1)])
         with pytest.raises(ValueError):
             render_rank_svg(left, right, "a", "b", tmp_path / "plot.svg")
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_zero_value_rejected_by_name(self, tmp_path, side):
+        positive = rank_sequence("out-strength", [("a", 4), ("b", 1)])
+        with_zero = rank_sequence("out-strength", [("a", 4), ("b", 0)])
+        series = (with_zero, positive) if side == "a" else (positive, with_zero)
+        path = tmp_path / "plot.svg"
+        with pytest.raises(ValueError, match="'out-strength'.*needs positive values"):
+            render_rank_svg(*series, "a", "b", path)
+        assert not path.exists()
