@@ -6,6 +6,12 @@ the series is reproducible.  Nodes whose value is zero or undefined are
 left out: a node with no incoming edge carries no information about the
 incoming side, and including a zero tail would only flatten log-log plots.
 
+A series is stored as its runs of equal value (a network's thousands of
+nodes share a few hundred values), and the writers work once per run: one
+formatted value cell per run in a rank CSV, one ratio per overlap of two
+runs in a pair CSV, one logarithm per run in an SVG plot.  Only the rank
+and the word are handled row by row.
+
 Two networks built from different text categories are compared by pairing
 their global summaries and their rank series measure by measure.  Exports
 (CSV tables and an optional SVG rank plot) are byte-deterministic: same
@@ -22,7 +28,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .metrics import GlobalMetrics, NodeMetrics, _node_table, global_summary
 from .network import CooccurrenceNetwork
@@ -64,19 +70,47 @@ class RankEntry(NamedTuple):
     word: str
 
 
+# one run of equal values: its (word, value) pairs, sorted by word
+Run = tuple[tuple[str, int | Fraction], ...]
+
+
 @dataclass(frozen=True)
 class RankSeries:
-    """Descending values of one measure with 1-based ranks."""
+    """Descending values of one measure with 1-based ranks, as equal-value runs.
+
+    `runs` holds the runs of equal value in rank order, each run being its
+    (word, value) pairs sorted by word; every pair keeps its own value
+    object, so a run may mix equal ints and Fractions.  Ranks count the
+    pairs across the runs from 1.  `entries`, the (rank, value, word) rows,
+    is derived from the runs on each access.  Build a series with
+    `rank_sequence`.
+    """
 
     measure: str
-    entries: tuple[RankEntry, ...]
+    runs: tuple[Run, ...]
 
     def __post_init__(self):
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.runs))
+
+    @property
+    def entries(self) -> tuple[RankEntry, ...]:
+        pairs = itertools.chain.from_iterable(self.runs)
+        return tuple(
+            RankEntry(rank, value, word) for rank, (word, value) in enumerate(pairs, 1)
+        )
+
+
+def _run_spans(series: RankSeries) -> Iterator[tuple[int, int, Run]]:
+    """(first rank, rank past the end, run) for each run, in rank order."""
+    start = 1
+    for run in series.runs:
+        end = start + len(run)
+        yield start, end, run
+        start = end
 
 
 @dataclass(frozen=True)
@@ -100,24 +134,23 @@ def rank_sequence(
 
     Sorting is by descending value, then ascending word; ranks are the
     1-based positions after the sort.  The pairs are grouped by exact value
-    in one dict (equal ints and Fractions hash alike and compare equal),
-    only the distinct values are sorted, and each group is sorted by word:
-    exact `Fraction` comparisons run over a network's few hundred distinct
-    values, not its thousands of nodes.  Every entry keeps its own value
-    object, and pairs with equal value and word keep their input order.
+    in one dict keyed by `as_integer_ratio()`, which is the same for equal
+    ints and Fractions and, unlike `Fraction.__hash__`, cheap.  Only the
+    distinct values are sorted, and each group, sorted by word, becomes one
+    run of the series: exact `Fraction` comparisons run over a network's
+    few hundred distinct values, not its thousands of nodes, and the
+    writers format, divide and take logs once per run.  Every pair keeps
+    its own value object, and pairs with equal value and word keep their
+    input order.
     """
-    groups: dict[int | Fraction, list[tuple[str, int | Fraction]]] = {}
+    groups: dict[tuple[int, int], list[tuple[str, int | Fraction]]] = {}
     for word, value in pairs:
         if value is not None:
-            groups.setdefault(value, []).append((word, value))
+            groups.setdefault(value.as_integer_ratio(), []).append((word, value))
     by_word = itemgetter(0)
-    ordered = itertools.chain.from_iterable(
-        sorted(groups[value], key=by_word) for value in sorted(groups, reverse=True)
-    )
-    entries = tuple(
-        RankEntry(rank, value, word) for rank, (word, value) in enumerate(ordered, 1)
-    )
-    return RankSeries(measure=measure, entries=entries)
+    by_value = sorted(groups.values(), key=lambda group: group[0][1], reverse=True)
+    runs = tuple(tuple(sorted(group, key=by_word)) for group in by_value)
+    return RankSeries(measure=measure, runs=runs)
 
 
 def network_rank_series(net: CooccurrenceNetwork, measure: str) -> RankSeries:
@@ -231,11 +264,21 @@ def _write_csv(
 
 
 def export_rank_csv(series: RankSeries, path: str | Path) -> None:
-    """Write one rank series as ``rank,value,word`` rows (with header)."""
+    """Write one rank series as ``rank,value,word`` rows (with header).
+
+    The value cell is formatted once per run of equal values.
+    """
     _write_csv(
         path,
         ("rank", "value", "word"),
-        ((e.rank, format_value(e.value), e.word) for e in series.entries),
+        itertools.chain.from_iterable(
+            zip(
+                range(start, end),
+                itertools.repeat(format_value(run[0][1])),
+                map(itemgetter(0), run),
+            )
+            for start, end, run in _run_spans(series)
+        ),
     )
 
 
@@ -281,22 +324,64 @@ def export_pair_csv(
 
     Rows run to the longer series; a missing value and its ratio are empty
     cells.  The ratio column divides the first series by the second; it is
-    empty where the second value is 0.
+    empty where the second value is 0.  Where a run of one series overlaps
+    a run of the other, every row has the same three cells, so the ratio
+    and the cells are computed once per overlap.
     """
     if series_a.measure != series_b.measure:
         raise ValueError(
             f"cannot pair {series_a.measure!r} with {series_b.measure!r}"
         )
-    rows = []
-    pairs = itertools.zip_longest(series_a.entries, series_b.entries)
-    for rank, (entry_a, entry_b) in enumerate(pairs, 1):
-        value_a = entry_a.value if entry_a else None
-        value_b = entry_b.value if entry_b else None
-        ratio = Fraction(value_a, value_b) if entry_a and value_b else None
-        rows.append(
-            (rank, format_value(value_a), format_value(value_b), format_value(ratio))
+    stop = max(len(series_a), len(series_b)) + 1
+    segments = []
+    for start, end, value_a, value_b in _overlaps(series_a, series_b, stop):
+        ratio = Fraction(value_a, value_b) if value_a is not None and value_b else None
+        cell_a, cell_b, cell_ratio = map(format_value, (value_a, value_b, ratio))
+        segments.append(
+            zip(
+                range(start, end),
+                itertools.repeat(cell_a),
+                itertools.repeat(cell_b),
+                itertools.repeat(cell_ratio),
+            )
         )
-    _write_csv(path, ("rank", "value_a", "value_b", "ratio_a_over_b"), rows)
+    _write_csv(
+        path,
+        ("rank", "value_a", "value_b", "ratio_a_over_b"),
+        itertools.chain.from_iterable(segments),
+    )
+
+
+def _overlaps(
+    series_a: RankSeries, series_b: RankSeries, stop: int
+) -> Iterator[tuple[int, int, int | Fraction | None, int | Fraction | None]]:
+    """(first rank, rank past the end, value_a, value_b) per overlap of runs.
+
+    Ranks past the end of a series, up to `stop`, have the value None.
+    """
+    ends_a = _run_ends(series_a, stop)
+    ends_b = _run_ends(series_b, stop)
+    end_a, value_a = next(ends_a)
+    end_b, value_b = next(ends_b)
+    start = 1
+    while start < stop:
+        end = min(end_a, end_b)
+        yield start, end, value_a, value_b
+        if end == end_a:
+            end_a, value_a = next(ends_a)
+        if end == end_b:
+            end_b, value_b = next(ends_b)
+        start = end
+
+
+def _run_ends(
+    series: RankSeries, stop: int
+) -> Iterator[tuple[int, int | Fraction | None]]:
+    """(rank past the end, value) per run, then (stop, None) for the rest."""
+    for _, end, run in _run_spans(series):
+        yield end, run[0][1]
+    while True:
+        yield stop, None
 
 
 # -- SVG rank plot ----------------------------------------------------------
@@ -313,14 +398,16 @@ _COLOR_A = "#1f77b4"
 _COLOR_B = "#d62728"
 
 
-def _polyline_points(
-    series: RankSeries, x_span: float, y_span: float
-) -> str:
+def _polyline_points(series: RankSeries, x_cells: Sequence[str], y_span: float) -> str:
+    """``x,y`` points of one series; `x_cells[rank - 1]` is a rank's x cell.
+
+    The y cell is computed once per run of equal values.
+    """
     points = []
-    for entry in series.entries:
-        x = _MARGIN_LEFT + math.log10(entry.rank) / x_span * _PLOT_W
-        y = _MARGIN_TOP + _PLOT_H - math.log10(float(entry.value)) / y_span * _PLOT_H
-        points.append(f"{x:.2f},{y:.2f}")
+    for start, end, run in _run_spans(series):
+        y = _MARGIN_TOP + _PLOT_H - math.log10(float(run[0][1])) / y_span * _PLOT_H
+        y_cell = f",{y:.2f}"
+        points.extend(x + y_cell for x in x_cells[start - 1 : end - 1])
     return " ".join(points)
 
 
@@ -345,16 +432,16 @@ def render_rank_svg(
             f"cannot plot {series_a.measure!r} against {series_b.measure!r}"
         )
     for series in (series_a, series_b):
-        if series.entries and series.entries[-1].value <= 0:  # the smallest
+        if series.runs and series.runs[-1][0][1] <= 0:  # the smallest
             raise ValueError(
                 f"cannot plot {series.measure!r}: a log-log plot needs positive "
-                f"values, got {format_value(series.entries[-1].value)}"
+                f"values, got {format_value(series.runs[-1][0][1])}"
             )
     max_rank = max((len(s) for s in (series_a, series_b)), default=0)
     max_value = 1.0
     for series in (series_a, series_b):
-        if series.entries:
-            max_value = max(max_value, float(series.entries[0].value))
+        if series.runs:
+            max_value = max(max_value, float(series.runs[0][0][1]))
     # at least one decade per axis so a flat series still renders
     x_span = max(math.log10(max_rank) if max_rank >= 1 else 0.0, 1.0)
     y_span = max(math.log10(max_value), 1.0)
@@ -411,12 +498,16 @@ def render_rank_svg(
         f"{series_a.measure}</text>\n"
     )
 
-    # data
+    # data; both series share the x cell of each rank
+    x_cells = [
+        f"{_MARGIN_LEFT + math.log10(rank) / x_span * _PLOT_W:.2f}"
+        for rank in range(1, max_rank + 1)
+    ]
     for series, color in ((series_a, _COLOR_A), (series_b, _COLOR_B)):
-        if series.entries:
+        if series.runs:
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                f'points="{_polyline_points(series, x_span, y_span)}"/>\n'
+                f'points="{_polyline_points(series, x_cells, y_span)}"/>\n'
             )
 
     # legend, top right

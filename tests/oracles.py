@@ -5,17 +5,33 @@ package: hop distances come from dense matrix relaxation instead of
 breadth-first search, components from union-find instead of flood fill,
 degrees and strengths from one tally per edge instead of the neighbor
 maps, clustering from exhaustive neighbor-pair enumeration instead of
-forward triangle counting, and rank order from one keyed sort instead of
-grouping by value.  Agreement between the two routes is what the
+forward triangle counting, rank order from one keyed sort instead of
+grouping by value, and the rank CSV, pair CSV and SVG bytes from one row
+per entry instead of one step per run of equal values.  Agreement between the two routes is what the
 equivalence tests assert.
 """
 
+import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
+from pathlib import Path
 
 import numpy as np
 
 from coocnet import CooccurrenceNetwork
+from coocnet.ranking import (
+    _COLOR_A,
+    _COLOR_B,
+    _MARGIN_LEFT,
+    _MARGIN_TOP,
+    _PLOT_H,
+    _PLOT_W,
+    _SVG_HEIGHT,
+    _SVG_WIDTH,
+    _svg_escape,
+    _write_csv,
+    format_value,
+)
 
 
 def undirected_edges(net: CooccurrenceNetwork) -> set[tuple[int, int]]:
@@ -172,3 +188,139 @@ def scaled_network(net: CooccurrenceNetwork, factor: int) -> CooccurrenceNetwork
     """Same graph with every weight multiplied by a positive integer."""
     weights = {edge: weight * factor for edge, weight in net.edge_items()}
     return CooccurrenceNetwork(net.words, weights)
+
+
+# -- reference writers: one row (or point) per entry, as before runs --------
+
+
+def rank_csv(series, path) -> None:
+    """``export_rank_csv`` bytes, formatting the value of every entry."""
+    _write_csv(
+        path,
+        ("rank", "value", "word"),
+        ((e.rank, format_value(e.value), e.word) for e in series.entries),
+    )
+
+
+def pair_csv(series_a, series_b, path) -> None:
+    """``export_pair_csv`` bytes, dividing and formatting row by row."""
+    if series_a.measure != series_b.measure:
+        raise ValueError(
+            f"cannot pair {series_a.measure!r} with {series_b.measure!r}"
+        )
+    rows = []
+    pairs = zip_longest(series_a.entries, series_b.entries)
+    for rank, (entry_a, entry_b) in enumerate(pairs, 1):
+        value_a = entry_a.value if entry_a else None
+        value_b = entry_b.value if entry_b else None
+        ratio = Fraction(value_a, value_b) if entry_a and value_b else None
+        rows.append(
+            (rank, format_value(value_a), format_value(value_b), format_value(ratio))
+        )
+    _write_csv(path, ("rank", "value_a", "value_b", "ratio_a_over_b"), rows)
+
+
+def _polyline_points(series, x_span: float, y_span: float) -> str:
+    points = []
+    for entry in series.entries:
+        x = _MARGIN_LEFT + math.log10(entry.rank) / x_span * _PLOT_W
+        y = _MARGIN_TOP + _PLOT_H - math.log10(float(entry.value)) / y_span * _PLOT_H
+        points.append(f"{x:.2f},{y:.2f}")
+    return " ".join(points)
+
+
+def rank_svg(series_a, series_b, label_a: str, label_b: str, path) -> None:
+    """``render_rank_svg`` bytes, taking a log and a point per entry."""
+    if series_a.measure != series_b.measure:
+        raise ValueError(
+            f"cannot plot {series_a.measure!r} against {series_b.measure!r}"
+        )
+    for series in (series_a, series_b):
+        if series.entries and series.entries[-1].value <= 0:  # the smallest
+            raise ValueError(
+                f"cannot plot {series.measure!r}: a log-log plot needs positive "
+                f"values, got {format_value(series.entries[-1].value)}"
+            )
+    max_rank = max((len(s) for s in (series_a, series_b)), default=0)
+    max_value = 1.0
+    for series in (series_a, series_b):
+        if series.entries:
+            max_value = max(max_value, float(series.entries[0].value))
+    # at least one decade per axis so a flat series still renders
+    x_span = max(math.log10(max_rank) if max_rank >= 1 else 0.0, 1.0)
+    y_span = max(math.log10(max_value), 1.0)
+
+    x_axis_y = _MARGIN_TOP + _PLOT_H
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
+        f'height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">\n',
+        f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>\n',
+        f'<g font-family="sans-serif" font-size="12">\n',
+    ]
+
+    # axes
+    parts.append(
+        f'<line x1="{_MARGIN_LEFT:.2f}" y1="{_MARGIN_TOP:.2f}" '
+        f'x2="{_MARGIN_LEFT:.2f}" y2="{x_axis_y:.2f}" stroke="black"/>\n'
+    )
+    parts.append(
+        f'<line x1="{_MARGIN_LEFT:.2f}" y1="{x_axis_y:.2f}" '
+        f'x2="{_MARGIN_LEFT + _PLOT_W:.2f}" y2="{x_axis_y:.2f}" stroke="black"/>\n'
+    )
+
+    # decade ticks
+    for decade in range(int(x_span) + 1):
+        x = _MARGIN_LEFT + decade / x_span * _PLOT_W
+        parts.append(
+            f'<line x1="{x:.2f}" y1="{x_axis_y:.2f}" x2="{x:.2f}" '
+            f'y2="{x_axis_y + 5:.2f}" stroke="black"/>\n'
+        )
+        parts.append(
+            f'<text x="{x:.2f}" y="{x_axis_y + 18:.2f}" '
+            f'text-anchor="middle">{10 ** decade}</text>\n'
+        )
+    for decade in range(int(y_span) + 1):
+        y = _MARGIN_TOP + _PLOT_H - decade / y_span * _PLOT_H
+        parts.append(
+            f'<line x1="{_MARGIN_LEFT - 5:.2f}" y1="{y:.2f}" '
+            f'x2="{_MARGIN_LEFT:.2f}" y2="{y:.2f}" stroke="black"/>\n'
+        )
+        parts.append(
+            f'<text x="{_MARGIN_LEFT - 8:.2f}" y="{y + 4:.2f}" '
+            f'text-anchor="end">{10 ** decade}</text>\n'
+        )
+
+    # axis titles
+    parts.append(
+        f'<text x="{_MARGIN_LEFT + _PLOT_W / 2:.2f}" '
+        f'y="{_SVG_HEIGHT - 12:.2f}" text-anchor="middle">rank</text>\n'
+    )
+    parts.append(
+        f'<text x="16" y="{_MARGIN_TOP + _PLOT_H / 2:.2f}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {_MARGIN_TOP + _PLOT_H / 2:.2f})">'
+        f"{series_a.measure}</text>\n"
+    )
+
+    # data
+    for series, color in ((series_a, _COLOR_A), (series_b, _COLOR_B)):
+        if series.entries:
+            parts.append(
+                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                f'points="{_polyline_points(series, x_span, y_span)}"/>\n'
+            )
+
+    # legend, top right
+    legend_x = _MARGIN_LEFT + _PLOT_W - 150
+    for i, (label, color) in enumerate(((label_a, _COLOR_A), (label_b, _COLOR_B))):
+        y = _MARGIN_TOP + 14 + 18 * i
+        parts.append(
+            f'<line x1="{legend_x:.2f}" y1="{y:.2f}" x2="{legend_x + 26:.2f}" '
+            f'y2="{y:.2f}" stroke="{color}" stroke-width="1.5"/>\n'
+        )
+        parts.append(
+            f'<text x="{legend_x + 32:.2f}" y="{y + 4:.2f}">{_svg_escape(label)}</text>\n'
+        )
+
+    parts.append("</g>\n</svg>\n")
+    Path(path).write_bytes("".join(parts).encode("utf-8"))

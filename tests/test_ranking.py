@@ -1,10 +1,12 @@
+import tempfile
 import warnings
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coocnet import (
@@ -134,6 +136,72 @@ class TestRankOrderOracle:
             ("d", 0),
         ]
         assert_matches_rank_order(series, pairs)
+
+
+def written(writer, *args) -> bytes:
+    """The bytes `writer(*args, path)` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out"
+        writer(*args, path)
+        return path.read_bytes()
+
+
+# integral Fractions next to the same ints, so runs of mixed type are common
+_CSV_PAIRS = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c", "ab", "ba", "é"]),
+        st.one_of(_RANK_VALUES, st.integers(min_value=-3, max_value=6).map(Fraction)),
+    ),
+    max_size=40,
+)
+# pinned: a run of 2 and Fraction(2) above a fraction and a zero
+_MIXED = [("a", 2), ("b", Fraction(2)), ("c", Fraction(1, 3)), ("d", 0)]
+# positive only, for a log-log plot; large values give more than one y decade
+_SVG_PAIRS = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c", "ab", "ba", "é"]),
+        st.one_of(
+            st.none(),
+            st.integers(min_value=1, max_value=6),
+            st.integers(min_value=1, max_value=6).map(Fraction),
+            st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4),
+            st.integers(min_value=1, max_value=10**5),
+        ),
+    ),
+    max_size=40,
+)
+
+
+class TestWritersMatchOracles:
+    """The run-based writers write the per-entry reference writers' bytes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CSV_PAIRS)
+    @example(_MIXED)
+    def test_rank_csv(self, pairs):
+        series = rank_sequence("in-strength", pairs)
+        assert written(export_rank_csv, series) == written(oracles.rank_csv, series)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CSV_PAIRS, _CSV_PAIRS)
+    @example(_MIXED, [("x", Fraction(3)), ("y", 3), ("y", 3), ("z", 1)])
+    @example([], _MIXED)
+    @example([], [])
+    def test_pair_csv(self, pairs_a, pairs_b):
+        series_a = rank_sequence("out-selectivity", pairs_a)
+        series_b = rank_sequence("out-selectivity", pairs_b)
+        assert written(export_pair_csv, series_a, series_b) == written(
+            oracles.pair_csv, series_a, series_b
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_SVG_PAIRS, _SVG_PAIRS)
+    @example(_MIXED[:3], [])
+    def test_rank_svg(self, pairs_a, pairs_b):
+        series_a = rank_sequence("in-degree", pairs_a)
+        series_b = rank_sequence("in-degree", pairs_b)
+        args = (series_a, series_b, "books", "blogs")
+        assert written(render_rank_svg, *args) == written(oracles.rank_svg, *args)
 
 
 class TestNetworkSeries:
