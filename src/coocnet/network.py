@@ -201,12 +201,22 @@ def build_network(sentences: Iterable[Sequence[str]]) -> CooccurrenceNetwork:
 
 def to_edge_list(net: CooccurrenceNetwork) -> list[EdgeRecord]:
     """All edges as word-keyed records, sorted lexicographically by (src, dst)."""
-    records = [
-        EdgeRecord(net.words[src], net.words[dst], weight)
+    return list(map(EdgeRecord._make, _sorted_edges(net)))
+
+
+def _sorted_edges(net: CooccurrenceNetwork) -> list[tuple[str, str, int]]:
+    """All edges as (src word, dst word, weight), sorted by (src, dst).
+
+    The (src, dst) pairs are unique, so the plain tuple sort never reaches
+    a weight and needs no key.
+    """
+    words = net.words
+    edges = [
+        (words[src], words[dst], weight)
         for (src, dst), weight in net.edge_items()
     ]
-    records.sort(key=lambda r: (r.src, r.dst))
-    return records
+    edges.sort()
+    return edges
 
 
 def from_edge_list(
@@ -247,9 +257,7 @@ def _network_from_records(
 
 def write_edge_list(net: CooccurrenceNetwork, path: str | Path) -> None:
     """Write the TSV edge list (sorted, LF endings, bit-exact)."""
-    lines = [
-        f"{rec.src}\t{rec.dst}\t{rec.weight}\n" for rec in to_edge_list(net)
-    ]
+    lines = [f"{src}\t{dst}\t{weight}\n" for src, dst, weight in _sorted_edges(net)]
     Path(path).write_bytes("".join(lines).encode("utf-8"))
 
 
