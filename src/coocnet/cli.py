@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .metrics import GlobalMetrics, all_node_metrics, global_summary
@@ -35,6 +36,7 @@ from .pipeline import (
 )
 from .ranking import (
     MEASURES,
+    SizeMismatchWarning,
     compare_pair,
     excluded_fraction,
     export_pair_csv,
@@ -149,7 +151,11 @@ def _cmd_compare(args: argparse.Namespace, config: PipelineConfig) -> int:
     if label_a == label_b:
         raise ValueError(f"labels must differ, both are {label_a!r}")
 
-    comparison = compare_pair(net_a, net_b, label_a, label_b, args.sample)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", SizeMismatchWarning)
+        comparison = compare_pair(net_a, net_b, label_a, label_b, args.sample)
+    for warning in caught:  # one line each, without Python's source excerpt
+        print(f"warning: {warning.message}", file=sys.stderr)
     out_dir = Path(args.out)
 
     _write(out_dir / f"{label_a}.edges.tsv", write_edge_list, net_a)

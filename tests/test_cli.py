@@ -1,4 +1,6 @@
 import filecmp
+import re
+import warnings
 from pathlib import Path
 
 from coocnet.cli import main, sanitize_label
@@ -280,6 +282,21 @@ class TestCompare:
         code, _, err = run(capsys, "compare", str(alpha), str(tmp_path / "gone.txt"))
         assert code == 1
         assert err.startswith("error:")
+
+    def test_size_mismatch_is_one_warning_line(self, tmp_path, capsys, formal_text_path):
+        small = write_text(tmp_path, "small.txt", "one two three four five.")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            code, _, err = run(
+                capsys, "compare", str(formal_text_path), str(small),
+                "--out", str(tmp_path / "cmp"),
+            )
+        assert code == 0
+        assert re.fullmatch(
+            r"warning: network sizes differ by \d+ nodes \(\d+ vs 5\); "
+            r"rank series are not directly comparable\n",
+            err,
+        )
 
     def test_runs_are_byte_identical(self, tmp_path, capsys):
         alpha, beta = self._write_pair(tmp_path)
