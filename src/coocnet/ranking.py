@@ -332,9 +332,8 @@ def export_pair_csv(
         raise ValueError(
             f"cannot pair {series_a.measure!r} with {series_b.measure!r}"
         )
-    stop = max(len(series_a), len(series_b)) + 1
     segments = []
-    for start, end, value_a, value_b in _overlaps(series_a, series_b, stop):
+    for start, end, value_a, value_b in _overlaps(series_a, series_b):
         ratio = Fraction(value_a, value_b) if value_a is not None and value_b else None
         cell_a, cell_b, cell_ratio = map(format_value, (value_a, value_b, ratio))
         segments.append(
@@ -353,12 +352,14 @@ def export_pair_csv(
 
 
 def _overlaps(
-    series_a: RankSeries, series_b: RankSeries, stop: int
+    series_a: RankSeries, series_b: RankSeries
 ) -> Iterator[tuple[int, int, int | Fraction | None, int | Fraction | None]]:
     """(first rank, rank past the end, value_a, value_b) per overlap of runs.
 
-    Ranks past the end of a series, up to `stop`, have the value None.
+    The overlaps run to the end of the longer series; past the end of the
+    shorter one its value is None.
     """
+    stop = max(len(series_a), len(series_b)) + 1
     ends_a = _run_ends(series_a, stop)
     ends_b = _run_ends(series_b, stop)
     end_a, value_a = next(ends_a)
