@@ -134,19 +134,20 @@ def rank_sequence(
 
     Sorting is by descending value, then ascending word; ranks are the
     1-based positions after the sort.  The pairs are grouped by exact value
-    in one dict keyed by `as_integer_ratio()`, which is the same for equal
-    ints and Fractions and, unlike `Fraction.__hash__`, cheap.  Only the
-    distinct values are sorted, and each group, sorted by word, becomes one
-    run of the series: exact `Fraction` comparisons run over a network's
-    few hundred distinct values, not its thousands of nodes, and the
-    writers format, divide and take logs once per run.  Every pair keeps
-    its own value object, and pairs with equal value and word keep their
-    input order.
+    in one dict keyed by (numerator, denominator), which equal ints and
+    Fractions share and which, unlike `Fraction.__hash__`, is cheap.  Only
+    the distinct values are sorted, and each group, sorted by word, becomes
+    one run of the series: exact `Fraction` comparisons run over a
+    network's few hundred distinct values, not its thousands of nodes, and
+    the writers format, divide and take logs once per run.  Every pair
+    keeps its own value object, and pairs with equal value and word keep
+    their input order.
     """
     groups: dict[tuple[int, int], list[tuple[str, int | Fraction]]] = {}
     for word, value in pairs:
         if value is not None:
-            groups.setdefault(value.as_integer_ratio(), []).append((word, value))
+            key = (value.numerator, value.denominator)
+            groups.setdefault(key, []).append((word, value))
     by_word = itemgetter(0)
     by_value = sorted(groups.values(), key=lambda group: group[0][1], reverse=True)
     runs = tuple(tuple(sorted(group, key=by_word)) for group in by_value)

@@ -7,8 +7,8 @@ degrees and strengths from one tally per edge instead of the neighbor
 maps, clustering from exhaustive neighbor-pair enumeration instead of
 forward triangle counting, rank order from one keyed sort instead of
 grouping by value, and the rank CSV, pair CSV and SVG bytes from one row
-per entry instead of one step per run of equal values.  Agreement between the two routes is what the
-equivalence tests assert.
+per entry instead of one step per run of equal values.  Agreement between
+the two routes is what the equivalence tests assert.
 """
 
 import math

@@ -283,7 +283,9 @@ class TestCompare:
         assert code == 1
         assert err.startswith("error:")
 
-    def test_size_mismatch_is_one_warning_line(self, tmp_path, capsys, formal_text_path):
+    def test_size_mismatch_is_one_warning_line(
+        self, tmp_path, capsys, formal_text_path
+    ):
         small = write_text(tmp_path, "small.txt", "one two three four five.")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # as under python -W error
