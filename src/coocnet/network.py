@@ -23,9 +23,11 @@ the file and line.
 On-disk edge-list format: UTF-8 TSV, one ``src<TAB>dst<TAB>weight`` record
 per line, LF endings, sorted lexicographically by (src, dst).  Weights
 are ASCII digits without sign or leading zero; the reader rejects other
-spellings.  The writer is byte-deterministic so output files can be
-hash-compared.  The format has no node section, so words without any edge
-(from one-word sentences) do not survive a write/read round trip.
+spellings.  The reader accepts records in any order and the writer sorts
+them, so rewriting an unsorted file changes its bytes.  The writer is
+byte-deterministic so output files can be hash-compared.  The format has
+no node section, so words without any edge (from one-word sentences) do
+not survive a write/read round trip.
 """
 
 from __future__ import annotations

@@ -21,8 +21,11 @@ deterministic steps:
     (``e-mail`` and ``don't`` stay whole, leading/trailing ones are
     stripped).
 
-All three functions are pure and total over their documented inputs, so
-documents can be processed in parallel without shared state.
+All three functions are pure and total over their documented inputs.
+``normalize`` and ``tokenize`` classify characters through ``str.translate``
+tables that are shared by every call and filled on the first sight of each
+code point; a concurrent fill writes the same value, so threads may share
+them.
 
 Known limitations, by design: abbreviations are not special-cased (``dr.``
 ends a sentence), and combining marks that have no precomposed form stay
@@ -38,13 +41,6 @@ from functools import lru_cache
 from pathlib import Path
 
 DEFAULT_TERMINATORS = ".!?…"
-
-# Typographic variants folded to ASCII so the same word type maps to one
-# node regardless of which quote/hyphen the source text used.
-# U+2018 / U+2019 single quotation marks, U+02BC modifier letter apostrophe
-_APOSTROPHE_VARIANTS = "‘’ʼ"
-# U+2010 hyphen, U+2011 non-breaking hyphen (en/em dashes are separators)
-_HYPHEN_VARIANTS = "‐‑"
 
 _SPACE_RUN = re.compile(" {2,}")
 
@@ -79,27 +75,31 @@ def load_document(path: str | Path) -> RawDocument:
     valid UTF-8.
     """
     path = Path(path)
-    data = path.read_bytes()
+    return RawDocument(content=_read_utf8(path), source_label=path.name)
+
+
+def _read_utf8(path: Path) -> str:
+    """The file's text; IngestionError names the first invalid byte."""
     try:
-        content = data.decode("utf-8")
+        return path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise IngestionError(
             f"{path}: invalid UTF-8 at byte offset {exc.start}"
         ) from exc
-    return RawDocument(content=content, source_label=path.name)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse a key-value config file overriding the pipeline defaults.
 
     Recognized keys: ``terminators`` (a string of terminator characters)
-    and ``keep_digits`` (true/false).  Lines starting with ``#`` and blank
-    lines are ignored.  Unknown keys raise ValueError.
+    and ``keep_digits`` (true/yes/1 or false/no/0).  Lines starting with
+    ``#`` and blank lines are ignored.  Unknown keys raise ValueError, and
+    a file that is not UTF-8 raises IngestionError naming the byte offset.
     """
     if path == "":
         raise ValueError("config path is empty")  # Path("") would read "."
     overrides: dict[str, str | bool] = {}
-    for lineno, raw_line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
+    for lineno, raw_line in enumerate(_read_utf8(Path(path)).splitlines(), 1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -124,20 +124,52 @@ def load_config(path: str | Path) -> PipelineConfig:
     return PipelineConfig(**overrides)
 
 
-@lru_cache(maxsize=None)
 def _char_class(ch: str) -> str:
-    """Coarse character class: letter, mark, digit, space, or other."""
-    if ch.isspace():
-        return "space"
+    """One-letter class of a code point: ``w`` letter, ``d`` decimal digit,
+    ``m`` combining mark, ``" "`` whitespace and everything else."""
     cat = unicodedata.category(ch)
-    if cat.startswith("L"):
-        return "letter"
-    if cat.startswith("M"):
+    if cat[0] == "L":
+        return "w"
+    if cat[0] == "M":
         # combining marks ride along with the letter they modify
-        return "mark"
+        return "m"
     if cat == "Nd":
-        return "digit"
-    return "other"
+        return "d"
+    return " "
+
+
+class _ClassTable(dict):
+    """A ``str.translate`` table from code point to class, each entry filled
+    the first time its code point is seen: a terminator is ``t``, a joiner
+    (``-``, ``'``) is itself, a digit is ``w`` or, when dropped, ``" "``."""
+
+    def __init__(self, terminators: str = "", keep_digits: bool = True) -> None:
+        super().__init__()
+        self._terminators = terminators
+        self._digit = "w" if keep_digits else " "
+
+    def __missing__(self, code_point: int) -> str:
+        ch = chr(code_point)
+        if ch in self._terminators:
+            cls = "t"
+        elif ch in "-'":
+            cls = ch
+        else:
+            cls = _char_class(ch)
+            if cls == "d":
+                cls = self._digit
+        self[code_point] = cls
+        return cls
+
+
+# one shared table per recent (terminators, keep_digits); an evicted one is
+# only filled again
+_class_table = lru_cache(maxsize=16)(_ClassTable)
+# what survives cleaning: terminators, joiners, and word characters with
+# the marks that follow them; a mark after anything else is dropped
+_KEPT = re.compile(r"(?:wm*|[-'t])+")
+# a token joins runs of word characters with single joiners
+_TOKEN = re.compile(r"w[wm]*(?:[-']w[wm]*)*")
 
 
 def normalize(text: str, config: PipelineConfig | None = None) -> str:
@@ -150,29 +182,13 @@ def normalize(text: str, config: PipelineConfig | None = None) -> str:
     text = unicodedata.normalize("NFC", text).lower()
     # lowercasing rarely decomposes a codepoint; re-compose to stay NFC
     text = unicodedata.normalize("NFC", text)
-
-    pieces = []
-    prev_is_word = False
-    for ch in text:
-        if ch in _APOSTROPHE_VARIANTS:
-            ch = "'"
-        elif ch in _HYPHEN_VARIANTS:
-            ch = "-"
-        if ch in cfg.terminators or ch in "-'":
-            pieces.append(ch)
-            prev_is_word = False
-            continue
-        cls = _char_class(ch)
-        if cls == "letter" or (cls == "digit" and cfg.keep_digits):
-            pieces.append(ch)
-            prev_is_word = True
-        elif cls == "mark" and prev_is_word:
-            pieces.append(ch)
-        else:
-            # whitespace, punctuation, symbols, dropped digits, stray marks
-            pieces.append(" ")
-            prev_is_word = False
-    return _SPACE_RUN.sub(" ", "".join(pieces)).strip()
+    # fold typographic variants so one word type is one node: U+2018, U+2019,
+    # U+02BC to "'" and U+2010, U+2011 to "-" (en/em dashes are separators)
+    text = text.replace("\u2018", "'").replace("\u2019", "'").replace("\u02bc", "'")
+    text = text.replace("\u2010", "-").replace("\u2011", "-")
+    classes = text.translate(_class_table(cfg.terminators, cfg.keep_digits))
+    kept = " ".join(text[m.start() : m.end()] for m in _KEPT.finditer(classes))
+    return _SPACE_RUN.sub(" ", kept).strip()
 
 
 def segment_sentences(text: str, config: PipelineConfig | None = None) -> list[str]:
@@ -191,31 +207,8 @@ def tokenize(sentence: str) -> list[str]:
     character acts as a separator, so the output is well formed even on
     text that skipped ``normalize``.
     """
-    tokens: list[str] = []
-    current: list[str] = []
-    pending_joiner = ""
-
-    def flush() -> None:
-        if current:
-            tokens.append("".join(current))
-            current.clear()
-
-    for ch in sentence:
-        cls = _char_class(ch)
-        if cls in ("letter", "digit"):
-            if pending_joiner:
-                current.append(pending_joiner)
-                pending_joiner = ""
-            current.append(ch)
-        elif cls == "mark" and current and not pending_joiner:
-            current.append(ch)
-        elif ch in "-'" and current and not pending_joiner:
-            pending_joiner = ch
-        else:
-            pending_joiner = ""
-            flush()
-    flush()
-    return tokens
+    classes = sentence.translate(_class_table())
+    return [sentence[m.start() : m.end()] for m in _TOKEN.finditer(classes)]
 
 
 def extract_sentences(

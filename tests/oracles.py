@@ -7,18 +7,24 @@ degrees and strengths from one tally per edge instead of the neighbor
 maps, clustering from exhaustive neighbor-pair enumeration instead of
 forward triangle counting, rank order from one keyed sort instead of
 grouping by value, and the rank CSV, pair CSV and SVG bytes from one row
-per entry instead of one step per run of equal values.  Agreement between
-the two routes is what the equivalence tests assert.
+per entry instead of one step per run of equal values, and text cleaning
+and tokenization from per-character state machines instead of regular
+expressions over a string of character classes.  Agreement between the
+two routes is what the equivalence tests assert.
 """
 
 import math
+import re
+import unicodedata
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from coocnet import CooccurrenceNetwork
+from coocnet.pipeline import DEFAULT_CONFIG, PipelineConfig, segment_sentences
 from coocnet.ranking import (
     _COLOR_A,
     _COLOR_B,
@@ -324,3 +330,112 @@ def rank_svg(series_a, series_b, label_a: str, label_b: str, path) -> None:
 
     parts.append("</g>\n</svg>\n")
     Path(path).write_bytes("".join(parts).encode("utf-8"))
+
+
+# Typographic variants folded to ASCII so the same word type maps to one
+# node regardless of which quote/hyphen the source text used.
+# U+2018 / U+2019 single quotation marks, U+02BC modifier letter apostrophe
+_APOSTROPHE_VARIANTS = "‘’ʼ"
+# U+2010 hyphen, U+2011 non-breaking hyphen (en/em dashes are separators)
+_HYPHEN_VARIANTS = "‐‑"
+
+_SPACE_RUN = re.compile(" {2,}")
+
+
+@lru_cache(maxsize=None)
+def _char_class(ch: str) -> str:
+    """Coarse character class: letter, mark, digit, space, or other."""
+    if ch.isspace():
+        return "space"
+    cat = unicodedata.category(ch)
+    if cat.startswith("L"):
+        return "letter"
+    if cat.startswith("M"):
+        # combining marks ride along with the letter they modify
+        return "mark"
+    if cat == "Nd":
+        return "digit"
+    return "other"
+
+
+def normalize(text: str, config: PipelineConfig | None = None) -> str:
+    """Clean raw text into lowercase NFC-composed word material.
+
+    Everything outside {letters, digits, whitespace, "-", "'", terminator
+    set} becomes a space; whitespace runs collapse.  Idempotent.
+    """
+    cfg = config or DEFAULT_CONFIG
+    text = unicodedata.normalize("NFC", text).lower()
+    # lowercasing rarely decomposes a codepoint; re-compose to stay NFC
+    text = unicodedata.normalize("NFC", text)
+
+    pieces = []
+    prev_is_word = False
+    for ch in text:
+        if ch in _APOSTROPHE_VARIANTS:
+            ch = "'"
+        elif ch in _HYPHEN_VARIANTS:
+            ch = "-"
+        if ch in cfg.terminators or ch in "-'":
+            pieces.append(ch)
+            prev_is_word = False
+            continue
+        cls = _char_class(ch)
+        if cls == "letter" or (cls == "digit" and cfg.keep_digits):
+            pieces.append(ch)
+            prev_is_word = True
+        elif cls == "mark" and prev_is_word:
+            pieces.append(ch)
+        else:
+            # whitespace, punctuation, symbols, dropped digits, stray marks
+            pieces.append(" ")
+            prev_is_word = False
+    return _SPACE_RUN.sub(" ", "".join(pieces)).strip()
+
+
+def tokenize(sentence: str) -> list[str]:
+    """Split a normalized sentence string into word tokens.
+
+    Tokens are maximal runs of letters/digits; a hyphen or apostrophe is
+    kept only when word characters sit on both sides of it.  Any other
+    character acts as a separator, so the output is well formed even on
+    text that skipped ``normalize``.
+    """
+    tokens: list[str] = []
+    current: list[str] = []
+    pending_joiner = ""
+
+    def flush() -> None:
+        if current:
+            tokens.append("".join(current))
+            current.clear()
+
+    for ch in sentence:
+        cls = _char_class(ch)
+        if cls in ("letter", "digit"):
+            if pending_joiner:
+                current.append(pending_joiner)
+                pending_joiner = ""
+            current.append(ch)
+        elif cls == "mark" and current and not pending_joiner:
+            current.append(ch)
+        elif ch in "-'" and current and not pending_joiner:
+            pending_joiner = ch
+        else:
+            pending_joiner = ""
+            flush()
+    flush()
+    return tokens
+
+
+def extract_sentences(
+    text: str, config: PipelineConfig | None = None
+) -> list[list[str]]:
+    """The pipeline composed from the reference `normalize` and `tokenize`."""
+    cfg = config or DEFAULT_CONFIG
+    sentences = []
+    for part in segment_sentences(normalize(text, cfg), cfg):
+        tokens = tokenize(part)
+        if tokens:
+            sentences.append(tokens)
+    return sentences

@@ -81,6 +81,16 @@ class TestBuild:
         assert code == 1
         assert err == "error: config path is empty\n"
 
+    def test_non_utf8_config_named(self, tmp_path, capsys):
+        text = write_text(tmp_path, "t.txt", "a b.")
+        conf = tmp_path / "bad.cfg"
+        conf.write_bytes(b"terminators = \xff\n")
+        code, _, err = run(
+            capsys, "build", str(text), "--out", str(tmp_path), "--config", str(conf)
+        )
+        assert code == 1
+        assert err == f"error: {conf}: invalid UTF-8 at byte offset 14\n"
+
     def test_config_changes_segmentation(self, tmp_path, capsys):
         text = write_text(tmp_path, "t.txt", "a b; a b")
         conf = write_text(tmp_path, "p.conf", "terminators = ;\n")

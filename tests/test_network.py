@@ -179,6 +179,18 @@ class TestEdgeListFiles:
         write_edge_list(net, path)
         assert read_edge_list(path) == net
 
+    def test_unsorted_file_loads_and_rewrites_sorted(self, tmp_path):
+        # the reader takes records in any order; the writer sorts them
+        unsorted = tmp_path / "unsorted.tsv"
+        unsorted.write_bytes(b"b\ta\t1\nc\ta\t3\na\tb\t2\n")
+        ordered = tmp_path / "sorted.tsv"
+        ordered.write_bytes(b"a\tb\t2\nb\ta\t1\nc\ta\t3\n")
+        net = read_edge_list(unsorted)
+        assert net == read_edge_list(ordered)
+        rewritten = tmp_path / "rewritten.tsv"
+        write_edge_list(net, rewritten)
+        assert rewritten.read_bytes() == ordered.read_bytes()
+
     def test_field_count_error_cites_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("a\tb\t1\nc\td\t2\nx y 3\n", encoding="utf-8")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from coocnet import (
     DEFAULT_TERMINATORS,
     IngestionError,
@@ -180,6 +181,13 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="keep_digits"):
             load_config(path)
 
+    def test_invalid_utf8_names_file_and_byte_offset(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"terminators = \xff\n")
+        with pytest.raises(IngestionError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: invalid UTF-8 at byte offset 14"
+
 
 def _collapse(text: str) -> str:
     return re.sub(" {2,}", " ", text).strip()
@@ -224,3 +232,46 @@ class TestPipelineProperties:
         sentences = extract_sentences(text)
         flattened = ". ".join(" ".join(tokens) for tokens in sentences)
         assert extract_sentences(flattened) == sentences
+
+
+# Edge cases the pipeline must classify as the reference does: combining
+# marks after a letter, a digit, a joiner, a terminator and on their own
+# (so also at the start), characters that regex ``\w`` takes for word
+# material, and the five typographic variants.
+_EDGE_PIECES = (
+    "a\u0301", "e\u0308", "5\u0301", "-\u0308", "'\u0301", ".\u0308",
+    "!\u0301", "\u0301", "\u0308", "_", "\u00b2", "\u00bd", "\u216b",
+    "\u2018", "\u2019", "\u02bc", "\u2010", "\u2011",
+    "a", "Z", "7", "-", "'", ".", "?", "\u2026", " ", "\t", "\u0130",
+)
+_PIECE = st.one_of(
+    st.characters(blacklist_categories=()),  # lone surrogates included
+    st.sampled_from(_EDGE_PIECES),
+)
+_TEXT = st.lists(_PIECE).map("".join)
+_CONFIG = st.builds(
+    PipelineConfig,
+    terminators=st.lists(_PIECE, max_size=4).map("".join),
+    keep_digits=st.booleans(),
+)
+
+
+class TestPipelineOracle:
+    """The class-string grammars equal the per-character state machines."""
+
+    @given(_TEXT, _CONFIG)
+    @settings(max_examples=1000, deadline=None)
+    def test_normalize(self, text, config):
+        assert normalize(text, config) == oracles.normalize(text, config)
+
+    @given(_TEXT)
+    @settings(max_examples=1000, deadline=None)
+    def test_tokenize(self, text):
+        assert tokenize(text) == oracles.tokenize(text)
+
+    @given(_TEXT, _CONFIG)
+    @settings(max_examples=1000, deadline=None)
+    def test_extract_sentences(self, text, config):
+        assert extract_sentences(text, config) == oracles.extract_sentences(
+            text, config
+        )
