@@ -111,6 +111,18 @@ def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
     nets = [(_label(None, path), _build_from_text(path, config)) for path in args.texts]
     for label, net in nets:
         print(f"{label}: N={net.n_nodes} K={net.n_edges}")
+        # the format has no node section, so these words do not survive it
+        edgeless = sum(
+            1
+            for node in range(net.n_nodes)
+            if not (net.out_weights(node) or net.in_weights(node))
+        )
+        if edgeless:
+            print(
+                f"warning: {label}: {edgeless} of {net.n_nodes} words have no "
+                f"edge and are not in the edge list",
+                file=sys.stderr,
+            )
         _write(Path(args.out) / f"{label}.edges.tsv", write_edge_list, net)
     return 0
 

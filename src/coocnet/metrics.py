@@ -16,10 +16,13 @@ All ratios are exact `fractions.Fraction` values; a measure that has no
 defined value (selectivity of an isolated direction, path lengths of a
 trivial component, density of a single node) is None rather than NaN.
 
-Pairwise distances come from bit-parallel breadth-first sweeps: one sweep
-walks the component once per depth for a whole block of up to 1,024
-sources, each source one bit of a Python int per node, so its memory is
-O(N' * 1024 / 8) bytes for any number of sources.  For very large networks
+Pairwise distances come from bit-parallel breadth-first sweeps over the
+largest component, relabeled to ids 0..N'-1: one sweep walks the
+component once per depth for a whole block of B sources, each source one
+bit of a Python int per node.  Its three bitsets take 3 * N' * B / 8
+bytes, and B is the widest block that keeps them within a 32 MiB budget
+(every source at once up to N' ~ 9,400), so memory stays bounded for any
+number of sources.  For very large networks
 the distance-family functions accept ``sample=m`` to sweep from m
 deterministically chosen source nodes only: the average shortest path
 becomes an estimate, the diameter a lower bound, and node average
@@ -32,12 +35,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .network import (
     ComponentLabeling,
     CooccurrenceNetwork,
-    undirected_projection,
+    _adjacency,
     weak_components,
 )
 
@@ -105,18 +108,16 @@ def _node_table(net: CooccurrenceNetwork) -> _NodeTable:
     ``twice_links``.
     """
     if net._node_cache is None:
-        nodes = range(net.n_nodes)
-        sides = [list(map(net.in_weights, nodes)), list(map(net.out_weights, nodes))]
-        degrees = [[len(weights) for weights in side] for side in sides]
+        sides = (net._in, net._out)
+        degrees = [list(map(len, side)) for side in sides]
         strengths = [[sum(weights.values()) for weights in side] for side in sides]
         selectivities = [
-            [Fraction(s, k) if k else None for s, k in zip(side_s, side_k)]
-            for side_s, side_k in zip(strengths, degrees)
+            _shared_ratios(side_s, side_k) for side_s, side_k in zip(strengths, degrees)
         ]
-        adjacency = undirected_projection(net)
-        k = [len(neighbors) for neighbors in adjacency]
+        adjacency = _adjacency(net)
+        k = list(map(len, adjacency))
         position = [0] * net.n_nodes  # place in (k, id) order; sorted is stable
-        for place, node in enumerate(sorted(nodes, key=k.__getitem__)):
+        for place, node in enumerate(sorted(range(net.n_nodes), key=k.__getitem__)):
             position[node] = place
         higher = [
             {nbr for nbr in neighbors if position[nbr] > position[node]}
@@ -135,6 +136,16 @@ def _node_table(net: CooccurrenceNetwork) -> _NodeTable:
             *degrees, *strengths, *selectivities, k=k, twice_links=twice_links
         )
     return net._node_cache
+
+
+def _shared_ratios(numerators: list[int], denominators: list[int]) -> list:
+    """numerator/denominator per node, None where the denominator is 0.
+
+    One `Fraction` per distinct pair, shared by every node that has it.
+    """
+    pairs = list(zip(numerators, denominators))
+    ratios = {pair: Fraction(*pair) if pair[1] else None for pair in set(pairs)}
+    return list(map(ratios.__getitem__, pairs))
 
 
 def _side(
@@ -211,29 +222,40 @@ def average_clustering(net: CooccurrenceNetwork) -> Fraction:
     )
 
 
-# Sources per bit-parallel sweep.  A sweep's bitsets take O(N' * _BLOCK / 8)
-# bytes, so memory stays linear in the component size for any source count.
-_BLOCK = 1024
+# A sweep of B sources over a component of N' nodes holds three bitsets
+# (seen, frontier, next frontier) of B bits per node, so B is the widest
+# block with 3 * N' * B / 8 <= _SWEEP_BYTES: every source at once up to
+# N' ~ 9,400, and ~5,300 sources at N' = 16,789.  _BLOCK caps B as well;
+# at this budget it never binds, as a component with B > _BLOCK has fewer
+# than _BLOCK nodes, but a lower cap forces many blocks on small graphs.
+_SWEEP_BYTES = 32 << 20
+_BLOCK = 1 << 16
+
+
+def _block_width(n_prime: int) -> int:
+    """Sources per sweep on a component of ``n_prime`` nodes, at least 1."""
+    return max(1, min(_BLOCK, 8 * _SWEEP_BYTES // (3 * max(n_prime, 1))))
 
 
 def _sweep(
-    adjacency: list[set[int]],
-    component: list[int],
-    block: list[int],
+    adjacency: list[list[int]],
+    block: Sequence[int],
     sums: list[int],
     by_source: bool,
 ) -> tuple[int, int]:
     """One breadth-first search from every source of ``block`` at once.
 
     The multi-source BFS of Then et al., "The More the Merrier: Efficient
-    Multi-Source Graph Traversal" (PVLDB 8(4), 2014).  Source ``block[i]``
-    owns bit i.  Each node of ``component`` (the sources' component) keeps
-    the bits of the sources that have reached it (``seen``) and of those
-    that reached it at the last depth (``frontier``).  One level ORs the
-    frontier bits of each node's neighbors into the node and keeps the bits
-    it had not seen, so a level costs one pass over the adjacency however
-    many sources the block holds.  A node that every source has reached
-    drops out of later passes.
+    Multi-Source Graph Traversal" (PVLDB 8(4), 2014).  ``adjacency`` is one
+    connected component with ids 0..N'-1, and source ``block[i]`` owns bit
+    i.  Each node keeps the bits of the sources that have reached it
+    (``seen``) and of those that reached it at the last depth
+    (``frontier``).  One level ORs the frontier bits of each node's
+    neighbors into the node and keeps the bits it had not seen, so a level
+    costs one pass over the adjacency however many sources the block
+    holds.  A node that every source has reached drops out of later
+    passes.  The three bitsets take 3 * N' * len(block) / 8 bytes, plus
+    Python's per-int overhead.
 
     Adds each hop distance d(s, v) to ``sums[v]``, which over all sources
     of the component is v's own distance sum as distances are symmetric;
@@ -249,7 +271,7 @@ def _sweep(
         seen[source] = frontier[source] = 1 << bit
     reached = len(block)
     depth = 0
-    todo = component
+    todo: Sequence[int] = range(len(adjacency))
     while True:
         depth += 1
         next_frontier = [0] * len(adjacency)
@@ -305,12 +327,25 @@ class _DistanceStats:
     max_dist: int
 
 
+def _relabeled(
+    adjacency: list[tuple[int, ...]], members: list[int]
+) -> list[list[int]]:
+    """The adjacency of one component, with ``members[i]`` renamed to i."""
+    local = [0] * len(adjacency)
+    for i, node in enumerate(members):
+        local[node] = i
+    return [list(map(local.__getitem__, adjacency[node])) for node in members]
+
+
 def _distance_stats(
     net: CooccurrenceNetwork, sample: int | None
 ) -> _DistanceStats:
     """All-pairs (or sampled) hop-distance aggregates on the largest component.
 
-    Cached on the network, keyed by the sample size.
+    The component's adjacency is copied to ids 0..N'-1 for the duration of
+    the sweeps, and the sources are swept in blocks of `_block_width`, so
+    the sweeps' bitsets stay within ``_SWEEP_BYTES`` (32 MiB) plus Python's
+    per-int overhead.  Cached on the network, keyed by the sample size.
     """
     cached = net._distance_cache.get(sample)
     if cached is not None:
@@ -323,25 +358,25 @@ def _distance_stats(
         if labeling.labels[node] == labeling.largest
     ]
     n_prime = len(comp_nodes)
-    if sample is None or sample >= n_prime:
-        sources = comp_nodes
-    else:
+    sources: Sequence[int] = range(n_prime)  # i stands for comp_nodes[i]
+    if sample is not None and sample < n_prime:
         if sample < 1:
             raise ValueError(f"sample must be >= 1, got {sample}")
         rng = random.Random(_SAMPLE_SEED)
-        sources = sorted(rng.sample(comp_nodes, sample))
+        sources = sorted(rng.sample(sources, sample))
 
     # with every component node a source, v's sum over the sources is its own
     by_source = len(sources) < n_prime
-    adjacency = undirected_projection(net)
-    sums = [0] * net.n_nodes
+    adjacency = _relabeled(_adjacency(net), comp_nodes)
+    sums = [0] * n_prime
     max_dist = 0
-    for start in range(0, len(sources), _BLOCK):
-        block = sources[start : start + _BLOCK]
-        block_max, reached = _sweep(adjacency, comp_nodes, block, sums, by_source)
+    width = _block_width(n_prime)
+    for start in range(0, len(sources), width):
+        block = sources[start : start + width]
+        block_max, reached = _sweep(adjacency, block, sums, by_source)
         assert reached == n_prime * len(block), "sources must reach their component"
         max_dist = max(max_dist, block_max)
-    node_sum = {source: sums[source] for source in sources}
+    node_sum = {comp_nodes[source]: sums[source] for source in sources}
 
     stats = _DistanceStats(
         labeling=labeling,

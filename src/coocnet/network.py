@@ -8,17 +8,23 @@ sentence boundaries never create edges.
 
 A finished network is treated as immutable and caches three derived
 views on the instance, each filled on first use and safe for concurrent
-readers: the undirected projection, the per-node table of `metrics`
-(degree family and neighbor links), and the hop-distance aggregates of
-`metrics` per sample size.  `weak_components` floods the projection
-breadth-first; the distances of `metrics` sweep it from blocks of sources
-at once, with O(N' * block / 8) bytes of bitsets.
+readers: the undirected projection as one tuple of neighbor ids per node
+(`_adjacency`), the per-node table of `metrics` (degree family and
+neighbor links), and the hop-distance aggregates of `metrics` per sample
+size.  `undirected_projection` returns the projection as fresh sets on
+each call and caches nothing; the tuples are filled from one such call.
+`weak_components` floods the tuples breadth-first; the distances of
+`metrics` copy the largest component's tuples to ids 0..N'-1 and sweep
+them from blocks of B sources at once, with 3 * N' * B / 8 bytes of
+bitsets, B set by a byte budget.
 
 The constructor and every edge-record reader keep one set of rules: a word
 is non-empty and holds no whitespace, there is no self-loop, a weight is
 an ``int >= 1`` (never a ``bool``), and a (src, dst) pair appears once.
 `from_edge_list` errors cite the record number, `read_edge_list` errors
-the file and line.
+the file and line.  `build_network` and the readers check each word and
+edge as they meet it, then hand the finished neighbor maps to a trusted
+constructor that does not check them again.
 
 On-disk edge-list format: UTF-8 TSV, one ``src<TAB>dst<TAB>weight`` record
 per line, LF endings, sorted lexicographically by (src, dst).  Weights
@@ -97,14 +103,38 @@ class CooccurrenceNetwork:
                 raise ValueError(f"edge ({src}, {dst}): {problem}")
             out_adj[src][dst] = weight
             in_adj[dst][src] = weight
+        self._adopt(ids, out_adj, in_adj)
 
-        self._words = words
+    @classmethod
+    def _trusted(
+        cls,
+        ids: dict[str, int],
+        out_adj: list[dict[int, int]],
+        in_adj: list[dict[int, int]],
+    ) -> CooccurrenceNetwork:
+        """A network over parts its caller has already checked, without copies.
+
+        ``ids`` maps each word to its id in insertion order 0..N-1, and
+        ``out_adj``/``in_adj`` are the two directions of the same edges.
+        The network takes ownership of all three.
+        """
+        net = cls.__new__(cls)
+        net._adopt(ids, out_adj, in_adj)
+        return net
+
+    def _adopt(
+        self,
+        ids: dict[str, int],
+        out_adj: list[dict[int, int]],
+        in_adj: list[dict[int, int]],
+    ) -> None:
+        self._words = tuple(ids)
         self._ids = ids
         self._out = out_adj
         self._in = in_adj
-        self._edge_count = sum(len(nbrs) for nbrs in out_adj)
-        # lazily filled caches, see undirected_projection / metrics
-        self._projection_cache: list[set[int]] | None = None
+        self._edge_count = sum(map(len, out_adj))
+        # lazily filled caches, see _adjacency / metrics
+        self._adjacency_cache: list[tuple[int, ...]] | None = None
         self._node_cache = None  # metrics._node_table
         self._distance_cache: dict = {}
 
@@ -189,25 +219,33 @@ def build_network(sentences: Iterable[Sequence[str]]) -> CooccurrenceNetwork:
     observed token becomes a node, even from one-word sentences.
     """
     ids: dict[str, int] = {}
-    weights: dict[tuple[int, int], int] = {}
+    out_adj: list[dict[int, int]] = []
     for sentence in sentences:
         prev: int | None = None
         for token in sentence:
-            node = ids.setdefault(token, len(ids))
+            node = ids.get(token)
+            if node is None:
+                node = len(ids)
+                problem = _word_problem(token)
+                if problem:
+                    raise ValueError(f"node {node}: {problem}")
+                ids[token] = node
+                out_adj.append({})
             if prev is not None and prev != node:
-                key = (prev, node)
-                weights[key] = weights.get(key, 0) + 1
+                out = out_adj[prev]
+                out[node] = out.get(node, 0) + 1
             prev = node
-    return CooccurrenceNetwork(list(ids), weights)
+    # each word was checked once, and an edge joins two distinct nodes with
+    # a count >= 1, so the parts need no second check
+    in_adj: list[dict[int, int]] = [{} for _ in out_adj]
+    for src, out in enumerate(out_adj):
+        for dst, weight in out.items():
+            in_adj[dst][src] = weight
+    return CooccurrenceNetwork._trusted(ids, out_adj, in_adj)
 
 
 def to_edge_list(net: CooccurrenceNetwork) -> list[EdgeRecord]:
-    """All edges as word-keyed records, sorted lexicographically by (src, dst)."""
-    return list(map(EdgeRecord._make, _sorted_edges(net)))
-
-
-def _sorted_edges(net: CooccurrenceNetwork) -> list[tuple[str, str, int]]:
-    """All edges as (src word, dst word, weight), sorted by (src, dst).
+    """All edges as word-keyed records, sorted lexicographically by (src, dst).
 
     The (src, dst) pairs are unique, so the plain tuple sort never reaches
     a weight and needs no key.
@@ -218,7 +256,7 @@ def _sorted_edges(net: CooccurrenceNetwork) -> list[tuple[str, str, int]]:
         for (src, dst), weight in net.edge_items()
     ]
     edges.sort()
-    return edges
+    return list(map(EdgeRecord._make, edges))
 
 
 def from_edge_list(
@@ -254,13 +292,38 @@ def _network_from_records(
             raise EdgeListFormatError(f"{prefix}{unit} {number}: {problem}")
         first_seen[key] = number
         weights[key] = weight
-    return CooccurrenceNetwork(list(ids), weights)
+    out_adj: list[dict[int, int]] = [{} for _ in ids]
+    in_adj: list[dict[int, int]] = [{} for _ in ids]
+    for (src, dst), weight in weights.items():
+        out_adj[src][dst] = in_adj[dst][src] = weight
+    return CooccurrenceNetwork._trusted(ids, out_adj, in_adj)
 
 
 def write_edge_list(net: CooccurrenceNetwork, path: str | Path) -> None:
-    """Write the TSV edge list (sorted, LF endings, bit-exact)."""
-    lines = [f"{src}\t{dst}\t{weight}\n" for src, dst, weight in _sorted_edges(net)]
-    Path(path).write_bytes("".join(lines).encode("utf-8"))
+    """Write the TSV edge list (sorted, LF endings, bit-exact).
+
+    The node ids are sorted by word once; then each source's lines, its
+    out-neighbors in that order, go into the open file, so no list of
+    every edge or line is ever built.
+    """
+    words = net.words
+    order = sorted(range(net.n_nodes), key=words.__getitem__)
+    rank = [0] * net.n_nodes
+    for place, node in enumerate(order):
+        rank[node] = place
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as file:
+            for src in order:
+                out = net._out[src]
+                head = words[src] + "\t"
+                lines = [
+                    f"{head}{words[dst]}\t{out[dst]}\n"
+                    for dst in sorted(out, key=rank.__getitem__)
+                ]
+                file.write("".join(lines))
+    except UnicodeEncodeError:  # a word UTF-8 cannot hold, e.g. a lone surrogate
+        Path(path).unlink()  # leave no partial file behind
+        raise
 
 
 def read_edge_list(path: str | Path) -> CooccurrenceNetwork:
@@ -305,16 +368,25 @@ def undirected_projection(net: CooccurrenceNetwork) -> list[set[int]]:
     """Adjacency sets of the simple undirected projection.
 
     Node ``j`` is a neighbor of ``i`` iff at least one of the directed edges
-    ``i -> j`` / ``j -> i`` exists; weights are discarded.  Cached on the
-    network (treat the returned sets as read-only).
+    ``i -> j`` / ``j -> i`` exists; weights are discarded.  Built afresh on
+    each call, so the caller owns the returned list and sets.
     """
-    if net._projection_cache is None:
-        adjacency: list[set[int]] = [set() for _ in range(net.n_nodes)]
-        for (src, dst), _ in net.edge_items():
-            adjacency[src].add(dst)
-            adjacency[dst].add(src)
-        net._projection_cache = adjacency
-    return net._projection_cache
+    return [out.keys() | in_.keys() for out, in_ in zip(net._out, net._in)]
+
+
+def _adjacency(net: CooccurrenceNetwork) -> list[tuple[int, ...]]:
+    """The projection's neighbors of each node as a tuple; cached on the network.
+
+    The one cached form of the projection, which components, the per-node
+    table and the distance sweeps read.  Tuples take under a fifth of the
+    memory of the sets they are filled from.
+    """
+    if net._adjacency_cache is None:
+        adjacency: list = undirected_projection(net)
+        for node, neighbors in enumerate(adjacency):
+            adjacency[node] = tuple(neighbors)  # frees each set as it goes
+        net._adjacency_cache = adjacency
+    return net._adjacency_cache
 
 
 def weak_components(net: CooccurrenceNetwork) -> ComponentLabeling:
@@ -324,7 +396,7 @@ def weak_components(net: CooccurrenceNetwork) -> ComponentLabeling:
     labeling is deterministic; ties for the largest component resolve to
     the smallest component id.
     """
-    adjacency = undirected_projection(net)
+    adjacency = _adjacency(net)
     labels = [-1] * net.n_nodes
     sizes: list[int] = []
     for start in range(net.n_nodes):

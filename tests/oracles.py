@@ -9,8 +9,11 @@ forward triangle counting, rank order from one keyed sort instead of
 grouping by value, and the rank CSV, pair CSV and SVG bytes from one row
 per entry instead of one step per run of equal values, and text cleaning
 and tokenization from per-character state machines instead of regular
-expressions over a string of character classes.  Agreement between the
-two routes is what the equivalence tests assert.
+expressions over a string of character classes, the network from one
+weights dict through the validating constructor instead of the trusted
+one, and the projection from one walk over the directed edges instead of
+the two neighbor maps.  Agreement between the two routes is what the
+equivalence tests assert.
 """
 
 import math
@@ -46,6 +49,29 @@ def undirected_edges(net: CooccurrenceNetwork) -> set[tuple[int, int]]:
     for (src, dst), _ in net.edge_items():
         edges.add((min(src, dst), max(src, dst)))
     return edges
+
+
+def projection(net: CooccurrenceNetwork) -> list[set[int]]:
+    """Neighbor sets of the undirected projection, one walk over the edges."""
+    neighbors: list[set[int]] = [set() for _ in range(net.n_nodes)]
+    for (src, dst), _ in net.edge_items():
+        neighbors[src].add(dst)
+        neighbors[dst].add(src)
+    return neighbors
+
+
+def build_network(sentences) -> CooccurrenceNetwork:
+    """One weights dict over adjacent token pairs, then the validating constructor."""
+    ids: dict[str, int] = {}
+    weights: dict[tuple[int, int], int] = {}
+    for sentence in sentences:
+        prev = None
+        for token in sentence:
+            node = ids.setdefault(token, len(ids))
+            if prev is not None and prev != node:
+                weights[(prev, node)] = weights.get((prev, node), 0) + 1
+            prev = node
+    return CooccurrenceNetwork(list(ids), weights)
 
 
 def distance_matrix(net: CooccurrenceNetwork) -> np.ndarray:

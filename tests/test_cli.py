@@ -103,6 +103,65 @@ class TestBuild:
         assert (out_b / "t.edges.tsv").read_bytes() == b"a\tb\t2\n"
 
 
+class TestBuildEdgelessWords:
+    """Words without an edge are not in the edge list; build says how many."""
+
+    def test_one_word_sentence_is_named_on_stderr(self, tmp_path, capsys):
+        text = write_text(tmp_path, "t.txt", "the cat sat. dog. the dog ran. bird.")
+        code, out, err = run(capsys, "build", str(text), "--out", str(tmp_path))
+        assert code == 0
+        assert out == f"t: N=6 K=4\nwrote {tmp_path / 't.edges.tsv'}\n"
+        assert err == (
+            "warning: t: 1 of 6 words have no edge and are not in the edge list\n"
+        )
+
+    def test_one_line_per_affected_input(
+        self, tmp_path, capsys, formal_text_path, informal_text_path
+    ):
+        # three words of the informal fixture occur only as one-word
+        # sentences ("Noted.", ...); the formal fixture has none
+        code, out, err = run(
+            capsys,
+            "build",
+            str(formal_text_path),
+            str(informal_text_path),
+            "--out",
+            str(tmp_path),
+        )
+        assert code == 0
+        assert err == (
+            "warning: informal_excerpt: 3 of 1475 words have no edge and are "
+            "not in the edge list\n"
+        )
+        assert re.fullmatch(
+            r"formal_excerpt: N=\d+ K=\d+\n"
+            r"wrote .*formal_excerpt\.edges\.tsv\n"
+            r"informal_excerpt: N=1475 K=\d+\n"
+            r"wrote .*informal_excerpt\.edges\.tsv\n",
+            out,
+        )
+
+    def test_formal_fixture_gives_no_line(self, tmp_path, capsys, formal_text_path):
+        argv = ["build", str(formal_text_path), "--out", str(tmp_path)]
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+
+    def test_edge_list_summary_differs_where_the_readme_says(self, tmp_path, capsys):
+        # a triangle, a b c, and the word of a one-word sentence
+        text = write_text(tmp_path, "t.txt", "a b c a. solo.")
+        run(capsys, "build", str(text), "--out", str(tmp_path))
+        run(capsys, "analyze", str(text), "--label", "text", "--out", str(tmp_path))
+        run(capsys, "analyze", str(tmp_path / "t.edges.tsv"), "--label", "edges",
+            "--out", str(tmp_path))
+        header, text_row = (tmp_path / "text.summary.csv").read_text().split()
+        edges_row = (tmp_path / "edges.summary.csv").read_text().split()[1]
+        columns = zip(header.split(","), text_row.split(","), edges_row.split(","))
+        differing = [name for name, a, b in columns if a != b]
+        assert differing == [
+            "label", "N", "avg_degree", "avg_clustering", "density", "components"
+        ]
+
+
 class TestAnalyze:
     def test_triangle_edge_list(self, tmp_path, capsys):
         edges = tmp_path / "triangle.tsv"

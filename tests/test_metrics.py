@@ -401,6 +401,67 @@ class TestOracleEquivalence:
                 assert l_value <= d_value
 
 
+def largest_component_without_node_0() -> CooccurrenceNetwork:
+    """A pair holding node 0, then a wheel of nine nodes and a tail."""
+    edges = [("a0", "a1")] + wheel(8) + [("v0", "t0"), ("t0", "t1")]
+    order = ["a0", "a1", "t1", "v3", "hub", "t0", "v0", "v1", "v2"]
+    order += ["v4", "v5", "v6", "v7"]
+    return undirected_graph(edges, order)
+
+
+class TestSweepBudget:
+    """The byte budget sets the sources per sweep; no value depends on it."""
+
+    @staticmethod
+    def budget(n_prime: int, width: int) -> int:
+        """The fewest bytes that hold three bitsets of ``width`` bits per node."""
+        return -(-3 * n_prime * width // 8)
+
+    @pytest.mark.parametrize("n_prime", [3, 4, 10, 2_000, 16_789])
+    @pytest.mark.parametrize("width", [1, 3, 1_000])
+    def test_width_is_the_widest_that_fits(self, monkeypatch, n_prime, width):
+        monkeypatch.setattr(metrics, "_SWEEP_BYTES", self.budget(n_prime, width))
+        assert metrics._block_width(n_prime) == width
+        monkeypatch.setattr(metrics, "_SWEEP_BYTES", self.budget(n_prime, width) - 1)
+        assert metrics._block_width(n_prime) == max(1, width - 1)
+
+    def test_default_budget(self):
+        assert metrics._block_width(2_000) >= 2_000  # every source in one sweep
+        assert 4_000 <= metrics._block_width(16_789) <= 5_500
+        assert 4_000 <= metrics._block_width(19_963) <= 5_500
+
+    @pytest.mark.parametrize("width", [1, 3, "all"])
+    def test_distances_match_oracle_at_each_width(self, monkeypatch, width):
+        widths: list[int] = []
+        sweep = metrics._sweep
+
+        def recording_sweep(adjacency, block, sums, by_source):
+            widths.append(len(block))
+            return sweep(adjacency, block, sums, by_source)
+
+        monkeypatch.setattr(metrics, "_sweep", recording_sweep)
+        rng = np.random.default_rng(2026)
+        nets = [largest_component_without_node_0()]
+        nets += [oracles.random_network(rng, max_nodes=40) for _ in range(30)]
+        assert sum(0 not in oracles.largest_component(net) for net in nets) >= 3
+        for net in nets:
+            n_prime = len(oracles.largest_component(net))
+            block = n_prime if width == "all" else width
+            budget = self.budget(n_prime, block) if n_prime >= 3 else 0
+            monkeypatch.setattr(metrics, "_SWEEP_BYTES", budget)
+            for sample in (None, 5):
+                widths.clear()
+                if sample is None:
+                    assert_distances_match_oracle(net)
+                    n_sources = n_prime
+                else:
+                    assert_sampled_distances_match_oracle(net, sample)
+                    n_sources = min(sample, n_prime)
+                expect = min(block, n_sources) if n_prime >= 3 else 1
+                full, last = divmod(n_sources, expect)
+                assert widths == [expect] * full + [last] * (last > 0)
+
+
 class TestScaleInvariance:
     def test_weight_scaling(self):
         rng = np.random.default_rng(77)
