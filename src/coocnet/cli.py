@@ -107,9 +107,13 @@ def _write(path: Path, writer, *args) -> None:
 
 
 def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
+    labels = [_label(None, path) for path in args.texts]
+    for place, label in enumerate(labels):
+        if label in labels[:place]:  # both would write <label>.edges.tsv
+            raise ValueError(f"labels must differ, two inputs are {label!r}")
     # every input loads before the first write, so a failure writes nothing
-    nets = [(_label(None, path), _build_from_text(path, config)) for path in args.texts]
-    for label, net in nets:
+    nets = [_build_from_text(path, config) for path in args.texts]
+    for label, net in zip(labels, nets):
         print(f"{label}: N={net.n_nodes} K={net.n_edges}")
         # the format has no node section, so these words do not survive it
         edgeless = sum(

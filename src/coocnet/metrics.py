@@ -17,17 +17,16 @@ defined value (selectivity of an isolated direction, path lengths of a
 trivial component, density of a single node) is None rather than NaN.
 
 Pairwise distances come from bit-parallel breadth-first sweeps over the
-largest component, relabeled to ids 0..N'-1: one sweep walks the
-component once per depth for a whole block of B sources, each source one
-bit of a Python int per node.  Its three bitsets take 3 * N' * B / 8
-bytes, and B is the widest block that keeps them within a 32 MiB budget
-(every source at once up to N' ~ 9,400), so memory stays bounded for any
-number of sources.  For very large networks
-the distance-family functions accept ``sample=m`` to sweep from m
-deterministically chosen source nodes only: the average shortest path
-becomes an estimate, the diameter a lower bound, and node average
-distances are only available for sampled sources.  Exact computation
-(``sample=None``) is the default everywhere.
+largest component: one sweep walks the component's members once per
+depth for a whole block of B sources, each source one bit of a Python int
+per node.  Its three bitsets take 3 * N' * B / 8 bytes, and B is the
+widest block that keeps them within a 32 MiB budget (every source at once
+up to N' ~ 9,400), so memory stays bounded for any number of sources.
+For very large networks the distance-family functions accept
+``sample=m`` to sweep from m deterministically chosen source nodes only:
+the average shortest path becomes an estimate, the diameter a lower
+bound, and node average distances are only available for sampled
+sources.  Exact computation (``sample=None``) is the default everywhere.
 """
 
 from __future__ import annotations
@@ -225,20 +224,18 @@ def average_clustering(net: CooccurrenceNetwork) -> Fraction:
 # A sweep of B sources over a component of N' nodes holds three bitsets
 # (seen, frontier, next frontier) of B bits per node, so B is the widest
 # block with 3 * N' * B / 8 <= _SWEEP_BYTES: every source at once up to
-# N' ~ 9,400, and ~5,300 sources at N' = 16,789.  _BLOCK caps B as well;
-# at this budget it never binds, as a component with B > _BLOCK has fewer
-# than _BLOCK nodes, but a lower cap forces many blocks on small graphs.
+# N' ~ 9,400, and ~5,300 sources at N' = 16,789.
 _SWEEP_BYTES = 32 << 20
-_BLOCK = 1 << 16
 
 
 def _block_width(n_prime: int) -> int:
     """Sources per sweep on a component of ``n_prime`` nodes, at least 1."""
-    return max(1, min(_BLOCK, 8 * _SWEEP_BYTES // (3 * max(n_prime, 1))))
+    return max(1, 8 * _SWEEP_BYTES // (3 * max(n_prime, 1)))
 
 
 def _sweep(
-    adjacency: list[list[int]],
+    adjacency: Sequence[Sequence[int]],
+    members: Sequence[int],
     block: Sequence[int],
     sums: list[int],
     by_source: bool,
@@ -246,14 +243,15 @@ def _sweep(
     """One breadth-first search from every source of ``block`` at once.
 
     The multi-source BFS of Then et al., "The More the Merrier: Efficient
-    Multi-Source Graph Traversal" (PVLDB 8(4), 2014).  ``adjacency`` is one
-    connected component with ids 0..N'-1, and source ``block[i]`` owns bit
-    i.  Each node keeps the bits of the sources that have reached it
+    Multi-Source Graph Traversal" (PVLDB 8(4), 2014).  ``adjacency`` holds
+    the neighbor ids of every node, ``members`` the ids of the connected
+    component that holds the sources, and source ``block[i]`` owns bit i.
+    Each member keeps the bits of the sources that have reached it
     (``seen``) and of those that reached it at the last depth
-    (``frontier``).  One level ORs the frontier bits of each node's
-    neighbors into the node and keeps the bits it had not seen, so a level
-    costs one pass over the adjacency however many sources the block
-    holds.  A node that every source has reached drops out of later
+    (``frontier``).  One level ORs the frontier bits of each member's
+    neighbors into the member and keeps the bits it had not seen, so a
+    level costs one pass over the component however many sources the block
+    holds.  A member that every source has reached drops out of later
     passes.  The three bitsets take 3 * N' * len(block) / 8 bytes, plus
     Python's per-int overhead.
 
@@ -271,7 +269,7 @@ def _sweep(
         seen[source] = frontier[source] = 1 << bit
     reached = len(block)
     depth = 0
-    todo: Sequence[int] = range(len(adjacency))
+    todo = members
     while True:
         depth += 1
         next_frontier = [0] * len(adjacency)
@@ -327,26 +325,18 @@ class _DistanceStats:
     max_dist: int
 
 
-def _relabeled(
-    adjacency: list[tuple[int, ...]], members: list[int]
-) -> list[list[int]]:
-    """The adjacency of one component, with ``members[i]`` renamed to i."""
-    local = [0] * len(adjacency)
-    for i, node in enumerate(members):
-        local[node] = i
-    return [list(map(local.__getitem__, adjacency[node])) for node in members]
-
-
 def _distance_stats(
     net: CooccurrenceNetwork, sample: int | None
 ) -> _DistanceStats:
     """All-pairs (or sampled) hop-distance aggregates on the largest component.
 
-    The component's adjacency is copied to ids 0..N'-1 for the duration of
-    the sweeps, and the sources are swept in blocks of `_block_width`, so
-    the sweeps' bitsets stay within ``_SWEEP_BYTES`` (32 MiB) plus Python's
-    per-int overhead.  Cached on the network, keyed by the sample size.
+    The sweeps walk the cached adjacency in place, and the sources are swept
+    in blocks of `_block_width`, so the sweeps' bitsets stay within
+    ``_SWEEP_BYTES`` (32 MiB) plus Python's per-int overhead.  Cached on the
+    network, keyed by the sample size.
     """
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be >= 1, got {sample}")
     cached = net._distance_cache.get(sample)
     if cached is not None:
         return cached
@@ -358,25 +348,23 @@ def _distance_stats(
         if labeling.labels[node] == labeling.largest
     ]
     n_prime = len(comp_nodes)
-    sources: Sequence[int] = range(n_prime)  # i stands for comp_nodes[i]
+    sources = comp_nodes
     if sample is not None and sample < n_prime:
-        if sample < 1:
-            raise ValueError(f"sample must be >= 1, got {sample}")
         rng = random.Random(_SAMPLE_SEED)
-        sources = sorted(rng.sample(sources, sample))
+        sources = sorted(rng.sample(comp_nodes, sample))
 
     # with every component node a source, v's sum over the sources is its own
     by_source = len(sources) < n_prime
-    adjacency = _relabeled(_adjacency(net), comp_nodes)
-    sums = [0] * n_prime
+    adjacency = _adjacency(net)
+    sums = [0] * net.n_nodes
     max_dist = 0
     width = _block_width(n_prime)
     for start in range(0, len(sources), width):
         block = sources[start : start + width]
-        block_max, reached = _sweep(adjacency, block, sums, by_source)
+        block_max, reached = _sweep(adjacency, comp_nodes, block, sums, by_source)
         assert reached == n_prime * len(block), "sources must reach their component"
         max_dist = max(max_dist, block_max)
-    node_sum = {comp_nodes[source]: sums[source] for source in sources}
+    node_sum = {source: sums[source] for source in sources}
 
     stats = _DistanceStats(
         labeling=labeling,

@@ -14,17 +14,18 @@ neighbor links), and the hop-distance aggregates of `metrics` per sample
 size.  `undirected_projection` returns the projection as fresh sets on
 each call and caches nothing; the tuples are filled from one such call.
 `weak_components` floods the tuples breadth-first; the distances of
-`metrics` copy the largest component's tuples to ids 0..N'-1 and sweep
-them from blocks of B sources at once, with 3 * N' * B / 8 bytes of
-bitsets, B set by a byte budget.
+`metrics` sweep the largest component's members over the same tuples from
+blocks of B sources at once, with 3 * N' * B / 8 bytes of bitsets, B set
+by a byte budget.
 
 The constructor and every edge-record reader keep one set of rules: a word
 is non-empty and holds no whitespace, there is no self-loop, a weight is
 an ``int >= 1`` (never a ``bool``), and a (src, dst) pair appears once.
 `from_edge_list` errors cite the record number, `read_edge_list` errors
 the file and line.  `build_network` and the readers check each word and
-edge as they meet it, then hand the finished neighbor maps to a trusted
-constructor that does not check them again.
+edge as they meet it, then hand the finished out-neighbor maps to a
+trusted constructor that does not check them again.  Every network
+derives its in-neighbor maps from its out-neighbor maps in one place.
 
 On-disk edge-list format: UTF-8 TSV, one ``src<TAB>dst<TAB>weight`` record
 per line, LF endings, sorted lexicographically by (src, dst).  Weights
@@ -94,7 +95,6 @@ class CooccurrenceNetwork:
 
         n = len(words)
         out_adj: list[dict[int, int]] = [dict() for _ in range(n)]
-        in_adj: list[dict[int, int]] = [dict() for _ in range(n)]
         for (src, dst), weight in edge_weights.items():
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError(f"edge ({src}, {dst}) endpoint out of range")
@@ -102,32 +102,28 @@ class CooccurrenceNetwork:
             if problem:
                 raise ValueError(f"edge ({src}, {dst}): {problem}")
             out_adj[src][dst] = weight
-            in_adj[dst][src] = weight
-        self._adopt(ids, out_adj, in_adj)
+        self._adopt(ids, out_adj)
 
     @classmethod
     def _trusted(
-        cls,
-        ids: dict[str, int],
-        out_adj: list[dict[int, int]],
-        in_adj: list[dict[int, int]],
+        cls, ids: dict[str, int], out_adj: list[dict[int, int]]
     ) -> CooccurrenceNetwork:
         """A network over parts its caller has already checked, without copies.
 
         ``ids`` maps each word to its id in insertion order 0..N-1, and
-        ``out_adj``/``in_adj`` are the two directions of the same edges.
-        The network takes ownership of all three.
+        ``out_adj[src]`` maps each out-neighbor of ``src`` to the edge's
+        weight.  The network takes ownership of both.
         """
         net = cls.__new__(cls)
-        net._adopt(ids, out_adj, in_adj)
+        net._adopt(ids, out_adj)
         return net
 
-    def _adopt(
-        self,
-        ids: dict[str, int],
-        out_adj: list[dict[int, int]],
-        in_adj: list[dict[int, int]],
-    ) -> None:
+    def _adopt(self, ids: dict[str, int], out_adj: list[dict[int, int]]) -> None:
+        """Take the checked parts, and derive the in-edges from the out-edges."""
+        in_adj: list[dict[int, int]] = [{} for _ in out_adj]
+        for src, out in enumerate(out_adj):
+            for dst, weight in out.items():
+                in_adj[dst][src] = weight
         self._words = tuple(ids)
         self._ids = ids
         self._out = out_adj
@@ -237,26 +233,33 @@ def build_network(sentences: Iterable[Sequence[str]]) -> CooccurrenceNetwork:
             prev = node
     # each word was checked once, and an edge joins two distinct nodes with
     # a count >= 1, so the parts need no second check
-    in_adj: list[dict[int, int]] = [{} for _ in out_adj]
-    for src, out in enumerate(out_adj):
-        for dst, weight in out.items():
-            in_adj[dst][src] = weight
-    return CooccurrenceNetwork._trusted(ids, out_adj, in_adj)
+    return CooccurrenceNetwork._trusted(ids, out_adj)
+
+
+def _sorted_edges(net: CooccurrenceNetwork) -> Iterator[tuple[int, list[int]]]:
+    """Each source id with out-edges, and its out-neighbor ids, in word order.
+
+    The node ids are sorted by word once; each source's out-neighbors are
+    then sorted by that rank, which orders the edges by (src, dst) word.
+    """
+    order = sorted(range(net.n_nodes), key=net.words.__getitem__)
+    rank = [0] * net.n_nodes
+    for place, node in enumerate(order):
+        rank[node] = place
+    for src in order:
+        out = net._out[src]
+        if out:
+            yield src, sorted(out, key=rank.__getitem__)
 
 
 def to_edge_list(net: CooccurrenceNetwork) -> list[EdgeRecord]:
-    """All edges as word-keyed records, sorted lexicographically by (src, dst).
-
-    The (src, dst) pairs are unique, so the plain tuple sort never reaches
-    a weight and needs no key.
-    """
+    """All edges as word-keyed records, sorted lexicographically by (src, dst)."""
     words = net.words
-    edges = [
-        (words[src], words[dst], weight)
-        for (src, dst), weight in net.edge_items()
+    return [
+        EdgeRecord(words[src], words[dst], net._out[src][dst])
+        for src, dsts in _sorted_edges(net)
+        for dst in dsts
     ]
-    edges.sort()
-    return list(map(EdgeRecord._make, edges))
 
 
 def from_edge_list(
@@ -293,33 +296,24 @@ def _network_from_records(
         first_seen[key] = number
         weights[key] = weight
     out_adj: list[dict[int, int]] = [{} for _ in ids]
-    in_adj: list[dict[int, int]] = [{} for _ in ids]
     for (src, dst), weight in weights.items():
-        out_adj[src][dst] = in_adj[dst][src] = weight
-    return CooccurrenceNetwork._trusted(ids, out_adj, in_adj)
+        out_adj[src][dst] = weight
+    return CooccurrenceNetwork._trusted(ids, out_adj)
 
 
 def write_edge_list(net: CooccurrenceNetwork, path: str | Path) -> None:
     """Write the TSV edge list (sorted, LF endings, bit-exact).
 
-    The node ids are sorted by word once; then each source's lines, its
-    out-neighbors in that order, go into the open file, so no list of
-    every edge or line is ever built.
+    Each source's lines go into the open file in turn, so no list of every
+    edge or line is ever built.
     """
     words = net.words
-    order = sorted(range(net.n_nodes), key=words.__getitem__)
-    rank = [0] * net.n_nodes
-    for place, node in enumerate(order):
-        rank[node] = place
     try:
         with open(path, "w", encoding="utf-8", newline="") as file:
-            for src in order:
+            for src, dsts in _sorted_edges(net):
                 out = net._out[src]
                 head = words[src] + "\t"
-                lines = [
-                    f"{head}{words[dst]}\t{out[dst]}\n"
-                    for dst in sorted(out, key=rank.__getitem__)
-                ]
+                lines = [f"{head}{words[dst]}\t{out[dst]}\n" for dst in dsts]
                 file.write("".join(lines))
     except UnicodeEncodeError:  # a word UTF-8 cannot hold, e.g. a lone surrogate
         Path(path).unlink()  # leave no partial file behind

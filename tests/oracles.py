@@ -11,9 +11,10 @@ per entry instead of one step per run of equal values, and text cleaning
 and tokenization from per-character state machines instead of regular
 expressions over a string of character classes, the network from one
 weights dict through the validating constructor instead of the trusted
-one, and the projection from one walk over the directed edges instead of
-the two neighbor maps.  Agreement between the two routes is what the
-equivalence tests assert.
+one, the projection from one walk over the directed edges instead of
+the two neighbor maps, and the edge list from one tuple sort over every
+edge instead of one word rank per node.  Agreement between the two routes
+is what the equivalence tests assert.
 """
 
 import math
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from coocnet import CooccurrenceNetwork
+from coocnet import CooccurrenceNetwork, EdgeRecord
 from coocnet.pipeline import DEFAULT_CONFIG, PipelineConfig, segment_sentences
 from coocnet.ranking import (
     _COLOR_A,
@@ -49,6 +50,19 @@ def undirected_edges(net: CooccurrenceNetwork) -> set[tuple[int, int]]:
     for (src, dst), _ in net.edge_items():
         edges.add((min(src, dst), max(src, dst)))
     return edges
+
+
+def edge_list(net: CooccurrenceNetwork) -> list[EdgeRecord]:
+    """``to_edge_list``: one tuple sort over every (src word, dst word, weight).
+
+    The (src, dst) pairs are unique, so the sort never reaches a weight.
+    """
+    words = net.words
+    edges = [
+        (words[src], words[dst], weight) for (src, dst), weight in net.edge_items()
+    ]
+    edges.sort()
+    return list(map(EdgeRecord._make, edges))
 
 
 def projection(net: CooccurrenceNetwork) -> list[set[int]]:
@@ -202,11 +216,22 @@ def rank_order(pairs) -> list[tuple]:
 
 
 def random_network(
-    rng: np.random.Generator, max_nodes: int = 50, max_weight: int = 9
+    rng: np.random.Generator,
+    max_nodes: int = 50,
+    max_weight: int = 9,
+    words: list[str] | None = None,
 ) -> CooccurrenceNetwork:
-    """Random simple directed weighted graph with w0..w(n-1) node words."""
-    n = int(rng.integers(1, max_nodes + 1))
-    words = [f"w{i}" for i in range(n)]
+    """Random simple directed weighted graph.
+
+    The node words are w0..w(n-1), or, given ``words``, n of them in a
+    random order.
+    """
+    if words is None:
+        n = int(rng.integers(1, max_nodes + 1))
+        words = [f"w{i}" for i in range(n)]
+    else:
+        n = int(rng.integers(1, min(max_nodes, len(words)) + 1))
+        words = [words[i] for i in rng.permutation(len(words))[:n]]
     p = float(rng.uniform(0.02, 0.35))
     weights = {}
     for src in range(n):

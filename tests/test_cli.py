@@ -73,6 +73,22 @@ class TestBuild:
         assert "missing.txt" in err
         assert not out.exists()
 
+    def test_equal_labels_rejected_before_any_write(self, tmp_path, capsys):
+        first = tmp_path / "a"
+        second = tmp_path / "b"
+        first.mkdir()
+        second.mkdir()
+        write_text(first, "x.txt", "a b.")
+        write_text(second, "x.txt", "c d.")
+        out = tmp_path / "out"
+        out.mkdir()
+        inputs = [str(first / "x.txt"), str(second / "x.txt")]
+        code, stdout, err = run(capsys, "build", *inputs, "--out", str(out))
+        assert code == 1
+        assert err == "error: labels must differ, two inputs are 'x'\n"
+        assert stdout == ""
+        assert list(out.iterdir()) == []
+
     def test_empty_config_path_named(self, tmp_path, capsys):
         text = write_text(tmp_path, "t.txt", "a b.")
         code, _, err = run(

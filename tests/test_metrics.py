@@ -367,7 +367,7 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("block", [1, 3])
     def test_distances_over_several_source_blocks(self, monkeypatch, block):
-        monkeypatch.setattr(metrics, "_BLOCK", block)
+        monkeypatch.setattr(metrics, "_block_width", lambda n_prime: block)
         rng = np.random.default_rng(2024)
         for _ in range(60):
             net = oracles.random_network(rng, max_nodes=50)
@@ -376,7 +376,7 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("block", [1, 3])
     def test_small_components_over_several_source_blocks(self, monkeypatch, block):
-        monkeypatch.setattr(metrics, "_BLOCK", block)
+        monkeypatch.setattr(metrics, "_block_width", lambda n_prime: block)
         pair_and_singletons = build_network([["a", "b"], ["c"], ["d"]])
         only_singletons = build_network([["solo"], ["other"]])
         for net in (pair_and_singletons, only_singletons):
@@ -435,9 +435,9 @@ class TestSweepBudget:
         widths: list[int] = []
         sweep = metrics._sweep
 
-        def recording_sweep(adjacency, block, sums, by_source):
+        def recording_sweep(adjacency, members, block, sums, by_source):
             widths.append(len(block))
-            return sweep(adjacency, block, sums, by_source)
+            return sweep(adjacency, members, block, sums, by_source)
 
         monkeypatch.setattr(metrics, "_sweep", recording_sweep)
         rng = np.random.default_rng(2026)
@@ -583,6 +583,18 @@ class TestSampledEstimates:
     def test_invalid_sample_size(self, path4):
         with pytest.raises(ValueError):
             average_shortest_path(path4, sample=0)
+
+    @pytest.mark.parametrize("sample", [0, -1])
+    @pytest.mark.parametrize("sentences", [[], [["solo"]], [["a", "b"]]])
+    def test_invalid_sample_size_on_tiny_networks(self, sentences, sample):
+        net = build_network(sentences)
+        for measure in (average_shortest_path, diameter):
+            with pytest.raises(ValueError, match="sample must be >= 1"):
+                measure(net, sample=sample)
+        # the empty network has no summary, whatever the sample
+        message = "sample must be >= 1" if net.n_nodes else "empty network"
+        with pytest.raises(ValueError, match=message):
+            global_summary(net, sample=sample)
 
 
 class TestNetworkxCrossCheck:

@@ -3,10 +3,11 @@
 `build_network` fills the network's neighbor maps itself instead of going
 through the validating constructor; `undirected_projection` builds fresh
 sets on each call, while components, the per-node table and the distance
-sweeps read one cached adjacency of int tuples; `write_edge_list` writes
-each source's lines into the open file instead of joining every line
-first.  Each is checked against an oracle, and the writer against a
-memory bound.
+sweeps read one cached adjacency of int tuples, the sweeps in place;
+`to_edge_list` and `write_edge_list` share one edge order, and the writer
+writes each source's lines into the open file instead of joining every
+line first.  Each is checked against an oracle, and the writer and the
+sampled sweeps against a memory bound.
 """
 
 import gc
@@ -30,9 +31,14 @@ from coocnet import (
     weak_components,
     write_edge_list,
 )
+from coocnet import metrics
 from coocnet.network import _adjacency
 
 import oracles
+
+# words whose order turns on case, accents, joiners and prefixes
+_CLOSE_WORDS = ["a", "A", "a-", "a-b", "a'b", "ab", "b", "B", "e", "E", "é", "É"]
+_CLOSE_WORDS += ["é-a", "ée", "z", "Z"]
 
 _TOKEN = st.sampled_from(["a", "b", "c", "d", "e", "été", "don't", "x-y"])
 _SENTENCE = st.one_of(
@@ -123,6 +129,36 @@ def test_write_edge_list_streams_its_lines(tmp_path):
     assert peak < 4 * written
     expected = "".join(f"{s}\t{d}\t{w}\n" for s, d, w in to_edge_list(net))
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_edge_list_is_in_word_order(tmp_path_factory, seed):
+    rng = np.random.default_rng(seed)
+    net = oracles.random_network(rng, max_nodes=len(_CLOSE_WORDS), words=_CLOSE_WORDS)
+    want = oracles.edge_list(net)
+    assert to_edge_list(net) == want
+    path = tmp_path_factory.mktemp("edges") / "net.edges.tsv"
+    write_edge_list(net, path)
+    lines = "".join(f"{src}\t{dst}\t{weight}\n" for src, dst, weight in want)
+    assert path.read_bytes() == lines.encode("utf-8")
+
+
+def test_sampled_distances_walk_the_adjacency_in_place(monkeypatch):
+    net = _synthetic_network(n_nodes=6_000, out_degree=3)
+    labeling = weak_components(net)  # fills the cached adjacency as well
+    assert labeling.sizes[labeling.largest] > 5_000
+    monkeypatch.setattr(metrics, "weak_components", lambda net: labeling)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        metrics._distance_stats(net, 4)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # ~90 bytes per node here; a copy of the component's adjacency adds ~190
+    assert peak < 160 * net.n_nodes
 
 
 def test_unencodable_word_leaves_no_file(tmp_path):
