@@ -16,6 +16,7 @@ when every requested output was written.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import warnings
 from pathlib import Path
@@ -115,11 +116,12 @@ def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
     nets = [_build_from_text(path, config) for path in args.texts]
     for label, net in zip(labels, nets):
         print(f"{label}: N={net.n_nodes} K={net.n_edges}")
-        # the format has no node section, so these words do not survive it
+        # the format has no node section, so these words do not survive it;
+        # counted from the out-edges alone, which derives no in-edges
+        nodes = range(net.n_nodes)
+        targets = set(itertools.chain.from_iterable(map(net.out_weights, nodes)))
         edgeless = sum(
-            1
-            for node in range(net.n_nodes)
-            if not (net.out_weights(node) or net.in_weights(node))
+            1 for node in nodes if not (net.out_weights(node) or node in targets)
         )
         if edgeless:
             print(

@@ -97,6 +97,8 @@ class _NodeTable(NamedTuple):
 def _node_table(net: CooccurrenceNetwork) -> _NodeTable:
     """Every per-node measure but distances, in one pass; cached on the network.
 
+    The in-side degrees and strengths are tallied edge by edge from the
+    out-edges, so the table never fills the network's in-edge cache.
     Triangles are counted with the forward algorithm (Schank & Wagner,
     "Finding, counting and listing all triangles in large graphs", WEA
     2005; Latapy, "Main-memory triangle computations for very large
@@ -107,9 +109,14 @@ def _node_table(net: CooccurrenceNetwork) -> _NodeTable:
     ``twice_links``.
     """
     if net._node_cache is None:
-        sides = (net._in, net._out)
-        degrees = [list(map(len, side)) for side in sides]
-        strengths = [[sum(weights.values()) for weights in side] for side in sides]
+        in_degree = [0] * net.n_nodes
+        in_strength = [0] * net.n_nodes
+        for out in net._out:  # the in-side, in one pass over the out-edges
+            for dst, weight in out.items():
+                in_degree[dst] += 1
+                in_strength[dst] += weight
+        degrees = [in_degree, list(map(len, net._out))]
+        strengths = [in_strength, [sum(weights.values()) for weights in net._out]]
         selectivities = [
             _shared_ratios(side_s, side_k) for side_s, side_k in zip(strengths, degrees)
         ]

@@ -6,17 +6,22 @@ immediately followed by word ``j`` inside a sentence ``w`` times.  The
 graph is simple: consecutive duplicate tokens never create self-loops, and
 sentence boundaries never create edges.
 
-A finished network is treated as immutable and caches three derived
-views on the instance, each filled on first use and safe for concurrent
-readers: the undirected projection as one tuple of neighbor ids per node
-(`_adjacency`), the per-node table of `metrics` (degree family and
-neighbor links), and the hop-distance aggregates of `metrics` per sample
-size.  `undirected_projection` returns the projection as fresh sets on
-each call and caches nothing; the tuples are filled from one such call.
-`weak_components` floods the tuples breadth-first; the distances of
-`metrics` sweep the largest component's members over the same tuples from
-blocks of B sources at once, with 3 * N' * B / 8 bytes of bitsets, B set
-by a byte budget.
+A network stores its out-neighbor maps and nothing else of its edges.
+It is treated as immutable and caches four derived views on the
+instance, each filled on first use and safe for concurrent readers: the
+in-neighbor maps, a transpose of the out-neighbor maps that only
+`in_weights` reads (`_in_edges`); the undirected projection as one tuple
+of neighbor ids per node (`_adjacency`); the per-node table of `metrics`
+(degree family and neighbor links); and the hop-distance aggregates of
+`metrics` per sample size.  The measures and writers read the
+out-neighbor maps alone, so the in-neighbor maps are never filled unless
+a caller asks for them.  `undirected_projection` returns the projection
+as fresh sets on each call and caches nothing; the tuples are filled from
+one such call, and hold the int objects of the network's own maps rather
+than fresh ones.  `weak_components` floods the tuples breadth-first; the
+distances of `metrics` sweep the largest component's members over the
+same tuples from blocks of B sources at once, with 3 * N' * B / 8 bytes
+of bitsets, B set by a byte budget.
 
 The constructor and every edge-record reader keep one set of rules: a word
 is non-empty and holds no whitespace, there is no self-loop, a weight is
@@ -24,8 +29,7 @@ an ``int >= 1`` (never a ``bool``), and a (src, dst) pair appears once.
 `from_edge_list` errors cite the record number, `read_edge_list` errors
 the file and line.  `build_network` and the readers check each word and
 edge as they meet it, then hand the finished out-neighbor maps to a
-trusted constructor that does not check them again.  Every network
-derives its in-neighbor maps from its out-neighbor maps in one place.
+trusted constructor that does not check them again.
 
 On-disk edge-list format: UTF-8 TSV, one ``src<TAB>dst<TAB>weight`` record
 per line, LF endings, sorted lexicographically by (src, dst).  Weights
@@ -119,17 +123,13 @@ class CooccurrenceNetwork:
         return net
 
     def _adopt(self, ids: dict[str, int], out_adj: list[dict[int, int]]) -> None:
-        """Take the checked parts, and derive the in-edges from the out-edges."""
-        in_adj: list[dict[int, int]] = [{} for _ in out_adj]
-        for src, out in enumerate(out_adj):
-            for dst, weight in out.items():
-                in_adj[dst][src] = weight
+        """Take the checked parts; every derived view starts unfilled."""
         self._words = tuple(ids)
         self._ids = ids
         self._out = out_adj
-        self._in = in_adj
         self._edge_count = sum(map(len, out_adj))
-        # lazily filled caches, see _adjacency / metrics
+        # lazily filled caches, see _in_edges / _adjacency / metrics
+        self._in_cache: list[dict[int, int]] | None = None
         self._adjacency_cache: list[tuple[int, ...]] | None = None
         self._node_cache = None  # metrics._node_table
         self._distance_cache: dict = {}
@@ -159,9 +159,12 @@ class CooccurrenceNetwork:
         return self._out[node]
 
     def in_weights(self, node: int) -> Mapping[int, int]:
-        """src id -> weight for the node's incoming edges (do not mutate)."""
+        """src id -> weight for the node's incoming edges (do not mutate).
+
+        The first call derives every node's in-edges from the out-edges.
+        """
         self._check_node(node)
-        return self._in[node]
+        return _in_edges(self)[node]
 
     def weight(self, src: int, dst: int) -> int:
         """Edge weight, or 0 when the edge does not exist."""
@@ -363,9 +366,30 @@ def undirected_projection(net: CooccurrenceNetwork) -> list[set[int]]:
 
     Node ``j`` is a neighbor of ``i`` iff at least one of the directed edges
     ``i -> j`` / ``j -> i`` exists; weights are discarded.  Built afresh on
-    each call, so the caller owns the returned list and sets.
+    each call from the out-edges alone, so the caller owns the returned
+    list and sets.
     """
-    return [out.keys() | in_.keys() for out, in_ in zip(net._out, net._in)]
+    projection = [set(out) for out in net._out]
+    for src, out in zip(net._ids.values(), net._out):
+        for dst in out:
+            projection[dst].add(src)
+    return projection
+
+
+def _in_edges(net: CooccurrenceNetwork) -> list[dict[int, int]]:
+    """src id -> weight for each node's incoming edges; cached on the network.
+
+    The transpose of the out-edges, filled on the first call.  Only
+    `in_weights` reads it, so a network holds this second copy of its
+    weights only once a caller asks for a node's in-edges.
+    """
+    if net._in_cache is None:
+        in_adj: list[dict[int, int]] = [{} for _ in net._out]
+        for src, out in zip(net._ids.values(), net._out):
+            for dst, weight in out.items():
+                in_adj[dst][src] = weight
+        net._in_cache = in_adj
+    return net._in_cache
 
 
 def _adjacency(net: CooccurrenceNetwork) -> list[tuple[int, ...]]:

@@ -10,7 +10,10 @@ A series is stored as its runs of equal value (a network's thousands of
 nodes share a few hundred values), and the writers work once per run: one
 formatted value cell per run in a rank CSV, one ratio per overlap of two
 runs in a pair CSV, one logarithm per run in an SVG plot.  Only the rank
-and the word are handled row by row.
+and the word are handled row by row.  A run holds two tuples, its words
+and their values, so a series keeps two references per row and no
+object of its own per row; the (rank, value, word) rows are built only
+when `RankSeries.entries` is read.
 
 Two networks built from different text categories are compared by pairing
 their global summaries and their rank series measure by measure.  Exports
@@ -26,7 +29,6 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -70,20 +72,26 @@ class RankEntry(NamedTuple):
     word: str
 
 
-# one run of equal values: its (word, value) pairs, sorted by word
-Run = tuple[tuple[str, int | Fraction], ...]
+class Run(NamedTuple):
+    """One run of equal values: its words sorted by word, and their values.
+
+    ``values[i]`` is the value object that came with ``words[i]``.
+    """
+
+    words: tuple[str, ...]
+    values: tuple[int | Fraction, ...]
 
 
 @dataclass(frozen=True)
 class RankSeries:
     """Descending values of one measure with 1-based ranks, as equal-value runs.
 
-    `runs` holds the runs of equal value in rank order, each run being its
-    (word, value) pairs sorted by word; every pair keeps its own value
-    object, so a run may mix equal ints and Fractions.  Ranks count the
-    pairs across the runs from 1.  `entries`, the (rank, value, word) rows,
-    is derived from the runs on each access.  Build a series with
-    `rank_sequence`.
+    `runs` holds the runs of equal value in rank order, each run being a
+    `Run`: a tuple of its words sorted by word and a tuple of their values.
+    Every word keeps its own value object, so a run may mix equal ints and
+    Fractions.  Ranks count the words across the runs from 1.  `entries`,
+    the (rank, value, word) rows, is derived from the runs on each access.
+    Build a series with `rank_sequence`.
     """
 
     measure: str
@@ -94,21 +102,20 @@ class RankSeries:
             raise ValueError(f"unknown measure {self.measure!r}")
 
     def __len__(self) -> int:
-        return sum(map(len, self.runs))
+        return sum(len(run.words) for run in self.runs)
 
     @property
     def entries(self) -> tuple[RankEntry, ...]:
-        pairs = itertools.chain.from_iterable(self.runs)
-        return tuple(
-            RankEntry(rank, value, word) for rank, (word, value) in enumerate(pairs, 1)
-        )
+        values = itertools.chain.from_iterable(run.values for run in self.runs)
+        words = itertools.chain.from_iterable(run.words for run in self.runs)
+        return tuple(map(RankEntry, itertools.count(1), values, words))
 
 
 def _run_spans(series: RankSeries) -> Iterator[tuple[int, int, Run]]:
     """(first rank, rank past the end, run) for each run, in rank order."""
     start = 1
     for run in series.runs:
-        end = start + len(run)
+        end = start + len(run.words)
         yield start, end, run
         start = end
 
@@ -133,25 +140,38 @@ def rank_sequence(
     """Rank (word, value) pairs; None values are dropped, zeros are kept.
 
     Sorting is by descending value, then ascending word; ranks are the
-    1-based positions after the sort.  The pairs are grouped by exact value
-    in one dict keyed by (numerator, denominator), which equal ints and
-    Fractions share and which, unlike `Fraction.__hash__`, is cheap.  Only
-    the distinct values are sorted, and each group, sorted by word, becomes
-    one run of the series: exact `Fraction` comparisons run over a
-    network's few hundred distinct values, not its thousands of nodes, and
-    the writers format, divide and take logs once per run.  Every pair
-    keeps its own value object, and pairs with equal value and word keep
-    their input order.
+    1-based positions after the sort.  The words and values are grouped by
+    exact value in one dict keyed by (numerator, denominator), which equal
+    ints and Fractions share and which, unlike `Fraction.__hash__`, is
+    cheap.  Only the distinct values are sorted, and each group, sorted by
+    word, becomes one run of the series: exact `Fraction` comparisons run
+    over a network's few hundred distinct values, not its thousands of
+    nodes, and the writers format, divide and take logs once per run.  A
+    run is stored as one tuple of words and one tuple of values, so no pair
+    is kept per word.  Every word keeps its own value object, and pairs
+    with equal value and word keep their input order.
     """
-    groups: dict[tuple[int, int], list[tuple[str, int | Fraction]]] = {}
+    groups: dict[tuple[int, int], tuple[list[str], list[int | Fraction]]] = {}
     for word, value in pairs:
         if value is not None:
             key = (value.numerator, value.denominator)
-            groups.setdefault(key, []).append((word, value))
-    by_word = itemgetter(0)
-    by_value = sorted(groups.values(), key=lambda group: group[0][1], reverse=True)
-    runs = tuple(tuple(sorted(group, key=by_word)) for group in by_value)
-    return RankSeries(measure=measure, runs=runs)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = ([], [])
+            group[0].append(word)
+            group[1].append(value)
+    runs = []
+    for words, values in sorted(
+        groups.values(), key=lambda group: group[1][0], reverse=True
+    ):
+        order = sorted(range(len(words)), key=words.__getitem__)  # stable
+        runs.append(
+            Run(
+                tuple(map(words.__getitem__, order)),
+                tuple(map(values.__getitem__, order)),
+            )
+        )
+    return RankSeries(measure=measure, runs=tuple(runs))
 
 
 def network_rank_series(net: CooccurrenceNetwork, measure: str) -> RankSeries:
@@ -166,7 +186,7 @@ def network_rank_series(net: CooccurrenceNetwork, measure: str) -> RankSeries:
         raise ValueError(f"unknown measure {measure!r}")
     values = getattr(_node_table(net), measure.replace("-", "_"))
     return rank_sequence(
-        measure, [(word, value or None) for word, value in zip(net.words, values)]
+        measure, ((word, value or None) for word, value in zip(net.words, values))
     )
 
 
@@ -275,8 +295,8 @@ def export_rank_csv(series: RankSeries, path: str | Path) -> None:
         itertools.chain.from_iterable(
             zip(
                 range(start, end),
-                itertools.repeat(format_value(run[0][1])),
-                map(itemgetter(0), run),
+                itertools.repeat(format_value(run.values[0])),
+                run.words,
             )
             for start, end, run in _run_spans(series)
         ),
@@ -381,7 +401,7 @@ def _run_ends(
 ) -> Iterator[tuple[int, int | Fraction | None]]:
     """(rank past the end, value) per run, then (stop, None) for the rest."""
     for _, end, run in _run_spans(series):
-        yield end, run[0][1]
+        yield end, run.values[0]
     while True:
         yield stop, None
 
@@ -407,7 +427,7 @@ def _polyline_points(series: RankSeries, x_cells: Sequence[str], y_span: float) 
     """
     points = []
     for start, end, run in _run_spans(series):
-        y = _MARGIN_TOP + _PLOT_H - math.log10(float(run[0][1])) / y_span * _PLOT_H
+        y = _MARGIN_TOP + _PLOT_H - math.log10(float(run.values[0])) / y_span * _PLOT_H
         y_cell = f",{y:.2f}"
         points.extend(x + y_cell for x in x_cells[start - 1 : end - 1])
     return " ".join(points)
@@ -434,16 +454,16 @@ def render_rank_svg(
             f"cannot plot {series_a.measure!r} against {series_b.measure!r}"
         )
     for series in (series_a, series_b):
-        if series.runs and series.runs[-1][0][1] <= 0:  # the smallest
+        if series.runs and series.runs[-1].values[0] <= 0:  # the smallest
             raise ValueError(
                 f"cannot plot {series.measure!r}: a log-log plot needs positive "
-                f"values, got {format_value(series.runs[-1][0][1])}"
+                f"values, got {format_value(series.runs[-1].values[0])}"
             )
     max_rank = max((len(s) for s in (series_a, series_b)), default=0)
     max_value = 1.0
     for series in (series_a, series_b):
         if series.runs:
-            max_value = max(max_value, float(series.runs[0][0][1]))
+            max_value = max(max_value, float(series.runs[0].values[0]))
     # at least one decade per axis so a flat series still renders
     x_span = max(math.log10(max_rank) if max_rank >= 1 else 0.0, 1.0)
     y_span = max(math.log10(max_value), 1.0)

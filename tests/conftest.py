@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -41,3 +42,22 @@ def formal_text_path() -> Path:
 @pytest.fixture(scope="session")
 def informal_text_path() -> Path:
     return FIXTURE_DIR / "informal_excerpt.txt"
+
+
+@pytest.fixture(scope="session")
+def zipf_sentences() -> list[list[str]]:
+    """40,000 seeded tokens over 20,000 words with Zipf's law, in sentences.
+
+    A sentence ends after a token with probability 6%, so the network has
+    text's shape: a few hubs, a long tail, and many shared values.  Read
+    only; the list is shared by every test of the session.
+    """
+    rng = random.Random(3)
+    vocabulary = [f"w{rank}" for rank in range(1, 20_001)]
+    weights = [1 / rank for rank in range(1, 20_001)]
+    sentences: list[list[str]] = [[]]
+    for token in rng.choices(vocabulary, weights, k=40_000):
+        sentences[-1].append(token)
+        if rng.random() < 0.06:
+            sentences.append([])
+    return sentences

@@ -12,9 +12,11 @@ and tokenization from per-character state machines instead of regular
 expressions over a string of character classes, the network from one
 weights dict through the validating constructor instead of the trusted
 one, the projection from one walk over the directed edges instead of
-the two neighbor maps, and the edge list from one tuple sort over every
-edge instead of one word rank per node.  Agreement between the two routes
-is what the equivalence tests assert.
+copies of the out-neighbor maps, the in-edges from one transpose of the
+edge iterator instead of the network's lazily filled cache, and the edge
+list from one tuple sort over every edge instead of one word rank per
+node.  Agreement between the two routes is what the equivalence tests
+assert.
 """
 
 import math
@@ -50,6 +52,14 @@ def undirected_edges(net: CooccurrenceNetwork) -> set[tuple[int, int]]:
     for (src, dst), _ in net.edge_items():
         edges.add((min(src, dst), max(src, dst)))
     return edges
+
+
+def in_edges(net: CooccurrenceNetwork) -> list[dict[int, int]]:
+    """src id -> weight per node: a transpose of `edge_items()`."""
+    incoming: list[dict[int, int]] = [{} for _ in range(net.n_nodes)]
+    for (src, dst), weight in net.edge_items():
+        incoming[dst][src] = weight
+    return incoming
 
 
 def edge_list(net: CooccurrenceNetwork) -> list[EdgeRecord]:

@@ -1,13 +1,15 @@
-"""The trusted build path, the cached adjacency and the streamed writer.
+"""The trusted build path, the lazy caches and the streamed writer.
 
-`build_network` fills the network's neighbor maps itself instead of going
-through the validating constructor; `undirected_projection` builds fresh
-sets on each call, while components, the per-node table and the distance
-sweeps read one cached adjacency of int tuples, the sweeps in place;
-`to_edge_list` and `write_edge_list` share one edge order, and the writer
-writes each source's lines into the open file instead of joining every
-line first.  Each is checked against an oracle, and the writer and the
-sampled sweeps against a memory bound.
+`build_network` fills the network's out-neighbor maps itself instead of
+going through the validating constructor, and no constructor derives the
+in-edges: `in_weights` fills them on demand, and the per-node table
+tallies the in-side from the out-edges; `undirected_projection` builds
+fresh sets on each call, while components, the per-node table and the
+distance sweeps read one cached adjacency of int tuples, the sweeps in
+place; `to_edge_list` and `write_edge_list` share one edge order, and the
+writer writes each source's lines into the open file instead of joining
+every line first.  Each is checked against an oracle, and a built
+network, the writer and the sampled sweeps against a memory bound.
 """
 
 import gc
@@ -26,12 +28,14 @@ from coocnet import (
     average_shortest_path,
     build_network,
     diameter,
+    from_edge_list,
+    read_edge_list,
     to_edge_list,
     undirected_projection,
     weak_components,
     write_edge_list,
 )
-from coocnet import metrics
+from coocnet import cli, metrics
 from coocnet.network import _adjacency
 
 import oracles
@@ -58,6 +62,82 @@ def test_build_equals_validating_constructor(sentences):
     for node in range(net.n_nodes):
         assert net.out_weights(node) == want.out_weights(node)
         assert net.in_weights(node) == want.in_weights(node)
+
+
+@given(
+    st.sampled_from(["constructor", "build", "records", "file"]),
+    st.lists(_SENTENCE, max_size=12),
+)
+@settings(max_examples=300, deadline=None)
+def test_in_edges_are_derived_on_demand(tmp_path_factory, route, sentences):
+    want = oracles.build_network(sentences)  # the validating constructor
+    records = oracles.edge_list(want)
+    if route == "constructor":
+        net = want
+    elif route == "build":
+        net = build_network(sentences)
+    elif route == "records":
+        net = from_edge_list(records[::-1])  # ids in another order
+    else:
+        path = tmp_path_factory.mktemp("edges") / "net.edges.tsv"
+        path.write_text(
+            "".join(f"{s}\t{d}\t{w}\n" for s, d, w in records), encoding="utf-8"
+        )
+        net = read_edge_list(path)
+    incoming = oracles.in_edges(net)
+
+    table = metrics._node_table(net)
+    assert net._in_cache is None  # the table tallies the in-side itself
+    assert table.in_degree == list(map(len, incoming))
+    assert table.in_strength == [sum(weights.values()) for weights in incoming]
+    assert table.in_selectivity == [
+        Fraction(sum(weights.values()), len(weights)) if weights else None
+        for weights in incoming
+    ]
+    assert [net.in_weights(node) for node in range(net.n_nodes)] == incoming
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "{formal}", "{informal}", "--svg"],
+        ["build", "{formal}", "{informal}"],
+        ["analyze", "{informal}", "--sample", "4"],
+        ["rank", "{informal}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_never_derive_in_edges(
+    argv, monkeypatch, tmp_path, capsys, formal_text_path, informal_text_path
+):
+    nets = []
+
+    def build_and_keep(sentences):
+        nets.append(build_network(sentences))
+        return nets[-1]
+
+    monkeypatch.setattr(cli, "build_network", build_and_keep)
+    paths = {"formal": formal_text_path, "informal": informal_text_path}
+    argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert nets
+    assert [net._in_cache for net in nets] == [None] * len(nets)
+
+
+def test_built_network_keeps_its_out_edges_only(zipf_sentences):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        net = build_network(zipf_sentences)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert net.n_edges > 20_000
+    # the out-edge maps, the word table and one int per node take ~100 bytes
+    # per edge here; in-edge maps derived at once add ~90
+    assert retained < 150 * net.n_edges
 
 
 @pytest.mark.parametrize("token", ["", "b c", "b\r"])

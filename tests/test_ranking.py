@@ -1,4 +1,6 @@
+import gc
 import tempfile
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -29,6 +31,8 @@ from coocnet import (
     write_node_metrics_csv,
     write_summary_csv,
 )
+
+from coocnet.metrics import _node_table
 
 import oracles
 
@@ -239,6 +243,23 @@ class TestNetworkSeries:
     def test_all_six_series(self, two_node_net):
         series = all_rank_series(two_node_net)
         assert tuple(series) == MEASURES
+
+    def test_series_keep_no_object_per_entry(self, zipf_sentences):
+        net = build_network(zipf_sentences)
+        _node_table(net)  # the values the series share, not measured
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            series = all_rank_series(net)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        entries = sum(map(len, series.values()))
+        assert entries > 20_000
+        # a word and a value reference per entry take 16 bytes, a run's
+        # tuples ~2 more here; a (word, value) tuple per entry adds ~48
+        assert retained < 32 * entries
 
     def test_excluded_fraction_matches_oracle(self):
         rng = np.random.default_rng(10)
