@@ -16,7 +16,6 @@ when every requested output was written.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 import warnings
 from pathlib import Path
@@ -119,7 +118,7 @@ def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
         # the format has no node section, so these words do not survive it;
         # counted from the out-edges alone, which derives no in-edges
         nodes = range(net.n_nodes)
-        targets = set(itertools.chain.from_iterable(map(net.out_weights, nodes)))
+        targets = {dst for node in nodes for dst in net.out_weights(node)}
         edgeless = sum(
             1 for node in nodes if not (net.out_weights(node) or node in targets)
         )

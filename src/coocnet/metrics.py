@@ -111,7 +111,7 @@ def _node_table(net: CooccurrenceNetwork) -> _NodeTable:
     if net._node_cache is None:
         in_degree = [0] * net.n_nodes
         in_strength = [0] * net.n_nodes
-        for out in net._out:  # the in-side, in one pass over the out-edges
+        for out in net._out:
             for dst, weight in out.items():
                 in_degree[dst] += 1
                 in_strength[dst] += weight
