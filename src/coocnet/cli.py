@@ -10,14 +10,23 @@ Subcommands:
 
 All writers are byte-deterministic, so two runs over the same inputs
 produce identical output trees (timestamps aside).  Exit status is 0 only
-when every requested output was written.
+when every requested output was written; a command that fails deletes
+the files it wrote and the directories it made, so it leaves no new file.
+
+``compare`` checks its two labels before it reads an input, and decodes
+both inputs before its first write.  It then holds one network at a time:
+for the first input and then the second, it builds the network, takes its
+summary, rank series and excluded fraction (`ranking.profile_network`),
+writes its edge list and drops it.  The size warning, ``summary.csv``,
+the rank, pair and SVG files and the printed summaries follow from the
+two profiles.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-import warnings
 from pathlib import Path
 
 from .metrics import GlobalMetrics, all_node_metrics, global_summary
@@ -36,14 +45,15 @@ from .pipeline import (
 )
 from .ranking import (
     MEASURES,
-    SizeMismatchWarning,
-    compare_pair,
+    NetworkProfile,
     excluded_fraction,
     export_pair_csv,
     export_rank_csv,
     format_value,
     network_rank_series,
+    profile_network,
     render_rank_svg,
+    size_mismatch,
     write_node_metrics_csv,
     write_summary_csv,
 )
@@ -100,10 +110,44 @@ def _print_summary(label: str, metrics: GlobalMetrics, excluded) -> None:
         print(f"  {name:<{width}}  {value}")
 
 
-def _write(path: Path, writer, *args) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    writer(*args, path)
-    print(f"wrote {path}")
+class _Outputs:
+    """The files one command writes into ``--out``, removed if it fails.
+
+    `write` makes the directory on first use and records each file before
+    its writer runs.  Leaving the ``with`` block by an exception deletes
+    those files, then the directories `write` made, innermost first, so a
+    failed command leaves no new file behind.
+    """
+
+    def __init__(self, directory: str) -> None:
+        self.directory = Path(directory)
+        self._files: list[Path] = []
+        self._dirs: list[Path] = []
+
+    def __enter__(self) -> _Outputs:
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if exc_type is None:
+            return
+        # a recorded name may be a directory that was there before; unlink
+        # fails on it, and only the directories made here are removed
+        for path in self._files:
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+        for path in self._dirs:
+            with contextlib.suppress(OSError):
+                path.rmdir()
+
+    def write(self, name: str, writer, *args) -> None:
+        if not self.directory.is_dir():
+            missing = (self.directory, *self.directory.parents)
+            self._dirs.extend(d for d in missing if not d.exists())
+            self.directory.mkdir(parents=True, exist_ok=True)
+        path = self.directory / name
+        self._files.append(path)
+        writer(*args, path)
+        print(f"wrote {path}")
 
 
 def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -113,22 +157,23 @@ def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
             raise ValueError(f"labels must differ, two inputs are {label!r}")
     # every input loads before the first write, so a failure writes nothing
     nets = [_build_from_text(path, config) for path in args.texts]
-    for label, net in zip(labels, nets):
-        print(f"{label}: N={net.n_nodes} K={net.n_edges}")
-        # the format has no node section, so these words do not survive it;
-        # counted from the out-edges alone, which derives no in-edges
-        nodes = range(net.n_nodes)
-        targets = {dst for node in nodes for dst in net.out_weights(node)}
-        edgeless = sum(
-            1 for node in nodes if not (net.out_weights(node) or node in targets)
-        )
-        if edgeless:
-            print(
-                f"warning: {label}: {edgeless} of {net.n_nodes} words have no "
-                f"edge and are not in the edge list",
-                file=sys.stderr,
+    with _Outputs(args.out) as out:
+        for label, net in zip(labels, nets):
+            print(f"{label}: N={net.n_nodes} K={net.n_edges}")
+            # the format has no node section, so these words do not survive
+            # it; counted from the out-edges alone, which derives no in-edges
+            nodes = range(net.n_nodes)
+            targets = {dst for node in nodes for dst in net.out_weights(node)}
+            edgeless = sum(
+                1 for node in nodes if not (net.out_weights(node) or node in targets)
             )
-        _write(Path(args.out) / f"{label}.edges.tsv", write_edge_list, net)
+            if edgeless:
+                print(
+                    f"warning: {label}: {edgeless} of {net.n_nodes} words have "
+                    f"no edge and are not in the edge list",
+                    file=sys.stderr,
+                )
+            out.write(f"{label}.edges.tsv", write_edge_list, net)
     return 0
 
 
@@ -138,13 +183,13 @@ def _cmd_analyze(args: argparse.Namespace, config: PipelineConfig) -> int:
     metrics = global_summary(net, args.sample)
     excluded = excluded_fraction(net)
     _print_summary(label, metrics, excluded)
-    out_dir = Path(args.out)
-    _write(out_dir / f"{label}.summary.csv", write_summary_csv, [(label, metrics)])
-    _write(
-        out_dir / f"{label}.nodes.csv",
-        write_node_metrics_csv,
-        all_node_metrics(net, args.sample),
-    )
+    with _Outputs(args.out) as out:
+        out.write(f"{label}.summary.csv", write_summary_csv, [(label, metrics)])
+        out.write(
+            f"{label}.nodes.csv",
+            write_node_metrics_csv,
+            all_node_metrics(net, args.sample),
+        )
     return 0
 
 
@@ -152,62 +197,78 @@ def _cmd_rank(args: argparse.Namespace, config: PipelineConfig) -> int:
     net = _load_network(args.input, config, args.format)
     label = _label(args.label, args.input)
     measures = MEASURES if args.measure == "all" else (args.measure,)
-    out_dir = Path(args.out)
-    for measure in measures:
-        series = network_rank_series(net, measure)
-        _write(out_dir / f"{label}.{measure}.rank.csv", export_rank_csv, series)
+    with _Outputs(args.out) as out:
+        for measure in measures:
+            series = network_rank_series(net, measure)
+            out.write(f"{label}.{measure}.rank.csv", export_rank_csv, series)
     return 0
 
 
+def _profile_text(
+    out: _Outputs,
+    label: str,
+    text: str,
+    config: PipelineConfig,
+    sample: int | None,
+) -> NetworkProfile:
+    """Build one input's network, profile it and write its edge list.
+
+    The caller passes its only reference to the text, which is dropped once
+    the network is built; the network is dropped on return, so ``compare``
+    holds one at a time.
+    """
+    net = build_network(extract_sentences(text, config))
+    del text
+    profile = profile_network(net, sample)
+    out.write(f"{label}.edges.tsv", write_edge_list, net)
+    return profile
+
+
 def _cmd_compare(args: argparse.Namespace, config: PipelineConfig) -> int:
-    net_a = _build_from_text(args.text_a, config)
-    net_b = _build_from_text(args.text_b, config)
     given_a, given_b = args.labels or (None, None)
     label_a = _label(given_a, args.text_a)
     label_b = _label(given_b, args.text_b)
     if label_a == label_b:
         raise ValueError(f"labels must differ, both are {label_a!r}")
+    # both inputs decode before the first write, so a bad file writes nothing
+    texts = [load_document(path).content for path in (args.text_a, args.text_b)]
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", SizeMismatchWarning)
-        comparison = compare_pair(net_a, net_b, label_a, label_b, args.sample)
-    for warning in caught:  # one line each, without Python's source excerpt
-        print(f"warning: {warning.message}", file=sys.stderr)
-    out_dir = Path(args.out)
-
-    _write(out_dir / f"{label_a}.edges.tsv", write_edge_list, net_a)
-    _write(out_dir / f"{label_b}.edges.tsv", write_edge_list, net_b)
-    _write(
-        out_dir / "summary.csv",
-        write_summary_csv,
-        [
-            (label_a, comparison.summary_a),
-            (label_b, comparison.summary_b),
-        ],
-    )
-    for measure in MEASURES:
-        series_a = comparison.series_a[measure]
-        series_b = comparison.series_b[measure]
-        _write(out_dir / f"{label_a}.{measure}.rank.csv", export_rank_csv, series_a)
-        _write(out_dir / f"{label_b}.{measure}.rank.csv", export_rank_csv, series_b)
-        _write(
-            out_dir / f"{label_a}_vs_{label_b}.{measure}.pair.csv",
-            export_pair_csv,
-            series_a,
-            series_b,
+    with _Outputs(args.out) as out:
+        # each text leaves the list as it is used, so it is freed with its
+        # network's sentences
+        side_a = _profile_text(out, label_a, texts.pop(0), config, args.sample)
+        side_b = _profile_text(out, label_b, texts.pop(0), config, args.sample)
+        message = size_mismatch(side_a.summary.n_nodes, side_b.summary.n_nodes)
+        if message is not None:
+            print(f"warning: {message}", file=sys.stderr)
+        out.write(
+            "summary.csv",
+            write_summary_csv,
+            [(label_a, side_a.summary), (label_b, side_b.summary)],
         )
-        if args.svg:
-            _write(
-                out_dir / f"{label_a}_vs_{label_b}.{measure}.svg",
-                render_rank_svg,
+        for measure in MEASURES:
+            series_a = side_a.series[measure]
+            series_b = side_b.series[measure]
+            out.write(f"{label_a}.{measure}.rank.csv", export_rank_csv, series_a)
+            out.write(f"{label_b}.{measure}.rank.csv", export_rank_csv, series_b)
+            out.write(
+                f"{label_a}_vs_{label_b}.{measure}.pair.csv",
+                export_pair_csv,
                 series_a,
                 series_b,
-                label_a,
-                label_b,
             )
+            if args.svg:
+                out.write(
+                    f"{label_a}_vs_{label_b}.{measure}.svg",
+                    render_rank_svg,
+                    series_a,
+                    series_b,
+                    label_a,
+                    label_b,
+                )
 
-    _print_summary(label_a, comparison.summary_a, comparison.excluded_a)
-    _print_summary(label_b, comparison.summary_b, comparison.excluded_b)
+    _print_summary(label_a, side_a.summary, side_a.excluded)
+    _print_summary(label_b, side_b.summary, side_b.excluded)
     return 0
 
 

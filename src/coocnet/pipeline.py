@@ -214,11 +214,18 @@ def tokenize(sentence: str) -> list[str]:
 def extract_sentences(
     text: str, config: PipelineConfig | None = None
 ) -> list[list[str]]:
-    """Full pipeline: normalize, segment, tokenize, drop empty sentences."""
+    """Full pipeline: normalize, segment, tokenize, drop empty sentences.
+
+    Equal tokens are one object: every repeat of a word is replaced by the
+    first ``str`` seen for it in this call, so the lists hold one string
+    per word type and a pointer per token, and a network built from them
+    keeps those same strings as its words.
+    """
     cfg = config or DEFAULT_CONFIG
+    first: dict[str, str] = {}
     sentences = []
     for part in segment_sentences(normalize(text, cfg), cfg):
         tokens = tokenize(part)
         if tokens:
-            sentences.append(tokens)
+            sentences.append(list(map(first.setdefault, tokens, tokens)))
     return sentences

@@ -16,9 +16,10 @@ object of its own per row; the (rank, value, word) rows are built only
 when `RankSeries.entries` is read.
 
 Two networks built from different text categories are compared by pairing
-their global summaries and their rank series measure by measure.  Exports
-(CSV tables and an optional SVG rank plot) are byte-deterministic: same
-inputs, same bytes.
+their global summaries and their rank series measure by measure.  Each
+side is taken on its own (`profile_network`), so a caller can drop one
+network before it builds the other.  Exports (CSV tables and an optional
+SVG rank plot) are byte-deterministic: same inputs, same bytes.
 """
 
 from __future__ import annotations
@@ -208,6 +209,46 @@ def excluded_fraction(net: CooccurrenceNetwork) -> Fraction:
     return Fraction(excluded, net.n_nodes)
 
 
+class NetworkProfile(NamedTuple):
+    """One network's side of a comparison, which outlives the network."""
+
+    summary: GlobalMetrics
+    series: dict[str, RankSeries]
+    excluded: Fraction
+
+
+def profile_network(
+    net: CooccurrenceNetwork, sample: int | None = None
+) -> NetworkProfile:
+    """The summary, six rank series and excluded fraction of one network.
+
+    The profile holds no reference to the network, so a caller comparing
+    two networks can drop the first before it builds the second.
+    """
+    return NetworkProfile(
+        summary=global_summary(net, sample),
+        series=all_rank_series(net),
+        excluded=excluded_fraction(net),
+    )
+
+
+def size_mismatch(n_a: int, n_b: int) -> str | None:
+    """The size warning for two node counts, or None when they are close.
+
+    Counts that differ by more than 20% of the larger one get a warning,
+    since rank-by-rank comparisons are only meaningful for samples of
+    similar size.
+    """
+    bigger = max(n_a, n_b)
+    gap = abs(n_a - n_b)
+    if bigger == 0 or Fraction(gap, bigger) <= _SIZE_GAP_LIMIT:
+        return None
+    return (
+        f"network sizes differ by {gap} nodes ({n_a} vs {n_b}); rank series "
+        f"are not directly comparable"
+    )
+
+
 def compare_pair(
     net_a: CooccurrenceNetwork,
     net_b: CooccurrenceNetwork,
@@ -217,29 +258,24 @@ def compare_pair(
 ) -> PairComparison:
     """Bundle summaries and rank series of two networks for comparison.
 
-    Warns with SizeMismatchWarning when the node counts differ by more
-    than 20% of the larger network, since rank-by-rank comparisons are
-    only meaningful for samples of similar size.
+    Each side is one `profile_network` call, the step ``coocnet compare``
+    also takes, one network at a time.  Warns with SizeMismatchWarning when
+    `size_mismatch` finds the node counts too far apart.
     """
-    bigger = max(net_a.n_nodes, net_b.n_nodes)
-    gap = abs(net_a.n_nodes - net_b.n_nodes)
-    if bigger > 0 and Fraction(gap, bigger) > _SIZE_GAP_LIMIT:
-        warnings.warn(
-            f"network sizes differ by {gap} nodes "
-            f"({net_a.n_nodes} vs {net_b.n_nodes}); rank series are not "
-            f"directly comparable",
-            SizeMismatchWarning,
-            stacklevel=2,
-        )
+    message = size_mismatch(net_a.n_nodes, net_b.n_nodes)
+    if message is not None:
+        warnings.warn(message, SizeMismatchWarning, stacklevel=2)
+    side_a = profile_network(net_a, sample)
+    side_b = profile_network(net_b, sample)
     return PairComparison(
         label_a=label_a,
         label_b=label_b,
-        summary_a=global_summary(net_a, sample),
-        summary_b=global_summary(net_b, sample),
-        series_a=all_rank_series(net_a),
-        series_b=all_rank_series(net_b),
-        excluded_a=excluded_fraction(net_a),
-        excluded_b=excluded_fraction(net_b),
+        summary_a=side_a.summary,
+        summary_b=side_b.summary,
+        series_a=side_a.series,
+        series_b=side_b.series,
+        excluded_a=side_a.excluded,
+        excluded_b=side_b.excluded,
     )
 
 

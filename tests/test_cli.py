@@ -1,8 +1,12 @@
 import filecmp
 import re
 import warnings
+import weakref
 from pathlib import Path
 
+import pytest
+
+from coocnet import cli
 from coocnet.cli import main, sanitize_label
 
 
@@ -260,6 +264,16 @@ class TestAnalyze:
         assert code == 0
         assert (tmp_path / "story.summary.csv").exists()
 
+    def test_failed_write_removes_earlier_outputs_only(self, tmp_path, capsys):
+        edges = write_text(tmp_path, "tri.tsv", "a\tb\t1\nb\tc\t1\nc\ta\t1\n")
+        out = tmp_path / "out"
+        (out / "tri.nodes.csv").mkdir(parents=True)  # the second write fails
+        code, stdout, err = run(capsys, "analyze", str(edges), "--out", str(out))
+        assert code == 1 and err.startswith("error:")
+        assert "tri.summary.csv" in stdout
+        assert [path.name for path in out.iterdir()] == ["tri.nodes.csv"]
+        assert (out / "tri.nodes.csv").is_dir()
+
     def test_sample_flag(self, tmp_path, capsys):
         text = write_text(tmp_path, "s.txt", "a b c d. b e f a.")
         code, _, _ = run(
@@ -361,6 +375,68 @@ class TestCompare:
         code, _, err = run(capsys, "compare", str(text), str(text))
         assert code == 1
         assert "labels" in err
+
+    def test_holds_one_network_at_a_time(self, tmp_path, capsys, monkeypatch):
+        alpha, beta = self._write_pair(tmp_path)
+        built = []  # a weak reference to each network built so far
+        alive = []  # at the start of each build, how many are still held
+        original = cli.build_network
+
+        def tracked(sentences):
+            alive.append(sum(1 for ref in built if ref() is not None))
+            net = original(sentences)
+            built.append(weakref.ref(net))
+            return net
+
+        monkeypatch.setattr(cli, "build_network", tracked)
+        code, _, _ = run(
+            capsys, "compare", str(alpha), str(beta), "--out", str(tmp_path / "cmp")
+        )
+        assert code == 0
+        assert alive == [0, 0]
+
+    @pytest.mark.parametrize(
+        "second, options, message",
+        [
+            ("... !", (), "empty network"),
+            ("p q r. r q p.", ("--sample", "0"), "sample"),
+        ],
+    )
+    def test_failure_leaves_out_as_it_was(
+        self, tmp_path, capsys, second, options, message
+    ):
+        alpha = write_text(tmp_path, "alpha.txt", "a b c. c b a.")
+        beta = write_text(tmp_path, "beta.txt", second)
+        out = tmp_path / "cmp"
+        out.mkdir()
+        code, _, err = run(
+            capsys, "compare", str(alpha), str(beta), "--out", str(out), *options
+        )
+        assert code == 1
+        assert err.startswith("error:") and message in err
+        assert list(out.iterdir()) == []
+
+    def test_failure_removes_the_out_directory_it_made(self, tmp_path, capsys):
+        alpha = write_text(tmp_path, "alpha.txt", "a b c. c b a.")
+        beta = write_text(tmp_path, "beta.txt", "... !")
+        code, _, _ = run(
+            capsys, "compare", str(alpha), str(beta),
+            "--out", str(tmp_path / "new" / "cmp"),
+        )
+        assert code == 1
+        assert not (tmp_path / "new").exists()
+
+    def test_equal_labels_with_a_missing_input_write_nothing(self, tmp_path, capsys):
+        alpha = write_text(tmp_path, "alpha.txt", "a b.")
+        out = tmp_path / "cmp"
+        out.mkdir()
+        code, _, err = run(
+            capsys, "compare", str(alpha), str(tmp_path / "gone.txt"),
+            "--labels", "same", "same", "--out", str(out),
+        )
+        assert code == 1
+        assert err == "error: labels must differ, both are 'same'\n"
+        assert list(out.iterdir()) == []
 
     def test_missing_input_fails(self, tmp_path, capsys):
         alpha = write_text(tmp_path, "alpha.txt", "a b.")

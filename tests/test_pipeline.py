@@ -1,4 +1,6 @@
+import gc
 import re
+import tracemalloc
 import unicodedata
 
 import pytest
@@ -10,6 +12,7 @@ from coocnet import (
     DEFAULT_TERMINATORS,
     IngestionError,
     PipelineConfig,
+    build_network,
     extract_sentences,
     load_config,
     load_document,
@@ -129,6 +132,32 @@ class TestExtractSentences:
 
     def test_punctuation_only_text(self):
         assert extract_sentences(",;: --- (!)") == []
+
+    def test_equal_tokens_are_one_object(self):
+        sentences = extract_sentences("The cat saw the dog. The dog ran!")
+        tokens = [token for sentence in sentences for token in sentence]
+        the = [token for token in tokens if token == "the"]
+        dog = [token for token in tokens if token == "dog"]
+        assert len(the) == 3 and len(dog) == 2
+        assert the[1] is the[0] and the[2] is the[0] and dog[1] is dog[0]
+        net = build_network(sentences)
+        assert net.words[net.node_id("the")] is the[0]
+
+    def test_sentence_lists_keep_one_string_per_word_type(self, zipf_sentences):
+        text = ". ".join(" ".join(sentence) for sentence in zipf_sentences) + "."
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sentences = extract_sentences(text)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        tokens = sum(map(len, sentences))
+        assert tokens == 40_000
+        # a pointer per token, the sentence lists and one string per word
+        # type take ~26 bytes a token here; a string per token adds ~41
+        assert retained < 40 * tokens
 
 
 class TestLoadDocument:
