@@ -10,16 +10,17 @@ Subcommands:
 
 All writers are byte-deterministic, so two runs over the same inputs
 produce identical output trees (timestamps aside).  Exit status is 0 only
-when every requested output was written; a command that fails deletes
-the files it wrote and the directories it made, so it leaves no new file.
+when every requested output was written; a command that fails writes back
+the earlier bytes of the files it overwrote, deletes the files it made
+and removes the directories it made, so it leaves ``--out`` as it was.
 
-``compare`` checks its two labels before it reads an input, and decodes
-both inputs before its first write.  It then holds one network at a time:
-for the first input and then the second, it builds the network, takes its
-summary, rank series and excluded fraction (`ranking.profile_network`),
-writes its edge list and drops it.  The size warning, ``summary.csv``,
-the rank, pair and SVG files and the printed summaries follow from the
-two profiles.
+``build`` and ``compare`` check that their labels differ before they read
+an input, then hold one network at a time: each input in turn is read and
+built, and its edge list is written before the next input is read.
+``compare`` also takes each network's summary, rank series and excluded
+fraction (`ranking.profile_network`) before it drops the network.  The
+size warning, ``summary.csv``, the rank, pair and SVG files and the
+printed summaries follow from the two profiles.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import argparse
 import contextlib
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from .metrics import GlobalMetrics, all_node_metrics, global_summary
 from .network import (
@@ -74,9 +76,18 @@ def _label(given: str | None, path: str | Path) -> str:
     return sanitize_label(Path(path).stem if given is None else given)
 
 
+def _labels(given: Sequence[str | None], paths: Sequence[str]) -> list[str]:
+    """The inputs' labels, checked to differ: equal ones name the same files."""
+    labels = list(map(_label, given, paths))
+    for place, label in enumerate(labels):
+        if label in labels[:place]:
+            raise ValueError(f"labels must differ, two inputs are {label!r}")
+    return labels
+
+
 def _build_from_text(path: str, config: PipelineConfig) -> CooccurrenceNetwork:
-    document = load_document(path)
-    return build_network(extract_sentences(document.content, config))
+    # the text is freed once its sentences are extracted
+    return build_network(extract_sentences(load_document(path).content, config))
 
 
 def _load_network(
@@ -111,17 +122,19 @@ def _print_summary(label: str, metrics: GlobalMetrics, excluded) -> None:
 
 
 class _Outputs:
-    """The files one command writes into ``--out``, removed if it fails.
+    """The files one command writes into ``--out``, put back if it fails.
 
-    `write` makes the directory on first use and records each file before
-    its writer runs.  Leaving the ``with`` block by an exception deletes
-    those files, then the directories `write` made, innermost first, so a
-    failed command leaves no new file behind.
+    `write` makes the directory on first use, and before a writer runs it
+    records the file's name with the bytes of the regular file already
+    there, if any; those bytes are held until the command ends.  Leaving
+    the ``with`` block by an exception writes the old bytes back, deletes
+    the files that were not there, then removes the directories `write`
+    made, innermost first, so a failed command leaves ``--out`` as it was.
     """
 
     def __init__(self, directory: str) -> None:
         self.directory = Path(directory)
-        self._files: list[Path] = []
+        self._files: list[tuple[Path, bytes | None]] = []
         self._dirs: list[Path] = []
 
     def __enter__(self) -> _Outputs:
@@ -132,9 +145,12 @@ class _Outputs:
             return
         # a recorded name may be a directory that was there before; unlink
         # fails on it, and only the directories made here are removed
-        for path in self._files:
+        for path, old in self._files:
             with contextlib.suppress(OSError):
-                path.unlink(missing_ok=True)
+                if old is None:
+                    path.unlink(missing_ok=True)
+                else:
+                    path.write_bytes(old)
         for path in self._dirs:
             with contextlib.suppress(OSError):
                 path.rmdir()
@@ -145,20 +161,16 @@ class _Outputs:
             self._dirs.extend(d for d in missing if not d.exists())
             self.directory.mkdir(parents=True, exist_ok=True)
         path = self.directory / name
-        self._files.append(path)
+        self._files.append((path, path.read_bytes() if path.is_file() else None))
         writer(*args, path)
         print(f"wrote {path}")
 
 
 def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
-    labels = [_label(None, path) for path in args.texts]
-    for place, label in enumerate(labels):
-        if label in labels[:place]:  # both would write <label>.edges.tsv
-            raise ValueError(f"labels must differ, two inputs are {label!r}")
-    # every input loads before the first write, so a failure writes nothing
-    nets = [_build_from_text(path, config) for path in args.texts]
+    labels = _labels([None] * len(args.texts), args.texts)
     with _Outputs(args.out) as out:
-        for label, net in zip(labels, nets):
+        for label, path in zip(labels, args.texts):
+            net = _build_from_text(path, config)
             print(f"{label}: N={net.n_nodes} K={net.n_edges}")
             # the format has no node section, so these words do not survive
             # it; counted from the out-edges alone, which derives no in-edges
@@ -174,6 +186,7 @@ def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
                     file=sys.stderr,
                 )
             out.write(f"{label}.edges.tsv", write_edge_list, net)
+            del net, targets  # freed before the next input is built
     return 0
 
 
@@ -207,37 +220,26 @@ def _cmd_rank(args: argparse.Namespace, config: PipelineConfig) -> int:
 def _profile_text(
     out: _Outputs,
     label: str,
-    text: str,
+    path: str,
     config: PipelineConfig,
     sample: int | None,
 ) -> NetworkProfile:
     """Build one input's network, profile it and write its edge list.
 
-    The caller passes its only reference to the text, which is dropped once
-    the network is built; the network is dropped on return, so ``compare``
-    holds one at a time.
+    The network is dropped on return, so ``compare`` holds one at a time.
     """
-    net = build_network(extract_sentences(text, config))
-    del text
+    net = _build_from_text(path, config)
     profile = profile_network(net, sample)
     out.write(f"{label}.edges.tsv", write_edge_list, net)
     return profile
 
 
 def _cmd_compare(args: argparse.Namespace, config: PipelineConfig) -> int:
-    given_a, given_b = args.labels or (None, None)
-    label_a = _label(given_a, args.text_a)
-    label_b = _label(given_b, args.text_b)
-    if label_a == label_b:
-        raise ValueError(f"labels must differ, both are {label_a!r}")
-    # both inputs decode before the first write, so a bad file writes nothing
-    texts = [load_document(path).content for path in (args.text_a, args.text_b)]
-
+    inputs = (args.text_a, args.text_b)
+    label_a, label_b = _labels(args.labels or (None, None), inputs)
     with _Outputs(args.out) as out:
-        # each text leaves the list as it is used, so it is freed with its
-        # network's sentences
-        side_a = _profile_text(out, label_a, texts.pop(0), config, args.sample)
-        side_b = _profile_text(out, label_b, texts.pop(0), config, args.sample)
+        side_a = _profile_text(out, label_a, args.text_a, config, args.sample)
+        side_b = _profile_text(out, label_b, args.text_b, config, args.sample)
         message = size_mismatch(side_a.summary.n_nodes, side_b.summary.n_nodes)
         if message is not None:
             print(f"warning: {message}", file=sys.stderr)

@@ -6,14 +6,14 @@ the series is reproducible.  Nodes whose value is zero or undefined are
 left out: a node with no incoming edge carries no information about the
 incoming side, and including a zero tail would only flatten log-log plots.
 
-A series is stored as its runs of equal value (a network's thousands of
-nodes share a few hundred values), and the writers work once per run: one
+A series is stored as three flat tuples in rank order: the words, their
+values, and the end of each run of equal value (a network's thousands of
+nodes share a few hundred values).  The writers work once per run: one
 formatted value cell per run in a rank CSV, one ratio per overlap of two
 runs in a pair CSV, one logarithm per run in an SVG plot.  Only the rank
-and the word are handled row by row.  A run holds two tuples, its words
-and their values, so a series keeps two references per row and no
-object of its own per row; the (rank, value, word) rows are built only
-when `RankSeries.entries` is read.
+and the word are handled row by row.  A series keeps two references per
+row and no object of its own per row; the (rank, value, word) rows are
+built only when `RankSeries.entries` is read.
 
 Two networks built from different text categories are compared by pairing
 their global summaries and their rank series measure by measure.  Each
@@ -73,52 +73,39 @@ class RankEntry(NamedTuple):
     word: str
 
 
-class Run(NamedTuple):
-    """One run of equal values: its words sorted by word, and their values.
-
-    ``values[i]`` is the value object that came with ``words[i]``.
-    """
-
-    words: tuple[str, ...]
-    values: tuple[int | Fraction, ...]
-
-
 @dataclass(frozen=True)
 class RankSeries:
-    """Descending values of one measure with 1-based ranks, as equal-value runs.
+    """Descending values of one measure with 1-based ranks, in rank order.
 
-    `runs` holds the runs of equal value in rank order, each run being a
-    `Run`: a tuple of its words sorted by word and a tuple of their values.
-    Every word keeps its own value object, so a run may mix equal ints and
-    Fractions.  Ranks count the words across the runs from 1.  `entries`,
-    the (rank, value, word) rows, is derived from the runs on each access.
-    Build a series with `rank_sequence`.
+    `words` holds the words and `values[i]` the value object that came
+    with `words[i]`; the word at position i has rank i + 1.  `ends` holds
+    the position just past each run of equal values: strictly increasing,
+    its last entry equal to the length.  Within a run the words are sorted
+    by word, and every word keeps its own value object, so a run may mix
+    equal ints and Fractions.  `entries`, the (rank, value, word) rows, is
+    derived on each access.  Build a series with `rank_sequence`.
     """
 
     measure: str
-    runs: tuple[Run, ...]
+    words: tuple[str, ...]
+    values: tuple[int | Fraction, ...]
+    ends: tuple[int, ...]
 
     def __post_init__(self):
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
 
     def __len__(self) -> int:
-        return sum(len(run.words) for run in self.runs)
+        return len(self.words)
 
     @property
     def entries(self) -> tuple[RankEntry, ...]:
-        values = itertools.chain.from_iterable(run.values for run in self.runs)
-        words = itertools.chain.from_iterable(run.words for run in self.runs)
-        return tuple(map(RankEntry, itertools.count(1), values, words))
+        return tuple(map(RankEntry, itertools.count(1), self.values, self.words))
 
 
-def _run_spans(series: RankSeries) -> Iterator[tuple[int, int, Run]]:
-    """(first rank, rank past the end, run) for each run, in rank order."""
-    start = 1
-    for run in series.runs:
-        end = start + len(run.words)
-        yield start, end, run
-        start = end
+def _runs(series: RankSeries) -> Iterator[tuple[int, int]]:
+    """(start, end) positions of each run of equal values, in rank order."""
+    return zip((0, *series.ends), series.ends)
 
 
 @dataclass(frozen=True)
@@ -148,7 +135,7 @@ def rank_sequence(
     word, becomes one run of the series: exact `Fraction` comparisons run
     over a network's few hundred distinct values, not its thousands of
     nodes, and the writers format, divide and take logs once per run.  A
-    run is stored as one tuple of words and one tuple of values, so no pair
+    group extends the flat words and values and adds its end, so no pair
     is kept per word.  Every word keeps its own value object, and pairs
     with equal value and word keep their input order.
     """
@@ -161,18 +148,17 @@ def rank_sequence(
                 group = groups[key] = ([], [])
             group[0].append(word)
             group[1].append(value)
-    runs = []
-    for words, values in sorted(
+    words: list[str] = []
+    values: list[int | Fraction] = []
+    ends: list[int] = []
+    for group_words, group_values in sorted(
         groups.values(), key=lambda group: group[1][0], reverse=True
     ):
-        order = sorted(range(len(words)), key=words.__getitem__)  # stable
-        runs.append(
-            Run(
-                tuple(map(words.__getitem__, order)),
-                tuple(map(values.__getitem__, order)),
-            )
-        )
-    return RankSeries(measure=measure, runs=tuple(runs))
+        order = sorted(range(len(group_words)), key=group_words.__getitem__)  # stable
+        words.extend(map(group_words.__getitem__, order))
+        values.extend(map(group_values.__getitem__, order))
+        ends.append(len(words))
+    return RankSeries(measure, tuple(words), tuple(values), tuple(ends))
 
 
 def network_rank_series(net: CooccurrenceNetwork, measure: str) -> RankSeries:
@@ -325,17 +311,12 @@ def export_rank_csv(series: RankSeries, path: str | Path) -> None:
 
     The value cell is formatted once per run of equal values.
     """
+    cells = itertools.chain.from_iterable(
+        itertools.repeat(format_value(series.values[start]), end - start)
+        for start, end in _runs(series)
+    )
     _write_csv(
-        path,
-        ("rank", "value", "word"),
-        itertools.chain.from_iterable(
-            zip(
-                range(start, end),
-                itertools.repeat(format_value(run.values[0])),
-                run.words,
-            )
-            for start, end, run in _run_spans(series)
-        ),
+        path, ("rank", "value", "word"), zip(itertools.count(1), cells, series.words)
     )
 
 
@@ -381,65 +362,29 @@ def export_pair_csv(
 
     Rows run to the longer series; a missing value and its ratio are empty
     cells.  The ratio column divides the first series by the second; it is
-    empty where the second value is 0.  Where a run of one series overlaps
-    a run of the other, every row has the same three cells, so the ratio
-    and the cells are computed once per overlap.
+    empty where the second value is 0.  The run ends of both series cut
+    the ranks into overlaps; within one, every row has the same three
+    cells, so the ratio and the cells are computed once per overlap.
     """
     if series_a.measure != series_b.measure:
         raise ValueError(
             f"cannot pair {series_a.measure!r} with {series_b.measure!r}"
         )
+    cuts = sorted({0, *series_a.ends, *series_b.ends})
     segments = []
-    for start, end, value_a, value_b in _overlaps(series_a, series_b):
-        ratio = Fraction(value_a, value_b) if value_a is not None and value_b else None
-        cell_a, cell_b, cell_ratio = map(format_value, (value_a, value_b, ratio))
-        segments.append(
-            zip(
-                range(start, end),
-                itertools.repeat(cell_a),
-                itertools.repeat(cell_b),
-                itertools.repeat(cell_ratio),
-            )
+    for start, end in zip(cuts, cuts[1:]):
+        value_a, value_b = (
+            series.values[start] if start < len(series) else None
+            for series in (series_a, series_b)
         )
+        ratio = Fraction(value_a, value_b) if value_a is not None and value_b else None
+        cells = map(format_value, (value_a, value_b, ratio))
+        segments.append(zip(range(start + 1, end + 1), *map(itertools.repeat, cells)))
     _write_csv(
         path,
         ("rank", "value_a", "value_b", "ratio_a_over_b"),
         itertools.chain.from_iterable(segments),
     )
-
-
-def _overlaps(
-    series_a: RankSeries, series_b: RankSeries
-) -> Iterator[tuple[int, int, int | Fraction | None, int | Fraction | None]]:
-    """(first rank, rank past the end, value_a, value_b) per overlap of runs.
-
-    The overlaps run to the end of the longer series; past the end of the
-    shorter one its value is None.
-    """
-    stop = max(len(series_a), len(series_b)) + 1
-    ends_a = _run_ends(series_a, stop)
-    ends_b = _run_ends(series_b, stop)
-    end_a, value_a = next(ends_a)
-    end_b, value_b = next(ends_b)
-    start = 1
-    while start < stop:
-        end = min(end_a, end_b)
-        yield start, end, value_a, value_b
-        if end == end_a:
-            end_a, value_a = next(ends_a)
-        if end == end_b:
-            end_b, value_b = next(ends_b)
-        start = end
-
-
-def _run_ends(
-    series: RankSeries, stop: int
-) -> Iterator[tuple[int, int | Fraction | None]]:
-    """(rank past the end, value) per run, then (stop, None) for the rest."""
-    for _, end, run in _run_spans(series):
-        yield end, run.values[0]
-    while True:
-        yield stop, None
 
 
 # -- SVG rank plot ----------------------------------------------------------
@@ -457,16 +402,29 @@ _COLOR_B = "#d62728"
 
 
 def _polyline_points(series: RankSeries, x_cells: Sequence[str], y_span: float) -> str:
-    """``x,y`` points of one series; `x_cells[rank - 1]` is a rank's x cell.
+    """``x,y`` points of one series; `x_cells[i]` is position i's x cell.
 
     The y cell is computed once per run of equal values.
     """
     points = []
-    for start, end, run in _run_spans(series):
-        y = _MARGIN_TOP + _PLOT_H - math.log10(float(run.values[0])) / y_span * _PLOT_H
-        y_cell = f",{y:.2f}"
-        points.extend(x + y_cell for x in x_cells[start - 1 : end - 1])
+    for start, end in _runs(series):
+        log_value = math.log10(float(series.values[start]))
+        y_cell = f",{_MARGIN_TOP + _PLOT_H - log_value / y_span * _PLOT_H:.2f}"
+        points.extend(x + y_cell for x in x_cells[start:end])
     return " ".join(points)
+
+
+def _line(
+    x1: float, y1: float, x2: float, y2: float, paint: str = 'stroke="black"'
+) -> str:
+    """One ``<line>`` element; `paint` holds its stroke attributes."""
+    return f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" {paint}/>\n'
+
+
+def _text(x: float, y: float, body: object, anchor: str | None = None) -> str:
+    """One ``<text>`` element, with a ``text-anchor`` when `anchor` is given."""
+    anchored = "" if anchor is None else f' text-anchor="{anchor}"'
+    return f'<text x="{x:.2f}" y="{y:.2f}"{anchored}>{body}</text>\n'
 
 
 def render_rank_svg(
@@ -490,70 +448,45 @@ def render_rank_svg(
             f"cannot plot {series_a.measure!r} against {series_b.measure!r}"
         )
     for series in (series_a, series_b):
-        if series.runs and series.runs[-1].values[0] <= 0:  # the smallest
+        if series.values and series.values[-1] <= 0:  # the smallest
             raise ValueError(
                 f"cannot plot {series.measure!r}: a log-log plot needs positive "
-                f"values, got {format_value(series.runs[-1].values[0])}"
+                f"values, got {format_value(series.values[-1])}"
             )
-    max_rank = max((len(s) for s in (series_a, series_b)), default=0)
-    max_value = 1.0
-    for series in (series_a, series_b):
-        if series.runs:
-            max_value = max(max_value, float(series.runs[0].values[0]))
+    max_rank = max(len(series_a), len(series_b))
+    max_value = max(
+        [1.0] + [float(s.values[0]) for s in (series_a, series_b) if s.values]
+    )
     # at least one decade per axis so a flat series still renders
     x_span = max(math.log10(max_rank) if max_rank >= 1 else 0.0, 1.0)
     y_span = max(math.log10(max_value), 1.0)
 
     x_axis_y = _MARGIN_TOP + _PLOT_H
+    y_title = f"{_MARGIN_TOP + _PLOT_H / 2:.2f}"  # its x stays a literal 16
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
         f'height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">\n',
         f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>\n',
         f'<g font-family="sans-serif" font-size="12">\n',
+        # axes
+        _line(_MARGIN_LEFT, _MARGIN_TOP, _MARGIN_LEFT, x_axis_y),
+        _line(_MARGIN_LEFT, x_axis_y, _MARGIN_LEFT + _PLOT_W, x_axis_y),
     ]
-
-    # axes
-    parts.append(
-        f'<line x1="{_MARGIN_LEFT:.2f}" y1="{_MARGIN_TOP:.2f}" '
-        f'x2="{_MARGIN_LEFT:.2f}" y2="{x_axis_y:.2f}" stroke="black"/>\n'
-    )
-    parts.append(
-        f'<line x1="{_MARGIN_LEFT:.2f}" y1="{x_axis_y:.2f}" '
-        f'x2="{_MARGIN_LEFT + _PLOT_W:.2f}" y2="{x_axis_y:.2f}" stroke="black"/>\n'
-    )
-
     # decade ticks
     for decade in range(int(x_span) + 1):
         x = _MARGIN_LEFT + decade / x_span * _PLOT_W
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{x_axis_y:.2f}" x2="{x:.2f}" '
-            f'y2="{x_axis_y + 5:.2f}" stroke="black"/>\n'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{x_axis_y + 18:.2f}" '
-            f'text-anchor="middle">{10 ** decade}</text>\n'
-        )
+        parts.append(_line(x, x_axis_y, x, x_axis_y + 5))
+        parts.append(_text(x, x_axis_y + 18, 10**decade, "middle"))
     for decade in range(int(y_span) + 1):
         y = _MARGIN_TOP + _PLOT_H - decade / y_span * _PLOT_H
-        parts.append(
-            f'<line x1="{_MARGIN_LEFT - 5:.2f}" y1="{y:.2f}" '
-            f'x2="{_MARGIN_LEFT:.2f}" y2="{y:.2f}" stroke="black"/>\n'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_LEFT - 8:.2f}" y="{y + 4:.2f}" '
-            f'text-anchor="end">{10 ** decade}</text>\n'
-        )
-
+        parts.append(_line(_MARGIN_LEFT - 5, y, _MARGIN_LEFT, y))
+        parts.append(_text(_MARGIN_LEFT - 8, y + 4, 10**decade, "end"))
     # axis titles
+    parts.append(_text(_MARGIN_LEFT + _PLOT_W / 2, _SVG_HEIGHT - 12, "rank", "middle"))
     parts.append(
-        f'<text x="{_MARGIN_LEFT + _PLOT_W / 2:.2f}" '
-        f'y="{_SVG_HEIGHT - 12:.2f}" text-anchor="middle">rank</text>\n'
-    )
-    parts.append(
-        f'<text x="16" y="{_MARGIN_TOP + _PLOT_H / 2:.2f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_MARGIN_TOP + _PLOT_H / 2:.2f})">'
-        f"{series_a.measure}</text>\n"
+        f'<text x="16" y="{y_title}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {y_title})">{series_a.measure}</text>\n'
     )
 
     # data; both series share the x cell of each rank
@@ -562,7 +495,7 @@ def render_rank_svg(
         for rank in range(1, max_rank + 1)
     ]
     for series, color in ((series_a, _COLOR_A), (series_b, _COLOR_B)):
-        if series.runs:
+        if series.values:
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                 f'points="{_polyline_points(series, x_cells, y_span)}"/>\n'
@@ -572,13 +505,9 @@ def render_rank_svg(
     legend_x = _MARGIN_LEFT + _PLOT_W - 150
     for i, (label, color) in enumerate(((label_a, _COLOR_A), (label_b, _COLOR_B))):
         y = _MARGIN_TOP + 14 + 18 * i
-        parts.append(
-            f'<line x1="{legend_x:.2f}" y1="{y:.2f}" x2="{legend_x + 26:.2f}" '
-            f'y2="{y:.2f}" stroke="{color}" stroke-width="1.5"/>\n'
-        )
-        parts.append(
-            f'<text x="{legend_x + 32:.2f}" y="{y + 4:.2f}">{_svg_escape(label)}</text>\n'
-        )
+        paint = f'stroke="{color}" stroke-width="1.5"'
+        parts.append(_line(legend_x, y, legend_x + 26, y, paint))
+        parts.append(_text(legend_x + 32, y + 4, _svg_escape(label)))
 
     parts.append("</g>\n</svg>\n")
     Path(path).write_bytes("".join(parts).encode("utf-8"))

@@ -22,6 +22,11 @@ def write_text(tmp_path: Path, name: str, content: str) -> Path:
     return path
 
 
+def snapshot(directory: Path) -> dict[str, bytes]:
+    """The name and bytes of each file in a directory."""
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
 class TestLabels:
     def test_sanitize_keeps_word_characters(self):
         assert sanitize_label("blog-2024_a") == "blog-2024_a"
@@ -76,6 +81,36 @@ class TestBuild:
         assert code == 1
         assert "missing.txt" in err
         assert not out.exists()
+
+    def test_missing_second_input_restores_earlier_outputs(self, tmp_path, capsys):
+        good = write_text(tmp_path, "good.txt", "x y. y z.")
+        out = tmp_path / "d"
+        assert run(capsys, "build", str(good), "--out", str(out))[0] == 0
+        before = snapshot(out)
+        good.write_text("a b.", encoding="utf-8")  # overwritten, then restored
+        code, stdout, err = run(
+            capsys, "build", str(good), str(tmp_path / "missing.txt"), "--out", str(out)
+        )
+        assert code == 1 and "missing.txt" in err
+        assert "good.edges.tsv" in stdout
+        assert snapshot(out) == before
+
+    def test_holds_one_network_at_a_time(self, tmp_path, capsys, monkeypatch):
+        texts = [write_text(tmp_path, f"t{i}.txt", "a b c. c a.") for i in range(3)]
+        built = []  # a weak reference to each network built so far
+        alive = []  # at the start of each build, how many are still held
+        original = cli.build_network
+
+        def tracked(sentences):
+            alive.append(sum(1 for ref in built if ref() is not None))
+            net = original(sentences)
+            built.append(weakref.ref(net))
+            return net
+
+        monkeypatch.setattr(cli, "build_network", tracked)
+        code, _, _ = run(capsys, "build", *map(str, texts), "--out", str(tmp_path))
+        assert code == 0
+        assert alive == [0, 0, 0]
 
     def test_equal_labels_rejected_before_any_write(self, tmp_path, capsys):
         first = tmp_path / "a"
@@ -274,6 +309,21 @@ class TestAnalyze:
         assert [path.name for path in out.iterdir()] == ["tri.nodes.csv"]
         assert (out / "tri.nodes.csv").is_dir()
 
+    def test_failed_write_restores_an_overwritten_file(self, tmp_path, capsys):
+        edges = write_text(tmp_path, "tri.tsv", "a\tb\t1\nb\tc\t1\nc\ta\t1\n")
+        out = tmp_path / "out"
+        (out / "tri.nodes.csv").mkdir(parents=True)  # the second write fails
+        (out / "tri.summary.csv").write_bytes(b"old bytes\n")
+        code, stdout, err = run(capsys, "analyze", str(edges), "--out", str(out))
+        assert code == 1 and err.startswith("error:")
+        assert "tri.summary.csv" in stdout
+        assert sorted(path.name for path in out.iterdir()) == [
+            "tri.nodes.csv",
+            "tri.summary.csv",
+        ]
+        assert (out / "tri.nodes.csv").is_dir()
+        assert (out / "tri.summary.csv").read_bytes() == b"old bytes\n"
+
     def test_sample_flag(self, tmp_path, capsys):
         text = write_text(tmp_path, "s.txt", "a b c d. b e f a.")
         code, _, _ = run(
@@ -435,8 +485,23 @@ class TestCompare:
             "--labels", "same", "same", "--out", str(out),
         )
         assert code == 1
-        assert err == "error: labels must differ, both are 'same'\n"
+        assert err == "error: labels must differ, two inputs are 'same'\n"
         assert list(out.iterdir()) == []
+
+    def test_missing_second_input_restores_earlier_outputs(self, tmp_path, capsys):
+        alpha, beta = self._write_pair(tmp_path)
+        out = tmp_path / "cmp"
+        code, _, _ = run(capsys, "compare", str(alpha), str(beta), "--out", str(out))
+        assert code == 0
+        before = snapshot(out)
+        alpha.write_text("a b.", encoding="utf-8")  # overwritten, then restored
+        code, stdout, err = run(
+            capsys, "compare", str(alpha), str(tmp_path / "beta.txt.gone"),
+            "--labels", "alpha", "beta", "--out", str(out),
+        )
+        assert code == 1 and "beta.txt.gone" in err
+        assert "alpha.edges.tsv" in stdout
+        assert snapshot(out) == before
 
     def test_missing_input_fails(self, tmp_path, capsys):
         alpha = write_text(tmp_path, "alpha.txt", "a b.")

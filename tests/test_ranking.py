@@ -3,6 +3,7 @@ import tempfile
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -174,6 +175,25 @@ _SVG_PAIRS = st.lists(
     ),
     max_size=40,
 )
+
+
+class TestSeriesLayout:
+    @settings(max_examples=300, deadline=None)
+    @given(_CSV_PAIRS)
+    @example(_MIXED)
+    def test_runs_cut_the_flat_tuples(self, pairs):
+        series = rank_sequence("in-degree", pairs)
+        ends = series.ends
+        assert len(series.words) == len(series.values) == len(series)
+        assert all(a < b for a, b in zip((0, *ends), ends))
+        assert (0, *ends)[-1] == len(series)
+        runs = [series.values[start:end] for start, end in zip((0, *ends), ends)]
+        assert all(value == run[0] for run in runs for value in run)
+        assert all(upper[0] != lower[0] for upper, lower in zip(runs, runs[1:]))
+        # each word holds the very object it came with
+        given_objects = Counter((w, id(v)) for w, v in pairs if v is not None)
+        kept = Counter((w, id(v)) for w, v in zip(series.words, series.values))
+        assert kept == given_objects
 
 
 class TestWritersMatchOracles:
