@@ -173,12 +173,9 @@ def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
             net = _build_from_text(path, config)
             print(f"{label}: N={net.n_nodes} K={net.n_edges}")
             # the format has no node section, so these words do not survive
-            # it; counted from the out-edges alone, which derives no in-edges
-            nodes = range(net.n_nodes)
-            targets = {dst for node in nodes for dst in net.out_weights(node)}
-            edgeless = sum(
-                1 for node in nodes if not (net.out_weights(node) or node in targets)
-            )
+            # it; counted in one pass over the edges, which derives no in-edges
+            linked = {node for edge, _ in net.edge_items() for node in edge}
+            edgeless = net.n_nodes - len(linked)
             if edgeless:
                 print(
                     f"warning: {label}: {edgeless} of {net.n_nodes} words have "
@@ -186,7 +183,7 @@ def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
                     file=sys.stderr,
                 )
             out.write(f"{label}.edges.tsv", write_edge_list, net)
-            del net, targets  # freed before the next input is built
+            del net, linked  # freed before the next input is built
     return 0
 
 

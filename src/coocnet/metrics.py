@@ -40,6 +40,7 @@ from .network import (
     ComponentLabeling,
     CooccurrenceNetwork,
     _adjacency,
+    _side_totals,
     weak_components,
 )
 
@@ -109,14 +110,7 @@ def _node_table(net: CooccurrenceNetwork) -> _NodeTable:
     ``twice_links``.
     """
     if net._node_cache is None:
-        in_degree = [0] * net.n_nodes
-        in_strength = [0] * net.n_nodes
-        for out in net._out:
-            for dst, weight in out.items():
-                in_degree[dst] += 1
-                in_strength[dst] += weight
-        degrees = [in_degree, list(map(len, net._out))]
-        strengths = [in_strength, [sum(weights.values()) for weights in net._out]]
+        degrees, strengths = _side_totals(net)
         selectivities = [
             _shared_ratios(side_s, side_k) for side_s, side_k in zip(strengths, degrees)
         ]

@@ -269,17 +269,20 @@ def format_value(value: str | int | Fraction | None) -> str:
     """Render a measure value for CSV cells and reports.
 
     None becomes the empty string, words and integral values print as they
-    are, and everything else is rounded to 6 significant digits.
+    are, with every digit however many there are, and everything else is
+    rounded to 6 significant digits.
     """
     if value is None:
         return ""
     if isinstance(value, Fraction):
         if value.denominator == 1:
-            return str(value.numerator)
+            return _int_text(value.numerator)
         try:
             return f"{float(value):.6g}"
         except OverflowError:
             return _format_huge(value)
+    if isinstance(value, int):
+        return _int_text(value)
     return str(value)
 
 
@@ -287,13 +290,37 @@ def _format_huge(value: Fraction) -> str:
     """float's ``.6g`` rendering, computed exactly, for |value| > float max."""
     if value < 0:
         return "-" + _format_huge(-value)
-    exponent = len(str(value.numerator // value.denominator)) - 1
+    exponent = len(_int_text(value.numerator // value.denominator)) - 1
     digits = round(value / 10 ** (exponent - 5))  # half-even, like float
     if digits == 10**6:  # rounding carried into a new decade
         digits //= 10
         exponent += 1
     mantissa = f"{digits // 10**5}.{digits % 10**5:05d}".rstrip("0").rstrip(".")
     return f"{mantissa}e+{exponent:02d}"
+
+
+# fewer digits than the smallest limit the interpreter lets `str` be set to
+# (640), so each piece converts whatever the limit is
+_PIECE_DIGITS = 600
+_PIECE = 10**_PIECE_DIGITS
+
+
+def _int_text(value: int) -> str:
+    """The decimal digits of any int, past the interpreter's digit limit too.
+
+    `str` refuses an int of more than 4,300 digits by default; a weight the
+    reader accepts can have that many, and a strength sums such weights.
+    The int is cut into pieces of `_PIECE_DIGITS` digits with `divmod`, and
+    the limit itself is never changed.
+    """
+    if value < 0:
+        return "-" + _int_text(-value)
+    pieces = []
+    while value >= _PIECE:
+        value, piece = divmod(value, _PIECE)
+        pieces.append(f"{piece:0{_PIECE_DIGITS}d}")
+    pieces.append(str(value))
+    return "".join(reversed(pieces))
 
 
 def _write_csv(

@@ -12,10 +12,10 @@ and tokenization from per-character state machines instead of regular
 expressions over a string of character classes, the network from one
 weights dict through the validating constructor instead of the trusted
 one, the projection from one walk over the directed edges instead of
-copies of the out-neighbor maps, the in-edges from one transpose of the
-edge iterator instead of the network's lazily filled cache, and the edge
-list from one tuple sort over every edge instead of one word rank per
-node.  Agreement between the two routes is what the equivalence tests
+sets of each node's stored targets, the in-edges from one transpose of
+the edge iterator instead of the network's lazily filled cache, and the
+edge list from one tuple sort over every edge instead of one word rank
+per node.  Agreement between the two routes is what the equivalence tests
 assert.
 """
 
@@ -225,13 +225,13 @@ def rank_order(pairs) -> list[tuple]:
     return kept
 
 
-def random_network(
+def random_weights(
     rng: np.random.Generator,
     max_nodes: int = 50,
     max_weight: int = 9,
     words: list[str] | None = None,
-) -> CooccurrenceNetwork:
-    """Random simple directed weighted graph.
+) -> tuple[list[str], dict[tuple[int, int], int]]:
+    """The words and the (src, dst) -> weight dict of a random simple digraph.
 
     The node words are w0..w(n-1), or, given ``words``, n of them in a
     random order.
@@ -248,7 +248,17 @@ def random_network(
         for dst in range(n):
             if src != dst and rng.random() < p:
                 weights[(src, dst)] = int(rng.integers(1, max_weight + 1))
-    return CooccurrenceNetwork(words, weights)
+    return words, weights
+
+
+def random_network(
+    rng: np.random.Generator,
+    max_nodes: int = 50,
+    max_weight: int = 9,
+    words: list[str] | None = None,
+) -> CooccurrenceNetwork:
+    """Random simple directed weighted graph, see `random_weights`."""
+    return CooccurrenceNetwork(*random_weights(rng, max_nodes, max_weight, words))
 
 
 def scaled_network(net: CooccurrenceNetwork, factor: int) -> CooccurrenceNetwork:

@@ -1,5 +1,6 @@
 import filecmp
 import re
+import sys
 import warnings
 import weakref
 from pathlib import Path
@@ -366,6 +367,32 @@ class TestRank:
         assert code == 0 and err == ""
         lines = (tmp_path / "big.out-selectivity.rank.csv").read_text().splitlines()
         assert lines[1] == "1,5e+399,a"
+
+
+class TestValuesPastTheDigitLimit:
+    # twelve weights of 4,300 nines, the most digits the reader accepts,
+    # give an out-strength of 4,302 digits, more than `str` allows by default
+    WEIGHT = "9" * 4_300
+    STRENGTH = "11" + "9" * 4_298 + "88"  # 12 * (10**4300 - 1)
+
+    @pytest.mark.parametrize(
+        "command, written",
+        [("analyze", "huge.nodes.csv"), ("rank", "huge.out-strength.rank.csv")],
+    )
+    def test_printed_in_full(self, tmp_path, capsys, monkeypatch, command, written):
+        def refuse(limit):
+            raise AssertionError("the interpreter's digit limit was changed")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+        edges = tmp_path / "huge.tsv"
+        edges.write_text(
+            "".join(f"a\tb{i}\t{self.WEIGHT}\n" for i in range(12)), encoding="utf-8"
+        )
+        code, _, err = run(capsys, command, str(edges), "--out", str(tmp_path))
+        assert (code, err) == (0, "")
+        rows = (tmp_path / written).read_text(encoding="utf-8").splitlines()
+        row = {"analyze": "a,0,12,0,", "rank": "1,"}[command] + self.STRENGTH + ","
+        assert any(line.startswith(row) for line in rows)
 
 
 class TestCompare:

@@ -1,15 +1,17 @@
-"""The trusted build path, the lazy caches and the streamed writer.
+"""The trusted build path, the edge lists, the lazy caches and the writer.
 
 `build_network` fills the network's out-neighbor maps itself instead of
-going through the validating constructor, and no constructor derives the
-in-edges: `in_weights` fills them on demand, and the per-node table
-tallies the in-side from the out-edges; `undirected_projection` builds
-fresh sets on each call, while components, the per-node table and the
-distance sweeps read one cached adjacency of int tuples, the sweeps in
-place; `to_edge_list` and `write_edge_list` share one edge order, and the
-writer writes each source's lines into the open file instead of joining
-every line first.  Each is checked against an oracle, and a built
-network, the writer and the sampled sweeps against a memory bound.
+going through the validating constructor, every constructor copies them
+into flat edge lists, whose accessors hand out new mappings, and no
+constructor derives the in-edges: `in_weights` fills them on demand, and
+the per-node table tallies the in-side from the out-edges;
+`undirected_projection` builds fresh sets on each call, while
+components, the per-node table and the distance sweeps read one cached
+adjacency of int tuples, the sweeps in place; `to_edge_list` and
+`write_edge_list` share one edge order, and the writer writes each
+source's lines into the open file instead of joining every line first.
+Each is checked against an oracle, and a built network, the same network
+read back, the writer and the sampled sweeps against a memory bound.
 """
 
 import gc
@@ -62,6 +64,35 @@ def test_build_equals_validating_constructor(sentences):
     for node in range(net.n_nodes):
         assert net.out_weights(node) == want.out_weights(node)
         assert net.in_weights(node) == want.in_weights(node)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_edge_accessors_equal_the_weights_dict(seed):
+    words, weights = oracles.random_weights(np.random.default_rng(seed))
+    net = CooccurrenceNetwork(words, weights)
+    nodes = range(net.n_nodes)
+    outgoing = [{} for _ in nodes]
+    incoming = [{} for _ in nodes]
+    for (src, dst), weight in weights.items():
+        outgoing[src][dst] = weight
+        incoming[dst][src] = weight
+
+    def check():
+        assert net.n_edges == len(weights)
+        assert set(net.edge_items()) == set(weights.items())
+        assert [net.out_weights(node) for node in nodes] == outgoing
+        assert [net.in_weights(node) for node in nodes] == incoming
+        for src in nodes:
+            for dst in nodes:
+                assert net.weight(src, dst) == weights.get((src, dst), 0)
+
+    check()
+    for node in nodes:  # the caller owns every mapping it was given
+        for given_map in (net.out_weights(node), net.in_weights(node)):
+            given_map.clear()
+            given_map[node] = 1
+    check()
 
 
 @given(
@@ -125,19 +156,33 @@ def test_commands_never_derive_in_edges(
     assert [net._in_cache for net in nets] == [None] * len(nets)
 
 
-def test_built_network_keeps_its_out_edges_only(zipf_sentences):
+def _retained(function, *args):
+    """What ``function(*args)`` returns, and the traced bytes still held after."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        net = build_network(zipf_sentences)
+        result = function(*args)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    return result, retained
+
+
+def test_built_network_keeps_its_out_edges_only(zipf_sentences, tmp_path):
+    net, retained = _retained(build_network, zipf_sentences)
     assert net.n_edges > 20_000
-    # the out-edge maps, the word table and one int per node take ~100 bytes
-    # per edge here; in-edge maps derived at once add ~90
-    assert retained < 150 * net.n_edges
+    # the edge lists, the offsets, the word table and one int per node take
+    # ~36 bytes per edge here; one out-edge dict per node would take ~100,
+    # and in-edge maps derived at once ~90 more
+    assert retained < 60 * net.n_edges
+    # the reader ends in the same trusted constructor; read back, the
+    # network also holds its own word strings, ~56 bytes per edge in all
+    path = tmp_path / "net.edges.tsv"
+    write_edge_list(net, path)
+    read, retained = _retained(read_edge_list, path)
+    assert read.n_edges == net.n_edges
+    assert retained < 60 * read.n_edges
 
 
 @pytest.mark.parametrize("token", ["", "b c", "b\r"])

@@ -347,6 +347,14 @@ class TestValueFormatting:
         assert format_value(Fraction(10**400 + 1, 2)) == "5e+399"
         assert format_value(Fraction(10**400, 3)) == "3.33333e+399"
 
+    def test_integers_past_the_digit_limit_print_every_digit(self):
+        # str() refuses ints of more than 4,300 digits by default
+        ones = (10**5_000 - 1) // 9  # 5,000 ones
+        assert format_value(ones) == "1" * 5_000
+        assert format_value(Fraction(-(10**5_000))) == "-1" + "0" * 5_000
+        assert format_value(10**1_200 + 7) == "1" + "0" * 1_199 + "7"
+        assert format_value(Fraction(10**5_000, 3)) == "3.33333e+4999"
+
 
 class TestCsvExports:
     def test_rank_csv_bytes(self, tmp_path):
