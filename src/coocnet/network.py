@@ -36,18 +36,22 @@ is non-empty and holds no whitespace, there is no self-loop, a weight is
 an ``int >= 1`` (never a ``bool``), and a (src, dst) pair appears once.
 `from_edge_list` errors cite the record number, `read_edge_list` errors
 the file and line.  `build_network` and the readers check each word and
-edge as they meet it, then hand the finished out-neighbor maps to a
-trusted constructor that does not check them again; every constructor
-copies the maps into the edge lists and drops each map once copied.
+edge as they meet it and put it straight into its source's out-neighbor
+map; a target already there is a duplicate, and only then do the readers
+scan their records again, up to the pair's first record.  A trusted
+constructor takes the maps unchecked; every constructor copies them into
+the edge lists and drops each map once copied.
 
 On-disk edge-list format: UTF-8 TSV, one ``src<TAB>dst<TAB>weight`` record
-per line, LF endings, sorted lexicographically by (src, dst).  Weights
-are ASCII digits without sign or leading zero; the reader rejects other
-spellings.  The reader accepts records in any order and the writer sorts
-them, so rewriting an unsorted file changes its bytes.  The writer is
-byte-deterministic so output files can be hash-compared.  The format has
-no node section, so words without any edge (from one-word sentences) do
-not survive a write/read round trip.
+per line, LF endings, sorted lexicographically by (src, dst).  Weights are
+ASCII digits without sign or leading zero, no more of them than the
+interpreter's int digit limit (4,300 by default).  The reader rejects
+other spellings; the writer raises ValueError on a longer weight, as on a
+word UTF-8 cannot hold, and leaves no file.  The reader accepts records in
+any order and the writer sorts them, so rewriting an unsorted file changes
+its bytes.  The writer is byte-deterministic so output files can be
+hash-compared.  The format has no node section, so words without any edge
+(from one-word sentences) do not survive a write/read round trip.
 """
 
 from __future__ import annotations
@@ -56,9 +60,9 @@ import re
 from array import array
 from dataclasses import dataclass
 from itertools import chain, islice, pairwise, repeat
-from operator import sub
+from operator import itemgetter, sub
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class EdgeListFormatError(ValueError):
@@ -298,42 +302,38 @@ def to_edge_list(net: CooccurrenceNetwork) -> list[EdgeRecord]:
     ]
 
 
-def from_edge_list(
-    records: Iterable[EdgeRecord | tuple[str, str, int]],
-) -> CooccurrenceNetwork:
+def from_edge_list(records: Iterable[tuple[str, str, int]]) -> CooccurrenceNetwork:
     """Build a network from (src, dst, weight) records.
 
     Node ids are assigned in first-appearance order (src before dst within a
     record).  A record that breaks a rule raises EdgeListFormatError citing
     its 1-based number.
     """
-    return _network_from_records(records, "record")
+    records = list(records)  # scanned again to find a duplicate's first record
+    return _network_from_records(lambda: records, "record")
 
 
 def _network_from_records(
-    records: Iterable[EdgeRecord | tuple[str, str, int]], unit: str, prefix: str = ""
+    records: Callable[[], Iterable[tuple[str, str, int]]], unit: str, prefix: str = ""
 ) -> CooccurrenceNetwork:
-    """Intern and validate records; errors cite ``{prefix}{unit} {number}``."""
+    """Intern and validate the records that each ``records()`` call yields
+    afresh; errors cite ``{prefix}{unit} {number}``."""
     ids: dict[str, int] = {}
-    weights: dict[tuple[int, int], int] = {}
-    first_seen: dict[tuple[int, int], int] = {}
-    for number, (src, dst, weight) in enumerate(records, 1):
+    out_adj: list[dict[int, int]] = []
+    for number, (src, dst, weight) in enumerate(records(), 1):
         problem = (
             _word_problem(src) or _word_problem(dst) or _edge_problem(src, dst, weight)
         )
-        key = (ids.setdefault(src, len(ids)), ids.setdefault(dst, len(ids)))
-        if not problem and key in first_seen:
-            problem = (
-                f"duplicate edge ({src!r}, {dst!r}), "
-                f"first seen on {unit} {first_seen[key]}"
-            )
+        src_id, dst_id = ids.setdefault(src, len(ids)), ids.setdefault(dst, len(ids))
+        while len(out_adj) < len(ids):
+            out_adj.append({})
+        if not problem and dst_id in out_adj[src_id]:
+            pairs = map(itemgetter(0, 1), records())
+            first = next(i for i, pair in enumerate(pairs, 1) if pair == (src, dst))
+            problem = f"duplicate edge ({src!r}, {dst!r}), first seen on {unit} {first}"
         if problem:
             raise EdgeListFormatError(f"{prefix}{unit} {number}: {problem}")
-        first_seen[key] = number
-        weights[key] = weight
-    out_adj: list[dict[int, int]] = [{} for _ in ids]
-    for (src, dst), weight in weights.items():
-        out_adj[src][dst] = weight
+        out_adj[src_id][dst_id] = weight
     return CooccurrenceNetwork._trusted(ids, out_adj)
 
 
@@ -352,7 +352,7 @@ def write_edge_list(net: CooccurrenceNetwork, path: str | Path) -> None:
                     f"{head}{words[targets[edge]]}\t{weights[edge]}\n" for edge in edges
                 ]
                 file.write("".join(lines))
-    except UnicodeEncodeError:  # a word UTF-8 cannot hold, e.g. a lone surrogate
+    except ValueError:  # a word UTF-8 cannot hold, or a weight past the digit limit
         Path(path).unlink()  # leave no partial file behind
         raise
 
@@ -368,7 +368,7 @@ def read_edge_list(path: str | Path) -> CooccurrenceNetwork:
     lines = decoded.split("\n")
     if lines[-1] == "":
         lines.pop()  # trailing newline, not an empty record
-    return _network_from_records(_parse_lines(path, lines), "line", f"{path}: ")
+    return _network_from_records(lambda: _parse_lines(path, lines), "line", f"{path}: ")
 
 
 def _parse_lines(path: str | Path, lines: list[str]) -> Iterator[EdgeRecord]:

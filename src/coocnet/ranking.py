@@ -435,10 +435,22 @@ def _polyline_points(series: RankSeries, x_cells: Sequence[str], y_span: float) 
     """
     points = []
     for start, end in _runs(series):
-        log_value = math.log10(float(series.values[start]))
+        log_value = _log10(series.values[start])
         y_cell = f",{_MARGIN_TOP + _PLOT_H - log_value / y_span * _PLOT_H:.2f}"
         points.extend(x + y_cell for x in x_cells[start:end])
     return " ".join(points)
+
+
+def _log10(value: int | Fraction) -> float:
+    """The base-10 logarithm of a positive value, also past float range.
+
+    `math.log10` takes an int of any size, but converts a Fraction to float
+    first; past float range the Fraction's terms are taken one by one.
+    """
+    try:
+        return math.log10(value)
+    except OverflowError:
+        return math.log10(value.numerator) - math.log10(value.denominator)
 
 
 def _line(
@@ -481,12 +493,11 @@ def render_rank_svg(
                 f"values, got {format_value(series.values[-1])}"
             )
     max_rank = max(len(series_a), len(series_b))
-    max_value = max(
-        [1.0] + [float(s.values[0]) for s in (series_a, series_b) if s.values]
-    )
     # at least one decade per axis so a flat series still renders
     x_span = max(math.log10(max_rank) if max_rank >= 1 else 0.0, 1.0)
-    y_span = max(math.log10(max_value), 1.0)
+    y_span = max(
+        [1.0] + [_log10(s.values[0]) for s in (series_a, series_b) if s.values]
+    )
 
     x_axis_y = _MARGIN_TOP + _PLOT_H
     y_title = f"{_MARGIN_TOP + _PLOT_H / 2:.2f}"  # its x stays a literal 16
@@ -508,7 +519,7 @@ def render_rank_svg(
     for decade in range(int(y_span) + 1):
         y = _MARGIN_TOP + _PLOT_H - decade / y_span * _PLOT_H
         parts.append(_line(_MARGIN_LEFT - 5, y, _MARGIN_LEFT, y))
-        parts.append(_text(_MARGIN_LEFT - 8, y + 4, 10**decade, "end"))
+        parts.append(_text(_MARGIN_LEFT - 8, y + 4, _int_text(10**decade), "end"))
     # axis titles
     parts.append(_text(_MARGIN_LEFT + _PLOT_W / 2, _SVG_HEIGHT - 12, "rank", "middle"))
     parts.append(

@@ -13,10 +13,12 @@ expressions over a string of character classes, the network from one
 weights dict through the validating constructor instead of the trusted
 one, the projection from one walk over the directed edges instead of
 sets of each node's stored targets, the in-edges from one transpose of
-the edge iterator instead of the network's lazily filled cache, and the
+the edge iterator instead of the network's lazily filled cache, the
 edge list from one tuple sort over every edge instead of one word rank
-per node.  Agreement between the two routes is what the equivalence tests
-assert.
+per node, and the edge-list reader from two dicts keyed by (src, dst)
+pairs instead of out-maps filled directly, over lines cut by `str`
+methods instead of a regular expression.  Agreement between the two
+routes is what the equivalence tests assert.
 """
 
 import math
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from coocnet import CooccurrenceNetwork, EdgeRecord
+from coocnet import CooccurrenceNetwork, EdgeListFormatError, EdgeRecord
 from coocnet.pipeline import DEFAULT_CONFIG, PipelineConfig, segment_sentences
 from coocnet.ranking import (
     _COLOR_A,
@@ -96,6 +98,65 @@ def build_network(sentences) -> CooccurrenceNetwork:
                 weights[(prev, node)] = weights.get((prev, node), 0) + 1
             prev = node
     return CooccurrenceNetwork(list(ids), weights)
+
+
+def read_records(records, unit: str, prefix: str = "") -> CooccurrenceNetwork:
+    """The edge-record reader: two dicts keyed by (src, dst) id pairs.
+
+    One holds each pair's weight and the other the number of the record
+    that first named it, so a duplicate is cited without a second scan;
+    the validating constructor builds the network from the weights.
+    Errors carry the library's messages, ``{prefix}{unit} {number}: ...``.
+    """
+    ids: dict[str, int] = {}
+    weights: dict[tuple[int, int], int] = {}
+    first_seen: dict[tuple[int, int], int] = {}
+    for number, (src, dst, weight) in enumerate(records, 1):
+        bad_words = [w for w in (src, dst) if not w or any(map(str.isspace, w))]
+        key = (ids.setdefault(src, len(ids)), ids.setdefault(dst, len(ids)))
+        if bad_words:
+            problem = f"invalid word {bad_words[0]!r}"
+        elif src == dst:
+            problem = f"self-loop on {src!r}"
+        elif isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
+            problem = f"weight must be a positive integer, got {weight!r}"
+        elif key in first_seen:
+            problem = (
+                f"duplicate edge ({src!r}, {dst!r}), "
+                f"first seen on {unit} {first_seen[key]}"
+            )
+        else:
+            first_seen[key] = number
+            weights[key] = weight
+            continue
+        raise EdgeListFormatError(f"{prefix}{unit} {number}: {problem}")
+    return CooccurrenceNetwork(list(ids), weights)
+
+
+def parse_edge_lines(path, text: str):
+    """The records of an edge-list text, or the reader's error on a bad line.
+
+    Fields come from `str.split` and weights are checked with `str.isdigit`
+    on ASCII, not by the reader's regular expression.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    for lineno, line in enumerate(lines, 1):
+        where = f"{path}: line {lineno}"
+        fields = line.split("\t")
+        if line == "":
+            raise EdgeListFormatError(f"{where}: empty line")
+        if len(fields) != 3:
+            raise EdgeListFormatError(
+                f"{where}: expected 3 tab-separated fields, got {len(fields)}"
+            )
+        src, dst, digits = fields
+        if not (digits.isascii() and digits.isdigit() and digits[0] != "0"):
+            raise EdgeListFormatError(
+                f"{where}: weight {digits!r} is not a positive decimal integer"
+            )
+        yield EdgeRecord(src, dst, int(digits))
 
 
 def distance_matrix(net: CooccurrenceNetwork) -> np.ndarray:

@@ -1,4 +1,6 @@
+import contextlib
 import filecmp
+import io
 import re
 import sys
 import warnings
@@ -6,6 +8,8 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coocnet import cli
 from coocnet.cli import main, sanitize_label
@@ -566,3 +570,92 @@ class TestCompare:
         assert names == sorted(p.name for p in second.iterdir())
         match, mismatch, errors = filecmp.cmpfiles(first, second, names, shallow=False)
         assert mismatch == [] and errors == []
+
+
+def _lines(lines: list[str]) -> bytes:
+    return "\n".join(lines).encode("utf-8")
+
+
+# any bytes, and bytes shaped like each input so that some calls succeed
+_BYTES = st.binary(max_size=80)
+_TEXT = st.text(max_size=80).map(str.encode)
+_WORD = st.sampled_from(["a", "b", "c", "é", "\x00"])
+_EDGE_LINE = (
+    st.tuples(_WORD, _WORD, st.sampled_from(["1", "2", "9" * 30]))
+    | st.tuples(
+        _WORD | st.sampled_from(["", "a b", "b\r"]),
+        _WORD,
+        st.sampled_from(["0", "01", "-1", "x", "", "1\t2"]),
+    )
+).map("\t".join)
+_EDGES = st.lists(_EDGE_LINE, max_size=6).map(_lines)
+_CONFIG_LINE = st.sampled_from(
+    [
+        "terminators = .",
+        "terminators = ",
+        "terminators = b",
+        "keep_digits = yes",
+        "keep_digits = maybe",
+        "# a comment",
+        "",
+        "depth = 2",
+        "no equals sign",
+    ]
+)
+_CONFIG = st.lists(_CONFIG_LINE, max_size=4).map(_lines)
+_GIVEN_AS = {
+    "in.txt": _BYTES | _TEXT,
+    "in.tsv": _BYTES | _EDGES,
+    "in.conf": _BYTES | _CONFIG,
+}
+
+# the given bytes go to the file named first: a text, an edge list or a
+# config; build and compare take texts only, so they get no edge list
+_CALLS = {
+    "build": [
+        ("in.txt", ["build", "ok.txt", "in.txt"]),
+        ("in.conf", ["build", "ok.txt", "--config", "in.conf"]),
+    ],
+    "analyze": [
+        ("in.txt", ["analyze", "in.txt"]),
+        ("in.tsv", ["analyze", "in.tsv"]),
+        ("in.conf", ["analyze", "ok.txt", "--config", "in.conf"]),
+    ],
+    "rank": [
+        ("in.txt", ["rank", "in.txt"]),
+        ("in.tsv", ["rank", "in.tsv"]),
+        ("in.conf", ["rank", "ok.txt", "--config", "in.conf"]),
+    ],
+    "compare": [
+        ("in.txt", ["compare", "ok.txt", "in.txt", "--svg"]),
+        ("in.conf", ["compare", "ok.txt", "ok2.txt", "--config", "in.conf"]),
+    ],
+}
+_FILES = {"ok.txt", "ok2.txt", *_GIVEN_AS}
+
+
+@pytest.mark.parametrize("command", ["build", "analyze", "rank", "compare"])
+@given(data=st.data())
+@settings(max_examples=75, deadline=None)
+def test_any_bytes_exit_0_or_1_and_a_failure_leaves_out_as_it_was(
+    tmp_path_factory, command, data
+):
+    given_to, argv = data.draw(st.sampled_from(_CALLS[command]))
+    folder = tmp_path_factory.mktemp("any")
+    (folder / "ok.txt").write_text("a b c. c b a. b d.", encoding="utf-8")
+    (folder / "ok2.txt").write_text("p q r. r q p.", encoding="utf-8")
+    (folder / given_to).write_bytes(data.draw(_GIVEN_AS[given_to]))
+    out = folder / "out"
+    out.mkdir()
+    # files of the names the command writes, which a failure must put back
+    for name in ("ok.edges.tsv", "in.edges.tsv", "summary.csv", "in.nodes.csv"):
+        (out / name).write_bytes(b"old\n")
+    before = snapshot(out)
+    argv = [str(folder / arg) if arg in _FILES else arg for arg in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        code = main(argv + ["--out", str(out)])
+    assert code in (0, 1)
+    if code == 1:
+        assert snapshot(out) == before

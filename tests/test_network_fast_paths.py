@@ -9,9 +9,11 @@ the per-node table tallies the in-side from the out-edges;
 components, the per-node table and the distance sweeps read one cached
 adjacency of int tuples, the sweeps in place; `to_edge_list` and
 `write_edge_list` share one edge order, and the writer writes each
-source's lines into the open file instead of joining every line first.
-Each is checked against an oracle, and a built network, the same network
-read back, the writer and the sampled sweeps against a memory bound.
+source's lines into the open file instead of joining every line first;
+the edge-record readers fill the out-maps directly and scan their records
+again only to cite a duplicate.  Each is checked against an oracle, and a
+built network, the same network read back, the reader's peak, the writer
+and the sampled sweeps against a memory bound.
 """
 
 import gc
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 
 from coocnet import (
     CooccurrenceNetwork,
+    EdgeListFormatError,
     average_clustering,
     average_shortest_path,
     build_network,
@@ -128,6 +131,56 @@ def test_in_edges_are_derived_on_demand(tmp_path_factory, route, sentences):
     assert [net.in_weights(node) for node in range(net.n_nodes)] == incoming
 
 
+_RECORD_WORD = st.sampled_from(["a", "b", "c", "d", "e", "é", "x-y"])
+_RECORD = st.tuples(_RECORD_WORD, _RECORD_WORD, st.sampled_from([1, 2, 3, 10**30]))
+# a tab in a word splits a file's line, a bool weight is written "True"
+_BAD_RECORD = st.tuples(
+    _RECORD_WORD | st.sampled_from(["", "b c", "b\r", "\x85", "a\tb"]),
+    _RECORD_WORD | st.sampled_from(["", " ", "c\td"]),
+    st.sampled_from([1, 0, -1, True, False]),
+)
+
+
+@st.composite
+def _records(draw):
+    """Records with repeated pairs and self-loops, at times one bad record more."""
+    records = draw(st.lists(_RECORD, max_size=12))
+    if draw(st.booleans()):
+        records.insert(draw(st.integers(0, len(records))), draw(_BAD_RECORD))
+    return records
+
+
+def _outcome(read):
+    """The network ``read()`` returns, or the message of its EdgeListFormatError."""
+    try:
+        return read()
+    except EdgeListFormatError as exc:
+        return str(exc)
+
+
+@given(st.sampled_from(["list", "generator", "file"]), _records())
+@settings(max_examples=400, deadline=None)
+def test_readers_equal_the_tuple_keyed_reader(tmp_path_factory, route, records):
+    if route == "file":
+        path = tmp_path_factory.mktemp("edges") / "net.edges.tsv"
+        text = "".join(f"{src}\t{dst}\t{weight}\n" for src, dst, weight in records)
+        path.write_bytes(text.encode("utf-8"))
+        got = _outcome(lambda: read_edge_list(path))
+        lines = oracles.parse_edge_lines(path, text)
+        want = _outcome(lambda: oracles.read_records(lines, "line", f"{path}: "))
+    else:
+        given_records = records if route == "list" else iter(records)
+        got = _outcome(lambda: from_edge_list(given_records))
+        want = _outcome(lambda: oracles.read_records(records, "record"))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, CooccurrenceNetwork)
+        assert got.words == want.words
+        assert list(got.edge_items()) == list(want.edge_items())
+        assert got == want
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -157,20 +210,21 @@ def test_commands_never_derive_in_edges(
 
 
 def _retained(function, *args):
-    """What ``function(*args)`` returns, and the traced bytes still held after."""
+    """What ``function(*args)`` returns, and the traced bytes held after and
+    at the peak of the call."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         result = function(*args)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        retained, peak = (size - before for size in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    return result, retained
+    return result, retained, peak
 
 
 def test_built_network_keeps_its_out_edges_only(zipf_sentences, tmp_path):
-    net, retained = _retained(build_network, zipf_sentences)
+    net, retained, _ = _retained(build_network, zipf_sentences)
     assert net.n_edges > 20_000
     # the edge lists, the offsets, the word table and one int per node take
     # ~36 bytes per edge here; one out-edge dict per node would take ~100,
@@ -180,9 +234,12 @@ def test_built_network_keeps_its_out_edges_only(zipf_sentences, tmp_path):
     # network also holds its own word strings, ~56 bytes per edge in all
     path = tmp_path / "net.edges.tsv"
     write_edge_list(net, path)
-    read, retained = _retained(read_edge_list, path)
+    read, retained, peak = _retained(read_edge_list, path)
     assert read.n_edges == net.n_edges
     assert retained < 60 * read.n_edges
+    # the reader fills the out-maps directly and peaks at ~194 bytes per
+    # edge here; two dicts keyed by (src, dst) tuples first peaked at ~366
+    assert peak < 250 * read.n_edges
 
 
 @pytest.mark.parametrize("token", ["", "b c", "b\r"])
@@ -291,5 +348,15 @@ def test_unencodable_word_leaves_no_file(tmp_path):
     net = CooccurrenceNetwork(("a", "b", "\ud800"), {(0, 1): 1, (1, 2): 1})
     path = tmp_path / "net.edges.tsv"
     with pytest.raises(UnicodeEncodeError):
+        write_edge_list(net, path)
+    assert not path.exists()
+
+
+def test_weight_past_the_digit_limit_leaves_no_file(tmp_path):
+    # the reader refuses a weight longer than int's digit limit, and the
+    # writer fails on it too, after the lines of the sources before it
+    net = CooccurrenceNetwork(("a", "b", "c"), {(0, 1): 1, (1, 2): 10**5000})
+    path = tmp_path / "net.edges.tsv"
+    with pytest.raises(ValueError, match="digits"):
         write_edge_list(net, path)
     assert not path.exists()

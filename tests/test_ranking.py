@@ -483,6 +483,32 @@ class TestSvgRendering:
         with pytest.raises(ValueError):
             render_rank_svg(left, right, "a", "b", tmp_path / "plot.svg")
 
+    @pytest.mark.parametrize(
+        "measure, weights",
+        # an int out-strength, and an out-selectivity of (10**400 + 1) / 2
+        [("out-strength", (10**400, 2)), ("out-selectivity", (10**400, 1))],
+    )
+    def test_values_past_float_range_are_plotted(self, tmp_path, measure, weights):
+        net = from_edge_list([("a", "b", weights[0]), ("a", "c", weights[1])])
+        series = network_rank_series(net, measure)
+        path = tmp_path / "plot.svg"
+        render_rank_svg(series, series, "a", "b", path)
+        root = ET.fromstring(path.read_text("utf-8"))
+        tag = "{http://www.w3.org/2000/svg}polyline"
+        tops = [line.get("points").split(",")[1] for line in root.iter(tag)]
+        assert tops == ["22.00", "22.00"]  # the top value spans the y axis
+
+    def test_values_past_the_digit_limit_are_plotted(self, tmp_path):
+        # twelve weights of 4,300 nines: an out-strength of 4,302 digits
+        weight = int("9" * 4_300)
+        net = from_edge_list([("a", f"b{i}", weight) for i in range(12)])
+        series = network_rank_series(net, "out-strength")
+        path = tmp_path / "plot.svg"
+        render_rank_svg(series, series, "a", "b", path)
+        svg = path.read_text("utf-8")
+        assert svg.count("<polyline") == 2
+        assert f">1{'0' * 4_301}</text>" in svg  # the tick of the top decade
+
     @pytest.mark.parametrize("side", ["a", "b"])
     def test_zero_value_rejected_by_name(self, tmp_path, side):
         positive = rank_sequence("out-strength", [("a", 4), ("b", 1)])
