@@ -15,6 +15,8 @@ one, so every triangle is found once, not once per corner and direction.
 All ratios are exact `fractions.Fraction` values; a measure that has no
 defined value (selectivity of an isolated direction, path lengths of a
 trivial component, density of a single node) is None rather than NaN.
+`NodeMetrics` and `GlobalMetrics` are named tuples, in the column order
+of the node and summary CSVs, so a per-node row holds no dict of its own.
 
 Pairwise distances come from bit-parallel breadth-first sweeps over the
 largest component: one sweep walks the component's members once per
@@ -32,7 +34,6 @@ sources.  Exact computation (``sample=None``) is the default everywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -47,8 +48,7 @@ from .network import (
 _SAMPLE_SEED = 1729
 
 
-@dataclass(frozen=True)
-class NodeMetrics:
+class NodeMetrics(NamedTuple):
     """Per-node measures; selectivities and avg_distance may be None."""
 
     word: str
@@ -62,8 +62,7 @@ class NodeMetrics:
     avg_distance: Fraction | None
 
 
-@dataclass(frozen=True)
-class GlobalMetrics:
+class GlobalMetrics(NamedTuple):
     """Whole-network measures; path measures and density may be None."""
 
     n_nodes: int
@@ -314,8 +313,7 @@ def _sweep(
         todo = unfinished
 
 
-@dataclass(frozen=True)
-class _DistanceStats:
+class _DistanceStats(NamedTuple):
     """Hop-distance aggregates over the sources of the largest component."""
 
     labeling: ComponentLabeling

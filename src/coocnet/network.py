@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import re
 from array import array
-from dataclasses import dataclass
 from itertools import chain, islice, pairwise, repeat
 from operator import itemgetter, sub
 from pathlib import Path
@@ -230,8 +229,7 @@ class CooccurrenceNetwork:
         )
 
 
-@dataclass(frozen=True)
-class ComponentLabeling:
+class ComponentLabeling(NamedTuple):
     """Weak-component labels per node, component sizes, and the largest id."""
 
     labels: tuple[int, ...]
@@ -239,7 +237,7 @@ class ComponentLabeling:
     largest: int | None  # None only for the empty network; ties -> smallest id
 
     @property
-    def count(self) -> int:
+    def count(self) -> int:  # the component count; shadows `tuple.count`
         return len(self.sizes)
 
 

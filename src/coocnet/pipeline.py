@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 DEFAULT_TERMINATORS = ".!?…"
 
@@ -49,8 +49,7 @@ class IngestionError(ValueError):
     """Input bytes are not valid UTF-8."""
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     """Cleaning knobs; the defaults are used everywhere unless overridden."""
 
     terminators: str = DEFAULT_TERMINATORS
@@ -60,8 +59,7 @@ class PipelineConfig:
 DEFAULT_CONFIG = PipelineConfig()
 
 
-@dataclass(frozen=True)
-class RawDocument:
+class RawDocument(NamedTuple):
     """A decoded input text plus a label identifying where it came from."""
 
     content: str

@@ -28,7 +28,6 @@ import csv
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -73,8 +72,14 @@ class RankEntry(NamedTuple):
     word: str
 
 
-@dataclass(frozen=True)
-class RankSeries:
+class _RankSeriesFields(NamedTuple):
+    measure: str
+    words: tuple[str, ...]
+    values: tuple[int | Fraction, ...]
+    ends: tuple[int, ...]
+
+
+class RankSeries(_RankSeriesFields):
     """Descending values of one measure with 1-based ranks, in rank order.
 
     `words` holds the words and `values[i]` the value object that came
@@ -84,16 +89,23 @@ class RankSeries:
     by word, and every word keeps its own value object, so a run may mix
     equal ints and Fractions.  `entries`, the (rank, value, word) rows, is
     derived on each access.  Build a series with `rank_sequence`.
+
+    A named tuple of its four fields, but its length is its row count, so
+    an empty series is falsy.  `typing.NamedTuple` allows no `__new__` in
+    its own body, hence the subclass.
     """
 
-    measure: str
-    words: tuple[str, ...]
-    values: tuple[int | Fraction, ...]
-    ends: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.measure not in MEASURES:
-            raise ValueError(f"unknown measure {self.measure!r}")
+    def __new__(cls, measure: str, words, values, ends):
+        if measure not in MEASURES:
+            raise ValueError(f"unknown measure {measure!r}")
+        return super().__new__(cls, measure, words, values, ends)
+
+    @classmethod
+    def _make(cls, iterable) -> RankSeries:
+        # the inherited one checks `len`, which here counts rows, not fields
+        return cls(*iterable)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -108,8 +120,7 @@ def _runs(series: RankSeries) -> Iterator[tuple[int, int]]:
     return zip((0, *series.ends), series.ends)
 
 
-@dataclass(frozen=True)
-class PairComparison:
+class PairComparison(NamedTuple):
     """Everything needed to compare two text categories side by side."""
 
     label_a: str
@@ -354,18 +365,11 @@ def write_summary_csv(
     _write_csv(
         path,
         SUMMARY_COLUMNS,
-        (
-            [label]
-            + [
-                format_value(getattr(metrics, field.name))
-                for field in fields(metrics)
-            ]
-            for label, metrics in rows
-        ),
+        ([label, *map(format_value, metrics)] for label, metrics in rows),
     )
 
 
-NODE_COLUMNS = tuple(field.name for field in fields(NodeMetrics))
+NODE_COLUMNS = NodeMetrics._fields
 
 
 def write_node_metrics_csv(
@@ -375,10 +379,7 @@ def write_node_metrics_csv(
     _write_csv(
         path,
         NODE_COLUMNS,
-        (
-            [format_value(getattr(rec, name)) for name in NODE_COLUMNS]
-            for rec in records
-        ),
+        (list(map(format_value, rec)) for rec in records),
     )
 
 
@@ -476,11 +477,14 @@ def render_rank_svg(
     """Draw both series of one measure as log-log polylines.
 
     Plain hand-assembled SVG so the bytes depend only on the data.  Both
-    axes are base-10 logarithmic with ticks at the decades.  A log-log
-    plot needs positive values, so a series holding a zero or a negative
-    value (`rank_sequence` keeps zeros) raises ValueError.  Network series
-    hold values >= 1, as `network_rank_series` drops zeros, so their logs
-    are >= 0.
+    axes are base-10 logarithmic with ticks at the decades.  The y axis
+    marks at most 10 of them: every decade while the top value is below
+    10**10, and past that every (1 + top // 10)-th decade counted down
+    from the top one, so a value of thousands of digits still gives a
+    small plot.  A log-log plot needs positive values, so a series holding
+    a zero or a negative value (`rank_sequence` keeps zeros) raises
+    ValueError.  Network series hold values >= 1, as `network_rank_series`
+    drops zeros, so their logs are >= 0.
     """
     if series_a.measure != series_b.measure:
         raise ValueError(
@@ -516,7 +520,9 @@ def render_rank_svg(
         x = _MARGIN_LEFT + decade / x_span * _PLOT_W
         parts.append(_line(x, x_axis_y, x, x_axis_y + 5))
         parts.append(_text(x, x_axis_y + 18, 10**decade, "middle"))
-    for decade in range(int(y_span) + 1):
+    top = int(y_span)
+    step = 1 + top // 10
+    for decade in range(top % step, top + 1, step):
         y = _MARGIN_TOP + _PLOT_H - decade / y_span * _PLOT_H
         parts.append(_line(_MARGIN_LEFT - 5, y, _MARGIN_LEFT, y))
         parts.append(_text(_MARGIN_LEFT - 8, y + 4, _int_text(10**decade), "end"))

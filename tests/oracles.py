@@ -418,7 +418,10 @@ def rank_svg(series_a, series_b, label_a: str, label_b: str, path) -> None:
             f'<text x="{x:.2f}" y="{x_axis_y + 18:.2f}" '
             f'text-anchor="middle">{10 ** decade}</text>\n'
         )
-    for decade in range(int(y_span) + 1):
+    # every decade below 10**10; past it every step-th, down from the top
+    top = int(y_span)
+    step = 1 + top // 10
+    for decade in range(top % step, top + 1, step):
         y = _MARGIN_TOP + _PLOT_H - decade / y_span * _PLOT_H
         parts.append(
             f'<line x1="{_MARGIN_LEFT - 5:.2f}" y1="{y:.2f}" '

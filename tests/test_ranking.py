@@ -509,6 +509,36 @@ class TestSvgRendering:
         assert svg.count("<polyline") == 2
         assert f">1{'0' * 4_301}</text>" in svg  # the tick of the top decade
 
+    def test_a_top_value_past_the_digit_limit_gives_a_small_plot(self, tmp_path):
+        weight = int("9" * 4_300)
+        net = from_edge_list([("a", f"b{i}", weight) for i in range(12)])
+        series = network_rank_series(net, "out-strength")
+        path = tmp_path / "plot.svg"
+        render_rank_svg(series, series, "a", "b", path)
+        svg = path.read_text("utf-8")
+        assert svg.count('text-anchor="end"') == 10  # not one per decade, 4,302
+        assert path.stat().st_size < 64_000
+
+    def test_a_top_value_past_float_range_gets_at_most_10_y_labels(self, tmp_path):
+        net = from_edge_list([("a", "b", 10**400), ("a", "c", 2)])
+        series = network_rank_series(net, "out-strength")
+        path = tmp_path / "plot.svg"
+        render_rank_svg(series, series, "a", "b", path)
+        root = ET.fromstring(path.read_text("utf-8"))
+        y_labels = [
+            text.text
+            for text in root.iter("{http://www.w3.org/2000/svg}text")
+            if text.get("text-anchor") == "end"
+        ]
+        # every 41st decade, down from the top one
+        assert y_labels == [f"1{'0' * decade}" for decade in range(31, 401, 41)]
+        y_ticks = [
+            line
+            for line in root.iter("{http://www.w3.org/2000/svg}line")
+            if line.get("x2") == "62.00" and line.get("x1") == "57.00"
+        ]
+        assert len(y_ticks) == len(y_labels) == 10
+
     @pytest.mark.parametrize("side", ["a", "b"])
     def test_zero_value_rejected_by_name(self, tmp_path, side):
         positive = rank_sequence("out-strength", [("a", 4), ("b", 1)])
