@@ -58,10 +58,11 @@ from __future__ import annotations
 
 import re
 from array import array
+from contextlib import contextmanager
 from itertools import chain, islice, pairwise, repeat
 from operator import itemgetter, sub
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 
 class EdgeListFormatError(ValueError):
@@ -342,16 +343,27 @@ def write_edge_list(net: CooccurrenceNetwork, path: str | Path) -> None:
     edge or line is ever built.
     """
     words, targets, weights = net.words, net._targets, net._weights
+    with _new_text_file(path) as file:
+        for src, edges in _sorted_edges(net):
+            head = words[src] + "\t"
+            lines = [
+                f"{head}{words[targets[edge]]}\t{weights[edge]}\n" for edge in edges
+            ]
+            file.write("".join(lines))
+
+
+@contextmanager
+def _new_text_file(path: str | Path) -> Iterator[TextIO]:
+    """Open `path` to write UTF-8 text with no newline translation.
+
+    On a ValueError (a word UTF-8 cannot hold, or an int past the digit
+    limit) the file is closed and removed, so no partial file is left.
+    """
     try:
         with open(path, "w", encoding="utf-8", newline="") as file:
-            for src, edges in _sorted_edges(net):
-                head = words[src] + "\t"
-                lines = [
-                    f"{head}{words[targets[edge]]}\t{weights[edge]}\n" for edge in edges
-                ]
-                file.write("".join(lines))
-    except ValueError:  # a word UTF-8 cannot hold, or a weight past the digit limit
-        Path(path).unlink()  # leave no partial file behind
+            yield file
+    except ValueError:
+        Path(path).unlink()
         raise
 
 

@@ -27,13 +27,15 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import sys
 import warnings
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .metrics import GlobalMetrics, NodeMetrics, _node_table, global_summary
-from .network import CooccurrenceNetwork
+from .network import CooccurrenceNetwork, _new_text_file
 
 MEASURES = (
     "in-degree",
@@ -276,69 +278,41 @@ def compare_pair(
     )
 
 
+# 6 significant digits, half-even like float, at any exponent a Fraction's
+# terms can reach (the default range raises decimal.Overflow past 10**999999)
+_SIX_DIGITS = Context(prec=6, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
 def format_value(value: str | int | Fraction | None) -> str:
     """Render a measure value for CSV cells and reports.
 
-    None becomes the empty string, words and integral values print as they
-    are, with every digit however many there are, and everything else is
-    rounded to 6 significant digits.
+    None becomes the empty string; a bool or a word prints as it is.  An
+    integral value prints every digit through `Decimal`, which `str`'s int
+    digit limit does not bind.  Any other value is rounded to 6 significant
+    digits: by float's ``.6g`` in float's normal range, and exactly under
+    `_SIX_DIGITS` past it, beyond float max or below `sys.float_info.min`.
     """
     if value is None:
         return ""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return _int_text(value.numerator)
-        try:
-            return f"{float(value):.6g}"
-        except OverflowError:
-            return _format_huge(value)
-    if isinstance(value, int):
-        return _int_text(value)
-    return str(value)
-
-
-def _format_huge(value: Fraction) -> str:
-    """float's ``.6g`` rendering, computed exactly, for |value| > float max."""
-    if value < 0:
-        return "-" + _format_huge(-value)
-    exponent = len(_int_text(value.numerator // value.denominator)) - 1
-    digits = round(value / 10 ** (exponent - 5))  # half-even, like float
-    if digits == 10**6:  # rounding carried into a new decade
-        digits //= 10
-        exponent += 1
-    mantissa = f"{digits // 10**5}.{digits % 10**5:05d}".rstrip("0").rstrip(".")
-    return f"{mantissa}e+{exponent:02d}"
-
-
-# fewer digits than the smallest limit the interpreter lets `str` be set to
-# (640), so each piece converts whatever the limit is
-_PIECE_DIGITS = 600
-_PIECE = 10**_PIECE_DIGITS
-
-
-def _int_text(value: int) -> str:
-    """The decimal digits of any int, past the interpreter's digit limit too.
-
-    `str` refuses an int of more than 4,300 digits by default; a weight the
-    reader accepts can have that many, and a strength sums such weights.
-    The int is cut into pieces of `_PIECE_DIGITS` digits with `divmod`, and
-    the limit itself is never changed.
-    """
-    if value < 0:
-        return "-" + _int_text(-value)
-    pieces = []
-    while value >= _PIECE:
-        value, piece = divmod(value, _PIECE)
-        pieces.append(f"{piece:0{_PIECE_DIGITS}d}")
-    pieces.append(str(value))
-    return "".join(reversed(pieces))
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        return str(value)
+    if value.denominator == 1:
+        return str(Decimal(value.numerator))
+    try:
+        number = float(value)
+        if abs(number) >= sys.float_info.min:
+            return f"{number:.6g}"
+    except OverflowError:
+        pass
+    exact = _SIX_DIGITS.divide(value.numerator, value.denominator)
+    return f"{exact.normalize(_SIX_DIGITS):.6g}"
 
 
 def _write_csv(
     path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
 ) -> None:
-    """Write a header and rows as UTF-8 CSV with LF line endings."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    """Write a header and rows as UTF-8 CSV, LF endings; no file on ValueError."""
+    with _new_text_file(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -446,11 +420,11 @@ def _log10(value: int | Fraction) -> float:
     """The base-10 logarithm of a positive value, also past float range.
 
     `math.log10` takes an int of any size, but converts a Fraction to float
-    first; past float range the Fraction's terms are taken one by one.
+    first; past float range at either end the terms are taken one by one.
     """
     try:
         return math.log10(value)
-    except OverflowError:
+    except (OverflowError, ValueError):
         return math.log10(value.numerator) - math.log10(value.denominator)
 
 
@@ -525,7 +499,7 @@ def render_rank_svg(
     for decade in range(top % step, top + 1, step):
         y = _MARGIN_TOP + _PLOT_H - decade / y_span * _PLOT_H
         parts.append(_line(_MARGIN_LEFT - 5, y, _MARGIN_LEFT, y))
-        parts.append(_text(_MARGIN_LEFT - 8, y + 4, _int_text(10**decade), "end"))
+        parts.append(_text(_MARGIN_LEFT - 8, y + 4, "1" + "0" * decade, "end"))
     # axis titles
     parts.append(_text(_MARGIN_LEFT + _PLOT_W / 2, _SVG_HEIGHT - 12, "rank", "middle"))
     parts.append(

@@ -17,12 +17,15 @@ the edge iterator instead of the network's lazily filled cache, the
 edge list from one tuple sort over every edge instead of one word rank
 per node, and the edge-list reader from two dicts keyed by (src, dst)
 pairs instead of out-maps filled directly, over lines cut by `str`
-methods instead of a regular expression.  Agreement between the two
-routes is what the equivalence tests assert.
+methods instead of a regular expression, and the value cells from int
+arithmetic alone, digits in 600-digit `divmod` pieces and 6-digit
+rounding by an exact `round`, instead of `decimal`.  Agreement between
+the two routes is what the equivalence tests assert.
 """
 
 import math
 import re
+import sys
 import unicodedata
 from fractions import Fraction
 from functools import lru_cache
@@ -44,7 +47,6 @@ from coocnet.ranking import (
     _SVG_WIDTH,
     _svg_escape,
     _write_csv,
-    format_value,
 )
 
 
@@ -326,6 +328,63 @@ def scaled_network(net: CooccurrenceNetwork, factor: int) -> CooccurrenceNetwork
     """Same graph with every weight multiplied by a positive integer."""
     weights = {edge: weight * factor for edge, weight in net.edge_items()}
     return CooccurrenceNetwork(net.words, weights)
+
+
+# -- value cells: int arithmetic only, no `decimal` ---------------------------
+
+# fewer digits than the smallest int digit limit the interpreter lets `str`
+# be set to (640), so each piece converts whatever the limit is
+_PIECE_DIGITS = 600
+_PIECE = 10**_PIECE_DIGITS
+
+
+def int_text(value: int) -> str:
+    """Every decimal digit of an int, converted 600 digits at a time."""
+    if value < 0:
+        return "-" + int_text(-value)
+    pieces = []
+    while value >= _PIECE:
+        value, piece = divmod(value, _PIECE)
+        pieces.append(f"{piece:0{_PIECE_DIGITS}d}")
+    pieces.append(str(value))
+    return "".join(reversed(pieces))
+
+
+def format_value(value) -> str:
+    """``format_value``: ints in full, other values to 6 significant digits.
+
+    In float's normal range the float prints itself; past it at either end
+    the value is rounded exactly by `six_digits`.
+    """
+    if value is None:
+        return ""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        return str(value)
+    if value.denominator == 1:
+        return int_text(value.numerator)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if sys.float_info.min <= abs(number) < math.inf:
+        return f"{number:.6g}"
+    return six_digits(value)
+
+
+def six_digits(value: Fraction) -> str:
+    """float's ``.6g`` scientific text of a nonzero value, computed exactly."""
+    if value < 0:
+        return "-" + six_digits(-value)
+    # 10**(exponent - 1) <= value < 10**(exponent + 1)
+    exponent = len(int_text(value.numerator)) - len(int_text(value.denominator))
+    if Fraction(10) ** exponent > value:
+        exponent -= 1
+    digits = round(value / Fraction(10) ** (exponent - 5))  # half-even, like float
+    if digits == 10**6:  # rounding carried into a new decade
+        digits //= 10
+        exponent += 1
+    mantissa = f"{digits // 10**5}.{digits % 10**5:05d}".rstrip("0").rstrip(".")
+    return f"{mantissa}e{'-' if exponent < 0 else '+'}{abs(exponent):02d}"
 
 
 # -- reference writers: one row (or point) per entry, as before runs --------

@@ -1,4 +1,5 @@
 import gc
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -331,6 +332,24 @@ class TestComparePair:
             compare_pair(complete_triad, build_network([]), "a", "b")
 
 
+def _past_float_range(sign: int, digits: int, scale: int, exponent: int) -> Fraction:
+    return sign * Fraction(digits, scale) * Fraction(10) ** exponent
+
+
+# nonzero values beyond float max or below its smallest normal number, with
+# 6-digit mantissas that round to even, carry into a new decade, or neither
+_PAST_FLOAT_RANGE = st.builds(
+    _past_float_range,
+    st.sampled_from((1, -1)),
+    st.one_of(
+        st.integers(1, 10**15),
+        st.sampled_from((2 * 10**6 - 1, 2 * 10**6 - 3, 2 * 10**5 + 1)),
+    ),
+    st.one_of(st.integers(1, 10**15), st.sampled_from((2, 2 * 10**6))),
+    st.one_of(st.integers(290, 2_000), st.integers(-2_000, -290)),
+).filter(lambda value: not sys.float_info.min <= abs(value) <= sys.float_info.max)
+
+
 class TestValueFormatting:
     def test_rendering_rules(self):
         assert format_value(None) == ""
@@ -354,6 +373,46 @@ class TestValueFormatting:
         assert format_value(Fraction(-(10**5_000))) == "-1" + "0" * 5_000
         assert format_value(10**1_200 + 7) == "1" + "0" * 1_199 + "7"
         assert format_value(Fraction(10**5_000, 3)) == "3.33333e+4999"
+
+    def test_values_below_float_range_render_exactly(self):
+        # float() gives 0.0 here, which printed as "0" and "-0"
+        assert format_value(Fraction(1, 10**400)) == "1e-400"
+        assert format_value(Fraction(-3, 10**400)) == "-3e-400"
+        # a subnormal float keeps too few bits for 6 digits
+        assert format_value(Fraction(1234567, 10**329)) == "1.23457e-323"
+
+    def test_bools_print_as_words(self):
+        assert (format_value(True), format_value(False)) == ("True", "False")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PAST_FLOAT_RANGE)
+    @example(Fraction(2 * 10**6 - 1, 2) * 10**400)  # 999999.5e400: a carry
+    @example(-Fraction(2 * 10**6 - 1, 2) / Fraction(10) ** 420)
+    @example(Fraction(2 * 10**6 - 3, 2) * 10**400)  # 999998.5e400: to even
+    def test_values_past_float_range_match_the_oracle(self, value):
+        assert format_value(value) == oracles.format_value(value)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(10**4_300, 10**6_000).flatmap(
+            lambda n: st.sampled_from((n, -n, Fraction(n), Fraction(-n)))
+        )
+    )
+    def test_integers_past_the_digit_limit_match_the_oracle(self, value):
+        assert format_value(value) == oracles.format_value(value)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit"
+    )
+    def test_the_lowest_digit_limit_does_not_cut_an_int(self):
+        strength = 12 * (10**4_300 - 1)  # 4,302 digits
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            text = format_value(strength)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert text == "11" + "9" * 4_298 + "88"
 
 
 class TestCsvExports:
@@ -437,6 +496,29 @@ class TestCsvExports:
             "2,2,0,",
             "3,0,0,",
         ]
+
+    def test_pair_csv_ratio_below_float_range(self, tmp_path):
+        small, huge = (
+            network_rank_series(from_edge_list([("a", "b", weight)]), "out-strength")
+            for weight in (1, 10**400)
+        )
+        path = tmp_path / "pair.csv"
+        export_pair_csv(small, huge, path)
+        assert path.read_text("utf-8").splitlines()[1] == f"1,1,1{'0' * 400},1e-400"
+
+    @pytest.mark.parametrize("writer", ["rank", "summary", "nodes"])
+    def test_a_word_utf8_cannot_hold_leaves_no_file(self, tmp_path, writer):
+        word = "\ud800"  # a lone surrogate
+        net = from_edge_list([("a", word, 1)])
+        path = tmp_path / "out.csv"
+        with pytest.raises(UnicodeEncodeError):
+            if writer == "rank":
+                export_rank_csv(network_rank_series(net, "in-degree"), path)
+            elif writer == "summary":
+                write_summary_csv([(word, global_summary(net))], path)
+            else:
+                write_node_metrics_csv(all_node_metrics(net), path)
+        assert not path.exists()
 
     def test_pair_csv_requires_matching_measures(self, tmp_path):
         left = rank_sequence("in-degree", [("a", 1)])
@@ -538,6 +620,16 @@ class TestSvgRendering:
             if line.get("x2") == "62.00" and line.get("x1") == "57.00"
         ]
         assert len(y_ticks) == len(y_labels) == 10
+
+    def test_a_value_below_float_range_is_plotted(self, tmp_path):
+        series = rank_sequence("in-selectivity", [("a", Fraction(1, 10**400))])
+        path = tmp_path / "plot.svg"
+        render_rank_svg(series, series, "a", "b", path)
+        root = ET.fromstring(path.read_text("utf-8"))
+        tag = "{http://www.w3.org/2000/svg}polyline"
+        # log10 = -400 decades below the x axis at 428.00, 406 units each
+        points = [line.get("points") for line in root.iter(tag)]
+        assert points == ["62.00,162828.00", "62.00,162828.00"]
 
     @pytest.mark.parametrize("side", ["a", "b"])
     def test_zero_value_rejected_by_name(self, tmp_path, side):
