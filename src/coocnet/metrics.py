@@ -21,9 +21,12 @@ of the node and summary CSVs, so a per-node row holds no dict of its own.
 Pairwise distances come from bit-parallel breadth-first sweeps over the
 largest component: one sweep walks the component's members once per
 depth for a whole block of B sources, each source one bit of a Python int
-per node.  Its three bitsets take 3 * N' * B / 8 bytes, and B is the
-widest block that keeps them within a 32 MiB budget (every source at once
-up to N' ~ 9,400), so memory stays bounded for any number of sources.
+per node.  The bits of a node are the sources within the current depth
+of it, its ball, grown from its neighbors' balls by the exact recurrence
+of ANF (Palmer, Gibbons & Faloutsos, KDD 2002).  The balls of the last
+depth and of this one take 2 * N' * B / 8 bytes, and B is the widest
+block that keeps them within a 32 MiB budget (every source at once up to
+N' ~ 11,585), so memory stays bounded for any number of sources.
 For very large networks the distance-family functions accept
 ``sample=m`` to sweep from m deterministically chosen source nodes only:
 the average shortest path becomes an estimate, the diameter a lower
@@ -221,16 +224,16 @@ def average_clustering(net: CooccurrenceNetwork) -> Fraction:
     )
 
 
-# A sweep of B sources over a component of N' nodes holds three bitsets
-# (seen, frontier, next frontier) of B bits per node, so B is the widest
-# block with 3 * N' * B / 8 <= _SWEEP_BYTES: every source at once up to
-# N' ~ 9,400, and ~5,300 sources at N' = 16,789.
+# A sweep of B sources over a component of N' nodes holds two bitsets (the
+# balls of the last depth and of this one) of B bits per node, so B is the
+# widest block with 2 * N' * B / 8 <= _SWEEP_BYTES: every source at once up
+# to N' ~ 11,585, and ~8,000 sources at N' = 16,789.
 _SWEEP_BYTES = 32 << 20
 
 
 def _block_width(n_prime: int) -> int:
     """Sources per sweep on a component of ``n_prime`` nodes, at least 1."""
-    return max(1, 8 * _SWEEP_BYTES // (3 * max(n_prime, 1)))
+    return max(1, 8 * _SWEEP_BYTES // (2 * max(n_prime, 1)))
 
 
 def _sweep(
@@ -242,18 +245,20 @@ def _sweep(
 ) -> tuple[int, int]:
     """One breadth-first search from every source of ``block`` at once.
 
-    The multi-source BFS of Then et al., "The More the Merrier: Efficient
-    Multi-Source Graph Traversal" (PVLDB 8(4), 2014).  ``adjacency`` holds
-    the neighbor ids of every node, ``members`` the ids of the connected
-    component that holds the sources, and source ``block[i]`` owns bit i.
-    Each member keeps the bits of the sources that have reached it
-    (``seen``) and of those that reached it at the last depth
-    (``frontier``).  One level ORs the frontier bits of each member's
-    neighbors into the member and keeps the bits it had not seen, so a
-    level costs one pass over the component however many sources the block
-    holds.  A member that every source has reached drops out of later
-    passes.  The three bitsets take 3 * N' * len(block) / 8 bytes, plus
-    Python's per-int overhead.
+    A multi-source BFS after Then et al., "The More the Merrier: Efficient
+    Multi-Source Graph Traversal" (PVLDB 8(4), 2014), stepped by the exact
+    neighbourhood-function recurrence of ANF (Palmer, Gibbons & Faloutsos,
+    KDD 2002): ball_d(v) = ball_{d-1}(v) | OR of ball_{d-1}(u) over the
+    neighbors u of v.  ``adjacency`` holds the neighbor ids of every node,
+    ``members`` the ids of the connected component that holds the sources,
+    and source ``block[i]`` owns bit i of each member's ball, the sources
+    within distance d of it.  One level ORs each member's ball with its
+    neighbors' balls of the last depth; the bits it gains are the sources
+    at distance exactly d, so a level costs one pass over the component
+    however many sources the block holds.  A member whose ball did not grow
+    shares its int between the two lists, and one that every source has
+    reached drops out of later passes.  The two bitsets take
+    2 * N' * len(block) / 8 bytes, plus Python's per-int overhead.
 
     Adds each hop distance d(s, v) to ``sums[v]``, which over all sources
     of the component is v's own distance sum as distances are symmetric;
@@ -263,31 +268,27 @@ def _sweep(
     included.
     """
     full = (1 << len(block)) - 1
-    seen = [0] * len(adjacency)
-    frontier = [0] * len(adjacency)
+    ball = [0] * len(adjacency)
     for bit, source in enumerate(block):
-        seen[source] = frontier[source] = 1 << bit
+        ball[source] = 1 << bit
     reached = len(block)
     depth = 0
     todo = members
     while True:
         depth += 1
-        next_frontier = [0] * len(adjacency)
+        next_ball = ball.copy()
         # by_source: how many nodes each source reached at this depth, bit
         # sliced; source i's count is the sum of (bit i of planes[j]) << j
         planes: list[int] = []
         unfinished = []
         level = 0
         for node in todo:
-            bits = 0
+            old = grown = ball[node]
             for nbr in adjacency[node]:
-                bits |= frontier[nbr]
-            node_seen = seen[node]
-            new = bits & ~node_seen
-            if new:
-                next_frontier[node] = new
-                node_seen |= new
-                seen[node] = node_seen
+                grown |= ball[nbr]
+            if grown != old:
+                next_ball[node] = grown
+                new = grown ^ old
                 count = new.bit_count()
                 level += count
                 if by_source:
@@ -299,7 +300,7 @@ def _sweep(
                         j += 1
                 else:
                     sums[node] += depth * count
-            if node_seen != full:
+            if grown != full:
                 unfinished.append(node)
         for j, plane in enumerate(planes):
             while plane:
@@ -309,7 +310,7 @@ def _sweep(
         if not level:
             return depth - 1, reached
         reached += level
-        frontier = next_frontier
+        ball = next_ball
         todo = unfinished
 
 

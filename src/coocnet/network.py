@@ -28,7 +28,7 @@ call and caches nothing; the tuples are filled from one such call, and
 hold the int objects of the network's own lists rather than fresh ones.
 `weak_components` floods the tuples breadth-first; the distances of
 `metrics` sweep the largest component's members over the same tuples
-from blocks of B sources at once, with 3 * N' * B / 8 bytes of bitsets,
+from blocks of B sources at once, with 2 * N' * B / 8 bytes of bitsets,
 B set by a byte budget.
 
 The constructor and every edge-record reader keep one set of rules: a word

@@ -403,14 +403,17 @@ _COLOR_A = "#1f77b4"
 _COLOR_B = "#d62728"
 
 
-def _polyline_points(series: RankSeries, x_cells: Sequence[str], y_span: float) -> str:
+def _polyline_points(
+    series: RankSeries, x_cells: Sequence[str], y_bottom: int, y_span: float
+) -> str:
     """``x,y`` points of one series; `x_cells[i]` is position i's x cell.
 
-    The y cell is computed once per run of equal values.
+    The y axis runs from decade `y_bottom` up `y_span` decades.  The y cell
+    is computed once per run of equal values.
     """
     points = []
     for start, end in _runs(series):
-        log_value = _log10(series.values[start])
+        log_value = _log10(series.values[start]) - y_bottom
         y_cell = f",{_MARGIN_TOP + _PLOT_H - log_value / y_span * _PLOT_H:.2f}"
         points.extend(x + y_cell for x in x_cells[start:end])
     return " ".join(points)
@@ -452,13 +455,15 @@ def render_rank_svg(
 
     Plain hand-assembled SVG so the bytes depend only on the data.  Both
     axes are base-10 logarithmic with ticks at the decades.  The y axis
-    marks at most 10 of them: every decade while the top value is below
-    10**10, and past that every (1 + top // 10)-th decade counted down
-    from the top one, so a value of thousands of digits still gives a
-    small plot.  A log-log plot needs positive values, so a series holding
-    a zero or a negative value (`rank_sequence` keeps zeros) raises
-    ValueError.  Network series hold values >= 1, as `network_rank_series`
-    drops zeros, so their logs are >= 0.
+    starts at 10**0, or at the decade of the smallest value when that is
+    below 1, and ends at 10**1 or the top value, whichever is higher.  It
+    marks at most 10 decades: every one while the axis spans fewer than 10,
+    and past that every (1 + span // 10)-th decade counted down from the
+    top one, so a value of thousands of digits still gives a small plot.
+    A log-log plot needs positive values, so a series holding a zero or a
+    negative value (`rank_sequence` keeps zeros) raises ValueError.
+    Network series hold values >= 1, as `network_rank_series` drops zeros,
+    so their axis starts at 10**0.
     """
     if series_a.measure != series_b.measure:
         raise ValueError(
@@ -473,9 +478,10 @@ def render_rank_svg(
     max_rank = max(len(series_a), len(series_b))
     # at least one decade per axis so a flat series still renders
     x_span = max(math.log10(max_rank) if max_rank >= 1 else 0.0, 1.0)
-    y_span = max(
-        [1.0] + [_log10(s.values[0]) for s in (series_a, series_b) if s.values]
-    )
+    plotted = [series for series in (series_a, series_b) if series.values]
+    y_top = max([1.0] + [_log10(series.values[0]) for series in plotted])
+    y_bottom = min([0] + [math.floor(_log10(series.values[-1])) for series in plotted])
+    y_span = y_top - y_bottom
 
     x_axis_y = _MARGIN_TOP + _PLOT_H
     y_title = f"{_MARGIN_TOP + _PLOT_H / 2:.2f}"  # its x stays a literal 16
@@ -494,12 +500,13 @@ def render_rank_svg(
         x = _MARGIN_LEFT + decade / x_span * _PLOT_W
         parts.append(_line(x, x_axis_y, x, x_axis_y + 5))
         parts.append(_text(x, x_axis_y + 18, 10**decade, "middle"))
-    top = int(y_span)
-    step = 1 + top // 10
-    for decade in range(top % step, top + 1, step):
+    decades = int(y_top) - y_bottom
+    step = 1 + decades // 10
+    for decade in range(decades % step, decades + 1, step):
         y = _MARGIN_TOP + _PLOT_H - decade / y_span * _PLOT_H
         parts.append(_line(_MARGIN_LEFT - 5, y, _MARGIN_LEFT, y))
-        parts.append(_text(_MARGIN_LEFT - 8, y + 4, "1" + "0" * decade, "end"))
+        label = format_value(Fraction(10) ** (y_bottom + decade))
+        parts.append(_text(_MARGIN_LEFT - 8, y + 4, label, "end"))
     # axis titles
     parts.append(_text(_MARGIN_LEFT + _PLOT_W / 2, _SVG_HEIGHT - 12, "rank", "middle"))
     parts.append(
@@ -516,7 +523,7 @@ def render_rank_svg(
         if series.values:
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                f'points="{_polyline_points(series, x_cells, y_span)}"/>\n'
+                f'points="{_polyline_points(series, x_cells, y_bottom, y_span)}"/>\n'
             )
 
     # legend, top right

@@ -417,11 +417,12 @@ def pair_csv(series_a, series_b, path) -> None:
     _write_csv(path, ("rank", "value_a", "value_b", "ratio_a_over_b"), rows)
 
 
-def _polyline_points(series, x_span: float, y_span: float) -> str:
+def _polyline_points(series, x_span: float, y_bottom: int, y_span: float) -> str:
     points = []
     for entry in series.entries:
         x = _MARGIN_LEFT + math.log10(entry.rank) / x_span * _PLOT_W
-        y = _MARGIN_TOP + _PLOT_H - math.log10(float(entry.value)) / y_span * _PLOT_H
+        log_value = math.log10(float(entry.value)) - y_bottom
+        y = _MARGIN_TOP + _PLOT_H - log_value / y_span * _PLOT_H
         points.append(f"{x:.2f},{y:.2f}")
     return " ".join(points)
 
@@ -440,12 +441,17 @@ def rank_svg(series_a, series_b, label_a: str, label_b: str, path) -> None:
             )
     max_rank = max((len(s) for s in (series_a, series_b)), default=0)
     max_value = 1.0
+    min_value = 1.0
     for series in (series_a, series_b):
         if series.entries:
             max_value = max(max_value, float(series.entries[0].value))
-    # at least one decade per axis so a flat series still renders
+            min_value = min(min_value, float(series.entries[-1].value))
+    # at least one decade per axis so a flat series still renders; the y
+    # axis starts at the decade of the smallest value when that is below 1
     x_span = max(math.log10(max_rank) if max_rank >= 1 else 0.0, 1.0)
-    y_span = max(math.log10(max_value), 1.0)
+    y_top = max(math.log10(max_value), 1.0)
+    y_bottom = math.floor(math.log10(min_value))
+    y_span = y_top - y_bottom
 
     x_axis_y = _MARGIN_TOP + _PLOT_H
 
@@ -477,18 +483,18 @@ def rank_svg(series_a, series_b, label_a: str, label_b: str, path) -> None:
             f'<text x="{x:.2f}" y="{x_axis_y + 18:.2f}" '
             f'text-anchor="middle">{10 ** decade}</text>\n'
         )
-    # every decade below 10**10; past it every step-th, down from the top
-    top = int(y_span)
-    step = 1 + top // 10
-    for decade in range(top % step, top + 1, step):
-        y = _MARGIN_TOP + _PLOT_H - decade / y_span * _PLOT_H
+    # every decade of a span below 10; past it every step-th, down from the top
+    top = int(y_top)
+    step = 1 + (top - y_bottom) // 10
+    for decade in range(top, y_bottom - 1, -step)[::-1]:
+        y = _MARGIN_TOP + _PLOT_H - (decade - y_bottom) / y_span * _PLOT_H
         parts.append(
             f'<line x1="{_MARGIN_LEFT - 5:.2f}" y1="{y:.2f}" '
             f'x2="{_MARGIN_LEFT:.2f}" y2="{y:.2f}" stroke="black"/>\n'
         )
         parts.append(
             f'<text x="{_MARGIN_LEFT - 8:.2f}" y="{y + 4:.2f}" '
-            f'text-anchor="end">{10 ** decade}</text>\n'
+            f'text-anchor="end">{format_value(Fraction(10) ** decade)}</text>\n'
         )
 
     # axis titles
@@ -507,7 +513,7 @@ def rank_svg(series_a, series_b, label_a: str, label_b: str, path) -> None:
         if series.entries:
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                f'points="{_polyline_points(series, x_span, y_span)}"/>\n'
+                f'points="{_polyline_points(series, x_span, y_bottom, y_span)}"/>\n'
             )
 
     # legend, top right

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coocnet import (
     CooccurrenceNetwork,
@@ -414,21 +416,35 @@ class TestSweepBudget:
 
     @staticmethod
     def budget(n_prime: int, width: int) -> int:
-        """The fewest bytes that hold three bitsets of ``width`` bits per node."""
-        return -(-3 * n_prime * width // 8)
+        """The fewest bytes that hold two bitsets of ``width`` bits per node."""
+        return -(-2 * n_prime * width // 8)
+
+    @staticmethod
+    def assert_widest(n_prime: int, budget: int) -> int:
+        """B is the widest block whose bitsets fit in ``budget``, at least 1."""
+        widest = metrics._block_width(n_prime)
+        assert 8 * budget < 2 * n_prime * (widest + 1)
+        assert 2 * n_prime * widest <= 8 * budget or widest == 1
+        return widest
 
     @pytest.mark.parametrize("n_prime", [3, 4, 10, 2_000, 16_789])
     @pytest.mark.parametrize("width", [1, 3, 1_000])
     def test_width_is_the_widest_that_fits(self, monkeypatch, n_prime, width):
-        monkeypatch.setattr(metrics, "_SWEEP_BYTES", self.budget(n_prime, width))
-        assert metrics._block_width(n_prime) == width
-        monkeypatch.setattr(metrics, "_SWEEP_BYTES", self.budget(n_prime, width) - 1)
-        assert metrics._block_width(n_prime) == max(1, width - 1)
+        # the fewest bytes for ``width`` bits may also hold width + 1 (with
+        # n_prime = width = 3, 3 bytes hold 4), so the test pins the
+        # defining inequality rather than ``width`` itself
+        budget = self.budget(n_prime, width)
+        monkeypatch.setattr(metrics, "_SWEEP_BYTES", budget)
+        assert self.assert_widest(n_prime, budget) >= width
+        monkeypatch.setattr(metrics, "_SWEEP_BYTES", budget - 1)
+        assert self.assert_widest(n_prime, budget - 1) < max(2, width)
 
     def test_default_budget(self):
         assert metrics._block_width(2_000) >= 2_000  # every source in one sweep
-        assert 4_000 <= metrics._block_width(16_789) <= 5_500
-        assert 4_000 <= metrics._block_width(19_963) <= 5_500
+        assert metrics._block_width(11_585) == 11_585
+        assert metrics._block_width(11_586) == 11_584
+        assert metrics._block_width(16_789) == 7_994
+        assert metrics._block_width(19_963) == 6_723
 
     @pytest.mark.parametrize("width", [1, 3, "all"])
     def test_distances_match_oracle_at_each_width(self, monkeypatch, width):
@@ -460,6 +476,37 @@ class TestSweepBudget:
                 expect = min(block, n_sources) if n_prime >= 3 else 1
                 full, last = divmod(n_sources, expect)
                 assert widths == [expect] * full + [last] * (last > 0)
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_matches_oracle_at_any_width_and_sample(
+        self, seed, isolate_node_0, data
+    ):
+        rng = np.random.default_rng(seed)
+        words, weights = oracles.random_weights(rng, max_nodes=40)
+        if isolate_node_0:  # outside the largest component once any edge exists
+            words = ["isolated", *words]
+            weights = {(src + 1, dst + 1): w for (src, dst), w in weights.items()}
+        net = CooccurrenceNetwork(words, weights)
+        comp = oracles.largest_component(net)
+        n_prime = len(comp)
+        width = data.draw(st.integers(1, n_prime), label="width")
+        sample = data.draw(st.none() | st.integers(1, n_prime), label="sample")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_block_width", lambda n_prime: width)
+            stats = metrics._distance_stats(net, sample)
+        want_l, want_d, want_node = oracles.path_stats(net)
+        eccentricity = oracles.eccentricities(net)
+        sources = sorted(stats.node_sum)
+        assert len(sources) == (n_prime if sample is None else sample)
+        assert set(sources) <= comp
+        want_sum = {node: want_node[node] * n_prime for node in sources}
+        assert stats.node_sum == want_sum
+        assert stats.total == sum(want_sum.values())
+        assert stats.max_dist == max(eccentricity[node] for node in sources)
+        if sample is None and n_prime >= 2:
+            assert Fraction(stats.total, n_prime * (n_prime - 1)) == want_l
+            assert stats.max_dist == want_d
 
 
 class TestScaleInvariance:

@@ -343,6 +343,27 @@ def test_sampled_distances_walk_the_adjacency_in_place(monkeypatch):
     assert peak < 160 * net.n_nodes
 
 
+@pytest.mark.parametrize("out_degree", [10, 2])
+def test_exact_sweep_holds_two_bitsets(monkeypatch, out_degree):
+    net = _synthetic_network(out_degree=out_degree)
+    labeling = weak_components(net)  # fills the cached adjacency as well
+    n_prime = labeling.sizes[labeling.largest]
+    width = min(metrics._block_width(n_prime), n_prime)
+    assert width == n_prime > 1_900  # every source in one sweep
+    monkeypatch.setattr(metrics, "weak_components", lambda net: labeling)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        metrics._distance_stats(net, None)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # two bitsets of B bits per node peak at ~2.8 N' * B / 8 bytes here
+    # with Python's per-int overhead; a third one takes it past 4
+    assert peak < 3.3 * n_prime * width / 8
+
+
 def test_unencodable_word_leaves_no_file(tmp_path):
     # the API accepts a lone surrogate, which UTF-8 cannot encode
     net = CooccurrenceNetwork(("a", "b", "\ud800"), {(0, 1): 1, (1, 2): 1})

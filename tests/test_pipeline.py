@@ -304,3 +304,20 @@ class TestPipelineOracle:
         assert extract_sentences(text, config) == oracles.extract_sentences(
             text, config
         )
+
+
+class TestUnicodeVersion:
+    """Outputs hash identically for one ``unicodedata.unidata_version``."""
+
+    @pytest.mark.parametrize("fixture", ["formal_text_path", "informal_text_path"])
+    def test_fixture_categories_match_unicode_3_2(self, request, fixture):
+        # each code point's class comes from its category, so fixture
+        # outputs that agree under Unicode 3.2 and this build's database
+        # do not hang on the version between them
+        text = request.getfixturevalue(fixture).read_text("utf-8")
+        moved = {
+            ch
+            for ch in set(text)
+            if unicodedata.category(ch) != unicodedata.ucd_3_2_0.category(ch)
+        }
+        assert not moved

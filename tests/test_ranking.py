@@ -172,6 +172,10 @@ _SVG_PAIRS = st.lists(
             st.integers(min_value=1, max_value=6).map(Fraction),
             st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4),
             st.integers(min_value=1, max_value=10**5),
+            # below 1, several decades under the y axis's 10**0
+            st.fractions(
+                min_value=Fraction(1, 10**6), max_value=1, max_denominator=10**6
+            ),
         ),
     ),
     max_size=40,
@@ -527,6 +531,30 @@ class TestCsvExports:
             export_pair_csv(left, right, tmp_path / "pair.csv")
 
 
+_POLYLINE = "{http://www.w3.org/2000/svg}polyline"
+# positive values from 10**-500 to ~10**503, past float range at both ends
+_POSITIVE_PAIRS = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c", "ab", "ba", "é"]),
+        st.builds(
+            lambda digits, exponent: digits * Fraction(10) ** exponent,
+            st.integers(1, 999),
+            st.integers(-500, 500),
+        ),
+    ),
+    max_size=20,
+)
+
+
+def y_axis_labels(root: ET.Element) -> list[str]:
+    """The y axis's decade labels, bottom to top."""
+    return [
+        text.text
+        for text in root.iter("{http://www.w3.org/2000/svg}text")
+        if text.get("text-anchor") == "end"
+    ]
+
+
 class TestSvgRendering:
     def _series_pair(self):
         rng = np.random.default_rng(23)
@@ -607,11 +635,7 @@ class TestSvgRendering:
         path = tmp_path / "plot.svg"
         render_rank_svg(series, series, "a", "b", path)
         root = ET.fromstring(path.read_text("utf-8"))
-        y_labels = [
-            text.text
-            for text in root.iter("{http://www.w3.org/2000/svg}text")
-            if text.get("text-anchor") == "end"
-        ]
+        y_labels = y_axis_labels(root)
         # every 41st decade, down from the top one
         assert y_labels == [f"1{'0' * decade}" for decade in range(31, 401, 41)]
         y_ticks = [
@@ -626,10 +650,45 @@ class TestSvgRendering:
         path = tmp_path / "plot.svg"
         render_rank_svg(series, series, "a", "b", path)
         root = ET.fromstring(path.read_text("utf-8"))
-        tag = "{http://www.w3.org/2000/svg}polyline"
-        # log10 = -400 decades below the x axis at 428.00, 406 units each
-        points = [line.get("points") for line in root.iter(tag)]
-        assert points == ["62.00,162828.00", "62.00,162828.00"]
+        # the y axis starts at the value's decade, 10**-400, on the x axis
+        points = [line.get("points") for line in root.iter(_POLYLINE)]
+        assert points == ["62.00,428.00", "62.00,428.00"]
+        # 401 decades up to 10**1: every 41st, down from the top one
+        assert y_axis_labels(root) == [
+            "1e-368", "1e-327", "1e-286", "1e-245", "1e-204",
+            "1e-163", "1e-122", "1e-81", "1e-40", "10",
+        ]
+
+    def test_values_below_1_start_the_y_axis_at_their_decade(self, tmp_path):
+        series = rank_sequence(
+            "in-selectivity", [("a", Fraction(1, 2)), ("b", Fraction(3, 2))]
+        )
+        path = tmp_path / "plot.svg"
+        render_rank_svg(series, series, "a", "b", path)
+        root = ET.fromstring(path.read_text("utf-8"))
+        assert y_axis_labels(root) == ["0.1", "1", "10"]
+        # two decades from 10**-1 at y = 428.00, 203 units each
+        points = [line.get("points") for line in root.iter(_POLYLINE)]
+        assert points == ["62.00,189.25 230.58,286.11"] * 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(_POSITIVE_PAIRS, _POSITIVE_PAIRS)
+    @example([("a", Fraction(1, 2)), ("b", Fraction(3, 2))], [])
+    @example([("a", Fraction(1, 10**400))], [("b", 10**400)])
+    def test_every_point_lies_between_the_top_margin_and_the_x_axis(
+        self, pairs_a, pairs_b
+    ):
+        series_a = rank_sequence("in-selectivity", pairs_a)
+        series_b = rank_sequence("in-selectivity", pairs_b)
+        root = ET.fromstring(written(render_rank_svg, series_a, series_b, "a", "b"))
+        ys = [
+            float(point.split(",")[1])
+            for line in root.iter(_POLYLINE)
+            for point in line.get("points").split()
+        ]
+        assert len(ys) == len(series_a) + len(series_b)
+        assert all(22.0 <= y <= 428.0 for y in ys)
+        assert len(y_axis_labels(root)) <= 10
 
     @pytest.mark.parametrize("side", ["a", "b"])
     def test_zero_value_rejected_by_name(self, tmp_path, side):
