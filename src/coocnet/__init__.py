@@ -6,10 +6,15 @@ rank series so two text categories can be compared side by side.  See the
 module docstrings of `pipeline`, `network`, `metrics`, and `ranking` for
 the exact conventions, and `cli` for the command-line front end.
 
+Two texts are compared the way ``coocnet compare`` does it, one network at
+a time: build the first network, take its `profile_network` and drop the
+network; do the same for the second; then `size_mismatch` of the two node
+counts says whether their rank series are comparable.
+
 Every record type (`PipelineConfig`, `NodeMetrics`, `GlobalMetrics`,
-`RankSeries`, ...) is a `typing.NamedTuple`: immutable, equal by value,
-and unpacked or indexed like the tuple of its fields; `_fields`,
-`_asdict` and `_replace` list, map and copy them.
+`RankSeries`, `NetworkProfile`, ...) is a `typing.NamedTuple`: immutable,
+equal by value, and unpacked or indexed like the tuple of its fields;
+`_fields`, `_asdict` and `_replace` list, map and copy them.
 """
 
 from .metrics import (
@@ -54,18 +59,19 @@ from .pipeline import (
 )
 from .ranking import (
     MEASURES,
+    NetworkProfile,
     RankEntry,
     RankSeries,
-    SizeMismatchWarning,
     all_rank_series,
-    compare_pair,
     excluded_fraction,
     export_pair_csv,
     export_rank_csv,
     format_value,
     network_rank_series,
+    profile_network,
     rank_sequence,
     render_rank_svg,
+    size_mismatch,
     write_node_metrics_csv,
     write_summary_csv,
 )
@@ -81,18 +87,17 @@ __all__ = [
     "GlobalMetrics",
     "IngestionError",
     "MEASURES",
+    "NetworkProfile",
     "NodeMetrics",
     "PipelineConfig",
     "RankEntry",
     "RankSeries",
-    "SizeMismatchWarning",
     "all_node_metrics",
     "all_rank_series",
     "average_clustering",
     "average_degree",
     "average_shortest_path",
     "build_network",
-    "compare_pair",
     "degree",
     "density",
     "diameter",
@@ -109,11 +114,13 @@ __all__ = [
     "network_rank_series",
     "node_average_distance",
     "normalize",
+    "profile_network",
     "rank_sequence",
     "read_edge_list",
     "render_rank_svg",
     "segment_sentences",
     "selectivity",
+    "size_mismatch",
     "strength",
     "to_edge_list",
     "tokenize",

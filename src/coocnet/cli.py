@@ -16,7 +16,8 @@ and removes the directories it made, so it leaves ``--out`` as it was.
 
 ``build`` and ``compare`` check that their labels differ before they read
 an input, then hold one network at a time: each input in turn is read and
-built, and its edge list is written before the next input is read.
+built, and its edge list is written before the next input is read.  Both
+warn on stderr of the words that have no edge, which the edge list drops.
 ``compare`` also takes each network's summary, rank series and excluded
 fraction (`ranking.profile_network`) before it drops the network.  The
 size warning, ``summary.csv``, the rank, pair and SVG files and the
@@ -34,6 +35,7 @@ from typing import Sequence
 from .metrics import GlobalMetrics, all_node_metrics, global_summary
 from .network import (
     CooccurrenceNetwork,
+    _edgeless_count,
     build_network,
     read_edge_list,
     write_edge_list,
@@ -166,24 +168,30 @@ class _Outputs:
         print(f"wrote {path}")
 
 
+def _write_edges(out: _Outputs, label: str, net: CooccurrenceNetwork) -> None:
+    """Warn of the words the edge list drops, then write the edge list.
+
+    The format has no node section, so a word with no edge does not
+    survive it.
+    """
+    edgeless = _edgeless_count(net)
+    if edgeless:
+        print(
+            f"warning: {label}: {edgeless} of {net.n_nodes} words have "
+            f"no edge and are not in the edge list",
+            file=sys.stderr,
+        )
+    out.write(f"{label}.edges.tsv", write_edge_list, net)
+
+
 def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
     labels = _labels([None] * len(args.texts), args.texts)
     with _Outputs(args.out) as out:
         for label, path in zip(labels, args.texts):
             net = _build_from_text(path, config)
             print(f"{label}: N={net.n_nodes} K={net.n_edges}")
-            # the format has no node section, so these words do not survive
-            # it; counted in one pass over the edges, which derives no in-edges
-            linked = {node for edge, _ in net.edge_items() for node in edge}
-            edgeless = net.n_nodes - len(linked)
-            if edgeless:
-                print(
-                    f"warning: {label}: {edgeless} of {net.n_nodes} words have "
-                    f"no edge and are not in the edge list",
-                    file=sys.stderr,
-                )
-            out.write(f"{label}.edges.tsv", write_edge_list, net)
-            del net, linked  # freed before the next input is built
+            _write_edges(out, label, net)
+            del net  # freed before the next input is built
     return 0
 
 
@@ -227,7 +235,7 @@ def _profile_text(
     """
     net = _build_from_text(path, config)
     profile = profile_network(net, sample)
-    out.write(f"{label}.edges.tsv", write_edge_list, net)
+    _write_edges(out, label, net)
     return profile
 
 

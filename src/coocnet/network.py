@@ -420,6 +420,19 @@ def undirected_projection(net: CooccurrenceNetwork) -> list[set[int]]:
     return projection
 
 
+def _edgeless_count(net: CooccurrenceNetwork) -> int:
+    """The number of nodes with no edge, which an edge-list file drops.
+
+    Each edge target is marked in one byte per node; a node is edgeless
+    when it is unmarked and its out-edge row is empty.
+    """
+    targeted = bytearray(net.n_nodes)
+    for dst in net._targets:
+        targeted[dst] = 1
+    rows = zip(targeted, net._offsets, islice(net._offsets, 1, None))
+    return sum(1 for marked, start, end in rows if not marked and start == end)
+
+
 def _edge_sources(net: CooccurrenceNetwork) -> Iterator[int]:
     """The source id of each edge in storage order, as the id table's own ints."""
     degrees = map(sub, islice(net._offsets, 1, None), net._offsets)

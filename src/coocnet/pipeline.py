@@ -92,7 +92,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     Recognized keys: ``terminators`` (a string of terminator characters)
     and ``keep_digits`` (true/yes/1 or false/no/0).  Lines starting with
     ``#`` and blank lines are ignored.  Unknown keys raise ValueError, and
-    a file that is not UTF-8 raises IngestionError naming the byte offset.
+    so does a terminator that text cleaning changes (an upper-case letter,
+    a typographic apostrophe), since no cleaned text holds it.  A file that
+    is not UTF-8 raises IngestionError naming the byte offset.
     """
     if path == "":
         raise ValueError("config path is empty")  # Path("") would read "."
@@ -107,6 +109,12 @@ def load_config(path: str | Path) -> PipelineConfig:
         key = key.strip()
         value = value.strip()
         if key == "terminators":
+            for ch in value:
+                if _fold(ch) != ch:  # normalize changes it before the split
+                    raise ValueError(
+                        f"{path}: line {lineno}: terminator {ch!r} becomes "
+                        f"{_fold(ch)!r} in text cleaning, so it never splits"
+                    )
             overrides[key] = value
         elif key == "keep_digits":
             if value.lower() in ("true", "yes", "1"):
@@ -170,6 +178,19 @@ _KEPT = re.compile(r"(?:wm*|[-'t])+")
 _TOKEN = re.compile(r"w[wm]*(?:[-']w[wm]*)*")
 
 
+def _fold(text: str) -> str:
+    """The text composed (NFC), lowercased and re-composed, with its
+    typographic apostrophes and hyphens folded to ASCII; normalize's first
+    step, which runs before any character is classified."""
+    text = unicodedata.normalize("NFC", text).lower()
+    # lowercasing rarely decomposes a codepoint; re-compose to stay NFC
+    text = unicodedata.normalize("NFC", text)
+    # fold typographic variants so one word type is one node: U+2018, U+2019,
+    # U+02BC to "'" and U+2010, U+2011 to "-" (en/em dashes are separators)
+    text = text.replace("\u2018", "'").replace("\u2019", "'").replace("\u02bc", "'")
+    return text.replace("\u2010", "-").replace("\u2011", "-")
+
+
 def normalize(text: str, config: PipelineConfig | None = None) -> str:
     """Clean raw text into lowercase NFC-composed word material.
 
@@ -177,13 +198,7 @@ def normalize(text: str, config: PipelineConfig | None = None) -> str:
     set} becomes a space; whitespace runs collapse.  Idempotent.
     """
     cfg = config or DEFAULT_CONFIG
-    text = unicodedata.normalize("NFC", text).lower()
-    # lowercasing rarely decomposes a codepoint; re-compose to stay NFC
-    text = unicodedata.normalize("NFC", text)
-    # fold typographic variants so one word type is one node: U+2018, U+2019,
-    # U+02BC to "'" and U+2010, U+2011 to "-" (en/em dashes are separators)
-    text = text.replace("\u2018", "'").replace("\u2019", "'").replace("\u02bc", "'")
-    text = text.replace("\u2010", "-").replace("\u2011", "-")
+    text = _fold(text)
     classes = text.translate(_class_table(cfg.terminators, cfg.keep_digits))
     kept = " ".join(text[m.start() : m.end()] for m in _KEPT.finditer(classes))
     return _SPACE_RUN.sub(" ", kept).strip()

@@ -17,9 +17,11 @@ built only when `RankSeries.entries` is read.
 
 Two networks built from different text categories are compared by pairing
 their global summaries and their rank series measure by measure.  Each
-side is taken on its own (`profile_network`), so a caller can drop one
-network before it builds the other.  Exports (CSV tables and an optional
-SVG rank plot) are byte-deterministic: same inputs, same bytes.
+side is profiled on its own (`profile_network`), so a caller drops one
+network before it builds the other, and `size_mismatch` says when the two
+node counts are too far apart for rank-by-rank comparison.  Exports (CSV
+tables and an optional SVG rank plot) are byte-deterministic: same
+inputs, same bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import csv
 import itertools
 import math
 import sys
-import warnings
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -62,10 +63,6 @@ SUMMARY_COLUMNS = (
 
 # node-count gap (fraction of the larger network) that triggers a warning
 _SIZE_GAP_LIMIT = Fraction(1, 5)
-
-
-class SizeMismatchWarning(UserWarning):
-    """Compared networks differ enough in size to skew the comparison."""
 
 
 class RankEntry(NamedTuple):
@@ -120,19 +117,6 @@ class RankSeries(_RankSeriesFields):
 def _runs(series: RankSeries) -> Iterator[tuple[int, int]]:
     """(start, end) positions of each run of equal values, in rank order."""
     return zip((0, *series.ends), series.ends)
-
-
-class PairComparison(NamedTuple):
-    """Everything needed to compare two text categories side by side."""
-
-    label_a: str
-    label_b: str
-    summary_a: GlobalMetrics
-    summary_b: GlobalMetrics
-    series_a: dict[str, RankSeries]
-    series_b: dict[str, RankSeries]
-    excluded_a: Fraction
-    excluded_b: Fraction
 
 
 def rank_sequence(
@@ -245,36 +229,6 @@ def size_mismatch(n_a: int, n_b: int) -> str | None:
     return (
         f"network sizes differ by {gap} nodes ({n_a} vs {n_b}); rank series "
         f"are not directly comparable"
-    )
-
-
-def compare_pair(
-    net_a: CooccurrenceNetwork,
-    net_b: CooccurrenceNetwork,
-    label_a: str,
-    label_b: str,
-    sample: int | None = None,
-) -> PairComparison:
-    """Bundle summaries and rank series of two networks for comparison.
-
-    Each side is one `profile_network` call, the step ``coocnet compare``
-    also takes, one network at a time.  Warns with SizeMismatchWarning when
-    `size_mismatch` finds the node counts too far apart.
-    """
-    message = size_mismatch(net_a.n_nodes, net_b.n_nodes)
-    if message is not None:
-        warnings.warn(message, SizeMismatchWarning, stacklevel=2)
-    side_a = profile_network(net_a, sample)
-    side_b = profile_network(net_b, sample)
-    return PairComparison(
-        label_a=label_a,
-        label_b=label_b,
-        summary_a=side_a.summary,
-        summary_b=side_b.summary,
-        series_a=side_a.series,
-        series_b=side_b.series,
-        excluded_a=side_a.excluded,
-        excluded_b=side_b.excluded,
     )
 
 

@@ -164,7 +164,8 @@ class TestBuild:
 
 
 class TestBuildEdgelessWords:
-    """Words without an edge are not in the edge list; build says how many."""
+    """Words without an edge are not in the edge list; build and compare say
+    how many."""
 
     def test_one_word_sentence_is_named_on_stderr(self, tmp_path, capsys):
         text = write_text(tmp_path, "t.txt", "the cat sat. dog. the dog ran. bird.")
@@ -200,6 +201,36 @@ class TestBuildEdgelessWords:
             r"wrote .*informal_excerpt\.edges\.tsv\n",
             out,
         )
+
+    def test_compare_gives_the_same_line(
+        self, tmp_path, capsys, formal_text_path, informal_text_path
+    ):
+        code, out, err = run(
+            capsys,
+            "compare",
+            str(formal_text_path),
+            str(informal_text_path),
+            "--out",
+            str(tmp_path),
+        )
+        assert code == 0
+        assert err == (
+            "warning: informal_excerpt: 3 of 1475 words have no edge and are "
+            "not in the edge list\n"
+        )
+        # stdout names the files, then prints the two summaries
+        lines = out.splitlines()
+        written = [line for line in lines if line.startswith("wrote ")]
+        assert lines[: len(written)] == written and len(written) == 21
+        assert written[:3] == [
+            f"wrote {tmp_path / name}"
+            for name in (
+                "formal_excerpt.edges.tsv", "informal_excerpt.edges.tsv", "summary.csv"
+            )
+        ]
+        assert lines[len(written)] == "network: formal_excerpt"
+        assert "network: informal_excerpt" in lines
+        assert len(lines) == len(written) + 22
 
     def test_formal_fixture_gives_no_line(self, tmp_path, capsys, formal_text_path):
         argv = ["build", str(formal_text_path), "--out", str(tmp_path)]

@@ -19,6 +19,8 @@ from coocnet import (
     write_edge_list,
 )
 
+from coocnet.network import _edgeless_count
+
 import oracles
 
 
@@ -100,6 +102,22 @@ class TestValidation:
         right = CooccurrenceNetwork(("b", "a"), {(1, 0): 2})
         assert left == right
         assert left != CooccurrenceNetwork(("a", "b"), {(0, 1): 3})
+
+    def test_equality_needs_the_same_words(self):
+        # the same edge list, but c has no edge
+        left = CooccurrenceNetwork(("a", "b"), {(0, 1): 2})
+        right = CooccurrenceNetwork(("a", "b", "c"), {(0, 1): 2})
+        assert to_edge_list(left) == to_edge_list(right)
+        assert left != right
+
+    def test_equality_with_another_type_is_not_implemented(self):
+        net = CooccurrenceNetwork(("a", "b"), {(0, 1): 2})
+        assert net.__eq__(1) is NotImplemented
+        assert (net == 1) is False
+
+    def test_repr_gives_the_sizes(self):
+        net = CooccurrenceNetwork(("a", "b", "c"), {(0, 1): 2, (2, 1): 1})
+        assert repr(net) == "CooccurrenceNetwork(n_nodes=3, n_edges=2)"
 
 
 class TestEdgeListConversion:
@@ -300,6 +318,15 @@ class TestProjectionAndComponents:
         assert labeling.count == 2
         assert labeling.sizes[labeling.largest] == 2
         assert sum(labeling.sizes) == net.n_nodes
+
+    def test_edgeless_count_matches_projection_oracle(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            net = oracles.random_network(rng, max_nodes=30)
+            expected = sum(1 for nbrs in oracles.projection(net) if not nbrs)
+            assert _edgeless_count(net) == expected
+        assert _edgeless_count(build_network([["a", "b"], ["c"], ["b"]])) == 1
+        assert _edgeless_count(build_network([])) == 0
 
     def test_empty_network_has_no_components(self):
         labeling = weak_components(build_network([]))

@@ -217,6 +217,33 @@ class TestLoadConfig:
             load_config(path)
         assert str(info.value) == f"{path}: invalid UTF-8 at byte offset 14"
 
+    @pytest.mark.parametrize(
+        "terminator, cleaned",
+        [("X", "x"), ("’", "'"), ("İ", "i̇")],
+        ids=["upper-case", "typographic-apostrophe", "dotted-capital-i"],
+    )
+    def test_terminator_that_cleaning_changes_is_refused(
+        self, tmp_path, terminator, cleaned
+    ):
+        # normalize lowercases and folds the text before it looks for
+        # terminators, so this one never splits a sentence
+        config = PipelineConfig(terminators=terminator)
+        assert len(extract_sentences(f"one two{terminator}three four", config)) == 1
+        path = tmp_path / "pipeline.conf"
+        path.write_text(f"# one\nterminators = .{terminator}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == (
+            f"{path}: line 2: terminator {terminator!r} becomes {cleaned!r} in "
+            f"text cleaning, so it never splits"
+        )
+
+    def test_terminators_that_cleaning_keeps_are_accepted(self, tmp_path):
+        path = tmp_path / "pipeline.conf"
+        # an ASCII apostrophe and a lone combining acute accent
+        path.write_text("terminators = .!?…'́\n", encoding="utf-8")
+        assert load_config(path).terminators == ".!?…'́"
+
 
 def _collapse(text: str) -> str:
     return re.sub(" {2,}", " ", text).strip()

@@ -2,7 +2,6 @@ import gc
 import sys
 import tempfile
 import tracemalloc
-import warnings
 import xml.etree.ElementTree as ET
 from collections import Counter
 from fractions import Fraction
@@ -16,11 +15,9 @@ from hypothesis import strategies as st
 from coocnet import (
     MEASURES,
     RankEntry,
-    SizeMismatchWarning,
     all_node_metrics,
     all_rank_series,
     build_network,
-    compare_pair,
     excluded_fraction,
     export_pair_csv,
     export_rank_csv,
@@ -28,8 +25,10 @@ from coocnet import (
     from_edge_list,
     global_summary,
     network_rank_series,
+    profile_network,
     rank_sequence,
     render_rank_svg,
+    size_mismatch,
     write_node_metrics_csv,
     write_summary_csv,
 )
@@ -300,40 +299,39 @@ class TestNetworkSeries:
         net = build_network([["a", "b", "c"], ["d"]])
         assert excluded_fraction(net) == Fraction(3, 4)
 
+    def test_excluded_fraction_of_empty_network_raises(self):
+        with pytest.raises(ValueError, match="empty network"):
+            excluded_fraction(build_network([]))
+
+    def test_network_series_refuses_unknown_measure(self, complete_triad):
+        with pytest.raises(ValueError, match="unknown measure 'bogus'"):
+            network_rank_series(complete_triad, "bogus")
+
 
 class TestComparePair:
-    def test_self_comparison_is_symmetric_content(self, complete_triad):
-        cmp = compare_pair(complete_triad, complete_triad, "left", "right")
-        assert cmp.summary_a == cmp.summary_b
-        assert cmp.series_a == cmp.series_b
-        assert cmp.excluded_a == cmp.excluded_b
+    """A comparison of two texts is one profile per network and a size check."""
 
-    @pytest.mark.filterwarnings("ignore::coocnet.SizeMismatchWarning")
-    def test_label_swap_swaps_content(self, complete_triad, two_node_net):
-        ab = compare_pair(complete_triad, two_node_net, "x", "y")
-        ba = compare_pair(two_node_net, complete_triad, "y", "x")
-        assert ab.summary_a == ba.summary_b
-        assert ab.series_a == ba.series_b
-        assert ab.excluded_a == ba.excluded_b
+    def test_profile_holds_the_measures_of_its_network(self, complete_triad):
+        for sample in (None, 2):
+            profile = profile_network(complete_triad, sample)
+            assert profile.summary == global_summary(complete_triad, sample)
+            assert profile.series == all_rank_series(complete_triad)
+            assert profile.excluded == excluded_fraction(complete_triad)
 
     def test_size_gap_warns(self):
-        big = from_edge_list(
-            [(f"w{i}", f"w{i + 1}", 1) for i in range(9)]
-        )  # ten nodes
-        small = from_edge_list([("a", "b", 1)])
-        with pytest.warns(SizeMismatchWarning):
-            compare_pair(big, small, "big", "small")
+        assert size_mismatch(10, 2) == (
+            "network sizes differ by 8 nodes (10 vs 2); rank series "
+            "are not directly comparable"
+        )
+        assert size_mismatch(10, 7) is not None
 
-    def test_close_sizes_stay_quiet(self, complete_triad):
-        other = from_edge_list([("p", "q", 1), ("q", "r", 2)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            compare_pair(complete_triad, other, "a", "b")
+    def test_close_sizes_stay_quiet(self):
+        assert size_mismatch(10, 8) is None  # a gap of exactly a fifth
+        assert size_mismatch(0, 0) is None
 
-    @pytest.mark.filterwarnings("ignore::coocnet.SizeMismatchWarning")
-    def test_empty_network_rejected(self, complete_triad):
+    def test_empty_network_rejected(self):
         with pytest.raises(ValueError):
-            compare_pair(complete_triad, build_network([]), "a", "b")
+            profile_network(build_network([]))
 
 
 def _past_float_range(sign: int, digits: int, scale: int, exponent: int) -> Fraction:
@@ -459,11 +457,9 @@ class TestCsvExports:
         assert row == "solo,1,0,0,,,0,,1,1"
 
     def test_summary_csv_lists_both_labels(self, tmp_path, complete_triad):
-        cmp = compare_pair(complete_triad, complete_triad, "first", "second")
+        summary = global_summary(complete_triad)
         path = tmp_path / "summary.csv"
-        write_summary_csv(
-            [(cmp.label_a, cmp.summary_a), (cmp.label_b, cmp.summary_b)], path
-        )
+        write_summary_csv([("first", summary), ("second", summary)], path)
         lines = path.read_text("utf-8").splitlines()
         assert len(lines) == 3
         assert lines[1].startswith("first,") and lines[2].startswith("second,")

@@ -18,16 +18,16 @@ from coocnet import (
     CooccurrenceNetwork,
     PipelineConfig,
     all_node_metrics,
-    compare_pair,
     global_summary,
     load_document,
+    profile_network,
     rank_sequence,
     weak_components,
 )
 from coocnet.metrics import GlobalMetrics, NodeMetrics
 from coocnet.network import ComponentLabeling
 from coocnet.pipeline import RawDocument
-from coocnet.ranking import PairComparison, RankSeries
+from coocnet.ranking import NetworkProfile, RankSeries
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -59,16 +59,7 @@ FIELDS = {
         "largest_component_size",
     ),
     RankSeries: ("measure", "words", "values", "ends"),
-    PairComparison: (
-        "label_a",
-        "label_b",
-        "summary_a",
-        "summary_b",
-        "series_a",
-        "series_b",
-        "excluded_a",
-        "excluded_b",
-    ),
+    NetworkProfile: ("summary", "series", "excluded"),
 }
 
 
@@ -82,7 +73,7 @@ def records(two_node_net, path4, formal_text_path):
         all_node_metrics(two_node_net)[0],
         global_summary(path4),
         rank_sequence("out-strength", [("a", 4), ("b", 1), ("c", 1)]),
-        compare_pair(two_node_net, two_node_net, "a", "b"),
+        profile_network(two_node_net),
     ]
 
 
@@ -97,7 +88,7 @@ def test_positional_and_keyword_construction_agree(records):
         positional = kind(*values)
         keyword = kind(**dict(zip(FIELDS[kind], values)))
         assert positional == keyword == record
-        if kind is not PairComparison:  # its dict fields never hashed
+        if kind is not NetworkProfile:  # its dict field is never hashed
             assert hash(positional) == hash(keyword) == hash(record)
 
 
