@@ -15,6 +15,9 @@ Every record type (`PipelineConfig`, `NodeMetrics`, `GlobalMetrics`,
 `RankSeries`, `NetworkProfile`, ...) is a `typing.NamedTuple`: immutable,
 equal by value, and unpacked or indexed like the tuple of its fields;
 `_fields`, `_asdict` and `_replace` list, map and copy them.
+
+A per-node measure is a field of the `NodeMetrics` rows of
+`all_node_metrics(net, sample)`, indexed by node id.
 """
 
 from .metrics import (
@@ -24,14 +27,9 @@ from .metrics import (
     average_clustering,
     average_degree,
     average_shortest_path,
-    degree,
     density,
     diameter,
     global_summary,
-    local_clustering,
-    node_average_distance,
-    selectivity,
-    strength,
 )
 from .network import (
     CooccurrenceNetwork,
@@ -98,7 +96,6 @@ __all__ = [
     "average_degree",
     "average_shortest_path",
     "build_network",
-    "degree",
     "density",
     "diameter",
     "excluded_fraction",
@@ -110,18 +107,14 @@ __all__ = [
     "global_summary",
     "load_config",
     "load_document",
-    "local_clustering",
     "network_rank_series",
-    "node_average_distance",
     "normalize",
     "profile_network",
     "rank_sequence",
     "read_edge_list",
     "render_rank_svg",
     "segment_sentences",
-    "selectivity",
     "size_mismatch",
-    "strength",
     "to_edge_list",
     "tokenize",
     "undirected_projection",

@@ -1,16 +1,16 @@
 """Global and per-node structure measures for co-occurrence networks.
 
-Degree-family measures (degree, strength, selectivity) respect edge
-direction.  Distance-family measures (node average distance, average
-shortest path, diameter) and clustering ignore direction and weights: they
-are computed with unweighted hops on the simple undirected projection, and
-path measures are restricted to the largest weak component.  Every
-per-node measure but distances is read from one table, `_node_table`,
-built in a single pass over the nodes and cached on the network.  Its
-triangle counts come from the forward algorithm (Schank & Wagner, WEA
-2005; Latapy, TCS 407, 2008): each projection edge points from the
-endpoint lower in (k, id) order, k the projection degree, to the higher
-one, so every triangle is found once, not once per corner and direction.
+Per-node measures are the fields of the `NodeMetrics` rows of
+`all_node_metrics`.  The degree family (degree, strength, selectivity)
+respects edge direction.  Clustering, 2E/(k(k-1)) with 0 below k = 2, and
+the distance family (a node's mean hop distance to the largest weak
+component, itself included; average shortest path; diameter) ignore
+direction and weights: they are computed on the simple undirected
+projection, paths in unweighted hops within the largest weak component.
+Every per-node measure but distances comes from one cached table,
+`_node_table`, built in one pass over the nodes; the forward algorithm
+(Schank & Wagner, WEA 2005; Latapy, TCS 407, 2008) counts its triangles
+once each.
 
 All ratios are exact `fractions.Fraction` values; a measure that has no
 defined value (selectivity of an isolated direction, path lengths of a
@@ -30,8 +30,8 @@ N' ~ 11,585), so memory stays bounded for any number of sources.
 For very large networks the distance-family functions accept
 ``sample=m`` to sweep from m deterministically chosen source nodes only:
 the average shortest path becomes an estimate, the diameter a lower
-bound, and node average distances are only available for sampled
-sources.  Exact computation (``sample=None``) is the default everywhere.
+bound, and a node's average distance is None unless it is a sampled
+source.  Exact computation (``sample=None``) is the default everywhere.
 """
 
 from __future__ import annotations
@@ -52,7 +52,16 @@ _SAMPLE_SEED = 1729
 
 
 class NodeMetrics(NamedTuple):
-    """Per-node measures; selectivities and avg_distance may be None."""
+    """One row of `all_node_metrics` and of nodes.csv.
+
+    Degrees count distinct in- or out-neighbors and strengths sum the edge
+    weights on that side.  A selectivity is strength / degree, the average
+    weight per distinct neighbor (>= 1), None when that degree is 0.
+    ``clustering`` is 2E/(k(k-1)), E the links among the node's k
+    projection neighbors, 0 when k < 2.  ``avg_distance`` is the mean hop
+    distance to the largest weak component, the node included; None
+    outside it and for unsampled sources.
+    """
 
     word: str
     in_degree: int
@@ -150,37 +159,6 @@ def _shared_ratios(numerators: list[int], denominators: list[int]) -> list:
     return list(map(ratios.__getitem__, pairs))
 
 
-def _side(
-    net: CooccurrenceNetwork, node: int, direction: str, kind: str
-) -> int | Fraction | None:
-    """The node's in- or out-side value of one degree-family measure."""
-    if direction not in ("in", "out"):
-        raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
-    net._check_node(node)  # a list index would accept -1
-    return getattr(_node_table(net), f"{direction}_{kind}")[node]
-
-
-def degree(net: CooccurrenceNetwork, node: int, direction: str) -> int:
-    """Number of distinct in- or out-neighbors."""
-    return _side(net, node, direction, "degree")
-
-
-def strength(net: CooccurrenceNetwork, node: int, direction: str) -> int:
-    """Sum of edge weights on the node's in- or out-side."""
-    return _side(net, node, direction, "strength")
-
-
-def selectivity(
-    net: CooccurrenceNetwork, node: int, direction: str
-) -> Fraction | None:
-    """Strength divided by degree on one side; None when the degree is 0.
-
-    Weights count repeated co-occurrences, so selectivity is the average
-    weight per distinct neighbor and is always >= 1 when defined.
-    """
-    return _side(net, node, direction, "selectivity")
-
-
 def average_degree(net: CooccurrenceNetwork) -> Fraction:
     """2K/N: every directed edge contributes one in- and one out-stub."""
     if net.n_nodes == 0:
@@ -193,17 +171,6 @@ def density(net: CooccurrenceNetwork) -> Fraction | None:
     if net.n_nodes < 2:
         return None
     return Fraction(net.n_edges, net.n_nodes * (net.n_nodes - 1))
-
-
-def local_clustering(net: CooccurrenceNetwork, node: int) -> Fraction:
-    """2E/(k(k-1)) on the undirected projection; 0 when k < 2.
-
-    E counts undirected links among the node's k projection neighbors.
-    """
-    net._check_node(node)
-    table = _node_table(net)
-    k = table.k[node]
-    return Fraction(table.twice_links[node], k * (k - 1)) if k > 1 else Fraction(0)
 
 
 def average_clustering(net: CooccurrenceNetwork) -> Fraction:
@@ -378,24 +345,6 @@ def _distance_stats(
     return stats
 
 
-def node_average_distance(
-    net: CooccurrenceNetwork, node: int, sample: int | None = None
-) -> Fraction | None:
-    """Mean hop distance from the node to the largest weak component.
-
-    The average runs over all component members including the node itself
-    (a zero term), matching a per-node breakdown of the average shortest
-    path.  None for nodes outside the largest component, and for unsampled
-    sources when ``sample`` is set.
-    """
-    net._check_node(node)
-    stats = _distance_stats(net, sample)
-    dist_sum = stats.node_sum.get(node)  # sources all lie in the component
-    if dist_sum is None:
-        return None
-    return Fraction(dist_sum, stats.n_prime)
-
-
 def average_shortest_path(
     net: CooccurrenceNetwork, sample: int | None = None
 ) -> Fraction | None:
@@ -425,17 +374,17 @@ def diameter(net: CooccurrenceNetwork, sample: int | None = None) -> int | None:
 def all_node_metrics(
     net: CooccurrenceNetwork, sample: int | None = None
 ) -> list[NodeMetrics]:
-    """NodeMetrics for every node, indexed by node id."""
+    """NodeMetrics for every node, indexed by node id, built by columns."""
     table = _node_table(net)
-    return [
-        NodeMetrics(
-            word,
-            *degree_family,
-            clustering=local_clustering(net, node),
-            avg_distance=node_average_distance(net, node, sample),
-        )
-        for node, (word, *degree_family) in enumerate(zip(net.words, *table[:6]))
+    stats = _distance_stats(net, sample)
+    clustering = [
+        Fraction(twice_links, k * (k - 1)) if k > 1 else Fraction(0)
+        for k, twice_links in zip(table.k, table.twice_links)
     ]
+    distance: list[Fraction | None] = [None] * net.n_nodes
+    for source, dist_sum in stats.node_sum.items():
+        distance[source] = Fraction(dist_sum, stats.n_prime)
+    return list(map(NodeMetrics, net.words, *table[:6], clustering, distance))
 
 
 def global_summary(

@@ -43,20 +43,37 @@ from typing import NamedTuple
 DEFAULT_TERMINATORS = ".!?…"
 
 _SPACE_RUN = re.compile(" {2,}")
+# the Hangul vowel and final jamo, which NFC composes into the syllable before
+_COMPOSING_JAMO = frozenset(map(chr, [*range(0x1161, 0x1176), *range(0x11A8, 0x11C3)]))
 
 
 class IngestionError(ValueError):
     """Input bytes are not valid UTF-8."""
 
 
-class PipelineConfig(NamedTuple):
-    """Cleaning knobs; the defaults are used everywhere unless overridden."""
-
+class _PipelineConfigFields(NamedTuple):
     terminators: str = DEFAULT_TERMINATORS
     keep_digits: bool = True
 
 
-DEFAULT_CONFIG = PipelineConfig()
+class PipelineConfig(_PipelineConfigFields):
+    """Cleaning knobs; the defaults are used everywhere unless overridden.
+
+    A terminator that `_terminator_problem` refuses raises ValueError.  A
+    subclass, as `typing.NamedTuple` allows no `__new__` in its own body."""
+
+    __slots__ = ()
+
+    def __new__(cls, terminators: str = DEFAULT_TERMINATORS, keep_digits: bool = True):
+        problem = next(filter(None, map(_terminator_problem, terminators)), None)
+        if problem:
+            raise ValueError(problem)
+        return super().__new__(cls, terminators, keep_digits)
+
+    @classmethod
+    def _make(cls, iterable) -> PipelineConfig:
+        # the inherited one skips `__new__`, and `_replace` goes through it
+        return cls(*iterable)
 
 
 class RawDocument(NamedTuple):
@@ -91,10 +108,9 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     Recognized keys: ``terminators`` (a string of terminator characters)
     and ``keep_digits`` (true/yes/1 or false/no/0).  Lines starting with
-    ``#`` and blank lines are ignored.  Unknown keys raise ValueError, and
-    so does a terminator that text cleaning changes (an upper-case letter,
-    a typographic apostrophe), since no cleaned text holds it.  A file that
-    is not UTF-8 raises IngestionError naming the byte offset.
+    ``#`` and blank lines are ignored.  An unknown key, a bad value or a
+    terminator that `PipelineConfig` refuses raises ValueError citing the
+    file and line; a file that is not UTF-8 raises IngestionError.
     """
     if path == "":
         raise ValueError("config path is empty")  # Path("") would read "."
@@ -109,12 +125,9 @@ def load_config(path: str | Path) -> PipelineConfig:
         key = key.strip()
         value = value.strip()
         if key == "terminators":
-            for ch in value:
-                if _fold(ch) != ch:  # normalize changes it before the split
-                    raise ValueError(
-                        f"{path}: line {lineno}: terminator {ch!r} becomes "
-                        f"{_fold(ch)!r} in text cleaning, so it never splits"
-                    )
+            problem = next(filter(None, map(_terminator_problem, value)), None)
+            if problem:
+                raise ValueError(f"{path}: line {lineno}: {problem}")
             overrides[key] = value
         elif key == "keep_digits":
             if value.lower() in ("true", "yes", "1"):
@@ -189,6 +202,27 @@ def _fold(text: str) -> str:
     # U+02BC to "'" and U+2010, U+2011 to "-" (en/em dashes are separators)
     text = text.replace("\u2018", "'").replace("\u2019", "'").replace("\u02bc", "'")
     return text.replace("\u2010", "-").replace("\u2011", "-")
+
+
+def _terminator_problem(ch: str) -> str | None:
+    """Why ``ch`` cannot be a terminator, or None when it can.
+
+    normalize looks for terminators after `_fold`, so one that `_fold`
+    changes (an upper-case letter, a typographic apostrophe) never splits.
+    NFC composes a mark (category M) or a Hangul vowel or final jamo into
+    the character before it where a composed form exists, so such a
+    terminator would split after some letters and not after others."""
+    folded = _fold(ch)
+    if folded != ch:
+        why = f"becomes {folded!r} in text cleaning, so it never splits"
+    elif unicodedata.category(ch)[0] == "M" or ch in _COMPOSING_JAMO:
+        why = "can compose with the character before it, so it may not split"
+    else:
+        return None
+    return f"terminator {ch!r} {why}"
+
+
+DEFAULT_CONFIG = PipelineConfig()
 
 
 def normalize(text: str, config: PipelineConfig | None = None) -> str:

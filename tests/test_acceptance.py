@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 
 from coocnet import (
+    all_node_metrics,
     average_clustering,
     average_degree,
     average_shortest_path,
     build_network,
-    degree,
     density,
     diameter,
     extract_sentences,
@@ -31,11 +31,7 @@ from coocnet import (
     from_edge_list,
     global_summary,
     load_document,
-    local_clustering,
     network_rank_series,
-    node_average_distance,
-    selectivity,
-    strength,
     MEASURES,
 )
 from coocnet.cli import main
@@ -66,15 +62,16 @@ def test_selectivity_returns_exact_hand_computed_ratios():
         one_heavy_in = from_edge_list([("to", "do", 3)])
         two_light_in = from_edge_list([("x", "want", 1), ("y", "want", 1)])
 
-        e_out = selectivity(heavy_out, heavy_out.node_id("i"), "out")
+        e_out = all_node_metrics(heavy_out)[heavy_out.node_id("i")].out_selectivity
         assert e_out == Fraction(7, 4)
         assert format_value(e_out) == "1.75"
 
-        e_in = selectivity(one_heavy_in, one_heavy_in.node_id("do"), "in")
+        e_in = all_node_metrics(one_heavy_in)[one_heavy_in.node_id("do")].in_selectivity
         assert e_in == Fraction(3, 1)
         assert format_value(e_in) == "3"
 
-        e_want = selectivity(two_light_in, two_light_in.node_id("want"), "in")
+        want = two_light_in.node_id("want")
+        e_want = all_node_metrics(two_light_in)[want].in_selectivity
         assert e_want == Fraction(1, 1)
         assert format_value(e_want) == "1"
 
@@ -84,16 +81,17 @@ def test_zero_degree_nodes_have_no_selectivity_and_no_rank():
         rng = np.random.default_rng(101)
         for _ in range(100):
             net = oracles.random_network(rng, max_nodes=50)
+            rows = all_node_metrics(net)
             for side in ("in", "out"):
                 series_words = {
                     measure: {e.word for e in network_rank_series(net, measure).entries}
                     for measure in (f"{side}-degree", f"{side}-strength",
                                     f"{side}-selectivity")
                 }
-                for node in range(net.n_nodes):
-                    word = net.words[node]
-                    if degree(net, node, side) == 0:
-                        assert selectivity(net, node, side) is None
+                for row in rows:
+                    word = row.word
+                    if getattr(row, f"{side}_degree") == 0:
+                        assert getattr(row, f"{side}_selectivity") is None
                         for words in series_words.values():
                             assert word not in words
                     else:
@@ -109,13 +107,12 @@ def test_path_component_and_clustering_measures_match_bruteforce():
             want_l, want_d, want_node = oracles.path_stats(net)
             assert average_shortest_path(net) == want_l
             assert diameter(net) == want_d
+            rows = all_node_metrics(net)
             for node, expected in want_node.items():
-                assert node_average_distance(net, node) == expected
+                assert rows[node].avg_distance == expected
             assert global_summary(net).n_components == len(oracles.components(net))
-            for node in range(net.n_nodes):
-                assert local_clustering(net, node) == oracles.local_clustering(
-                    net, node
-                )
+            for node, row in enumerate(rows):
+                assert row.clustering == oracles.local_clustering(net, node)
 
 
 def test_degree_and_strength_totals_balance():
@@ -123,12 +120,12 @@ def test_degree_and_strength_totals_balance():
         rng = np.random.default_rng(303)
         for _ in range(100):
             net = oracles.random_network(rng, max_nodes=50)
-            nodes = range(net.n_nodes)
-            assert sum(degree(net, n, "in") for n in nodes) == net.n_edges
-            assert sum(degree(net, n, "out") for n in nodes) == net.n_edges
+            rows = all_node_metrics(net)
+            assert sum(row.in_degree for row in rows) == net.n_edges
+            assert sum(row.out_degree for row in rows) == net.n_edges
             total = sum(w for _, w in net.edge_items())
-            assert sum(strength(net, n, "in") for n in nodes) == total
-            assert sum(strength(net, n, "out") for n in nodes) == total
+            assert sum(row.in_strength for row in rows) == total
+            assert sum(row.out_strength for row in rows) == total
 
 
 def test_sentence_adjacency_defines_edges_and_weights():
@@ -172,13 +169,13 @@ def test_uniform_weight_scaling_moves_only_selectivity():
         for _ in range(50):
             net = oracles.random_network(rng, max_nodes=50)
             scaled = oracles.scaled_network(net, 7)
-            for node in range(net.n_nodes):
+            for row, scaled_row in zip(all_node_metrics(net), all_node_metrics(scaled)):
                 for side in ("in", "out"):
-                    base = selectivity(net, node, side)
+                    base = getattr(row, f"{side}_selectivity")
                     if base is None:
-                        assert selectivity(scaled, node, side) is None
+                        assert getattr(scaled_row, f"{side}_selectivity") is None
                     else:
-                        assert selectivity(scaled, node, side) == 7 * base
+                        assert getattr(scaled_row, f"{side}_selectivity") == 7 * base
             assert average_degree(scaled) == average_degree(net)
             assert average_shortest_path(scaled) == average_shortest_path(net)
             assert diameter(scaled) == diameter(net)

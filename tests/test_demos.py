@@ -1,17 +1,22 @@
-"""Smoke test: every demo script runs to completion against the package.
+"""Smoke test: every demo script and README example runs against the package.
 
 Each demo is copied into a temporary tree (with the fixtures linked beside
 it) so the files it writes under ``demos/output/`` stay out of the
-repository.
+repository.  The README's Python examples write nothing and run in place.
+``coocnet.__all__`` names exactly the package's public objects.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+
+import coocnet
 
 REPO = Path(__file__).resolve().parent.parent
 DEMOS = sorted((REPO / "demos").glob("0*.py"))
@@ -37,3 +42,39 @@ def test_demo_runs(demo, tmp_path):
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+README = REPO / "README.md"
+# the body of every ```python block of the README
+EXAMPLES = re.findall(
+    r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S
+)
+
+
+def test_readme_examples_found():
+    assert len(EXAMPLES) >= 2
+
+
+@pytest.mark.parametrize(
+    "example", EXAMPLES, ids=[f"block-{n}" for n in range(1, len(EXAMPLES) + 1)]
+)
+def test_readme_example_runs(example, monkeypatch, capsys):
+    # from the repository root, as the README's relative paths assume; a
+    # file left open warns, and the suite turns warnings into errors
+    monkeypatch.chdir(REPO)
+    exec(compile(example, str(README), "exec"), {"__name__": "__main__"})
+    assert capsys.readouterr().out
+
+
+def test_all_lists_every_public_name_once_in_order():
+    names = coocnet.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(coocnet, name), name
+    public = {
+        name
+        for name, value in vars(coocnet).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(names) == public

@@ -12,17 +12,12 @@ from coocnet import (
     average_degree,
     average_shortest_path,
     build_network,
-    degree,
     density,
     diameter,
     extract_sentences,
     from_edge_list,
     global_summary,
     load_document,
-    local_clustering,
-    node_average_distance,
-    selectivity,
-    strength,
     undirected_projection,
 )
 from coocnet import metrics
@@ -53,48 +48,21 @@ class TestDegreeFamily:
         rng = np.random.default_rng(21)
         for _ in range(20):
             net = oracles.random_network(rng, max_nodes=40)
-            stubs = sum(
-                degree(net, n, "in") + degree(net, n, "out")
-                for n in range(net.n_nodes)
-            )
+            stubs = sum(row.in_degree + row.out_degree for row in all_node_metrics(net))
             assert average_degree(net) == Fraction(stubs, net.n_nodes)
 
     def test_strength_sums_weights(self):
         net = from_edge_list(
             [("i", "p", 3), ("i", "q", 2), ("i", "r", 1), ("i", "s", 1)]
         )
-        node = net.node_id("i")
-        assert strength(net, node, "out") == 7
-        assert degree(net, node, "out") == 4
+        row = all_node_metrics(net)[net.node_id("i")]
+        assert row.out_strength == 7
+        assert row.out_degree == 4
 
     def test_isolated_node_strength_is_zero(self):
-        net = build_network([["solo"]])
-        assert strength(net, 0, "in") == 0
-        assert strength(net, 0, "out") == 0
-
-    @pytest.mark.parametrize(
-        "measure", [degree, strength, selectivity], ids=lambda f: f.__name__
-    )
-    def test_direction_validated(self, two_node_net, measure):
-        for direction in ("both", "sideways", "IN", ""):
-            with pytest.raises(ValueError, match="direction"):
-                measure(two_node_net, 0, direction)
-
-    @pytest.mark.parametrize("node", [-1, 3])  # the triad's ids are 0..2
-    @pytest.mark.parametrize(
-        "reader",
-        [
-            lambda net, node: degree(net, node, "in"),
-            lambda net, node: strength(net, node, "out"),
-            lambda net, node: selectivity(net, node, "in"),
-            local_clustering,
-            node_average_distance,
-        ],
-        ids=["degree", "strength", "selectivity", "clustering", "avg_distance"],
-    )
-    def test_node_id_out_of_range(self, complete_triad, reader, node):
-        with pytest.raises(IndexError):
-            reader(complete_triad, node)
+        (row,) = all_node_metrics(build_network([["solo"]]))
+        assert row.in_strength == 0
+        assert row.out_strength == 0
 
 
 class TestSelectivity:
@@ -102,49 +70,54 @@ class TestSelectivity:
         net = from_edge_list(
             [("i", "p", 3), ("i", "q", 2), ("i", "r", 1), ("i", "s", 1)]
         )
-        value = selectivity(net, net.node_id("i"), "out")
+        value = all_node_metrics(net)[net.node_id("i")].out_selectivity
         assert value == Fraction(7, 4)
         assert float(value) == 1.75
 
     def test_single_heavy_neighbor(self):
         net = from_edge_list([("to", "do", 3)])
-        assert selectivity(net, net.node_id("do"), "in") == 3
+        assert all_node_metrics(net)[net.node_id("do")].in_selectivity == 3
 
     def test_zero_degree_is_undefined(self):
         net = from_edge_list([("a", "want", 1), ("b", "want", 1)])
-        want = net.node_id("want")
-        assert selectivity(net, want, "in") == 1
-        assert selectivity(net, want, "out") is None
+        want = all_node_metrics(net)[net.node_id("want")]
+        assert want.in_selectivity == 1
+        assert want.out_selectivity is None
 
     def test_identity_and_bounds_on_random_networks(self):
         rng = np.random.default_rng(33)
         for _ in range(20):
             net = oracles.random_network(rng, max_nodes=40)
-            for node in range(net.n_nodes):
+            for node, row in enumerate(all_node_metrics(net)):
                 for side in ("in", "out"):
-                    e = selectivity(net, node, side)
-                    k = degree(net, node, side)
+                    e = getattr(row, f"{side}_selectivity")
+                    k = getattr(row, f"{side}_degree")
                     if k == 0:
                         assert e is None
                         continue
-                    assert e * k == strength(net, node, side)
+                    assert e * k == getattr(row, f"{side}_strength")
                     weights = (
                         net.in_weights(node) if side == "in" else net.out_weights(node)
                     )
                     assert 1 <= e <= max(weights.values())
 
 
+def clustering_column(net: CooccurrenceNetwork) -> list[Fraction]:
+    """Every node's local clustering, indexed by node id."""
+    return [row.clustering for row in all_node_metrics(net)]
+
+
 class TestClustering:
     def test_triangle_node(self, complete_triad):
-        for node in range(3):
-            assert local_clustering(complete_triad, node) == 1
+        for row in all_node_metrics(complete_triad):
+            assert row.clustering == 1
 
     def test_star_center(self):
         net = star4()
-        assert local_clustering(net, net.node_id("hub")) == 0
+        assert all_node_metrics(net)[net.node_id("hub")].clustering == 0
 
     def test_low_degree_convention(self, two_node_net):
-        assert local_clustering(two_node_net, 0) == 0
+        assert all_node_metrics(two_node_net)[0].clustering == 0
 
     def test_cycle_with_chord(self):
         # square a-b-c-d-a plus chord a-c; node b sees neighbors {a, c},
@@ -153,10 +126,11 @@ class TestClustering:
         net = from_edge_list(
             [("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("d", "a", 1), ("a", "c", 1)]
         )
-        assert local_clustering(net, net.node_id("b")) == 1
-        assert local_clustering(net, net.node_id("a")) == Fraction(2, 3)
+        clustering = clustering_column(net)
+        assert clustering[net.node_id("b")] == 1
+        assert clustering[net.node_id("a")] == Fraction(2, 3)
         for node in range(net.n_nodes):
-            assert local_clustering(net, node) == oracles.local_clustering(net, node)
+            assert clustering[node] == oracles.local_clustering(net, node)
 
     def test_average_over_all_nodes(self, complete_triad):
         assert average_clustering(complete_triad) == 1
@@ -224,32 +198,35 @@ class TestTriangleOrientation:
             order = names if layout == 0 else list(rng.permutation(names))
             net = undirected_graph(edges, order)
             expected = [oracles.local_clustering(net, v) for v in range(net.n_nodes)]
-            assert [local_clustering(net, v) for v in range(net.n_nodes)] == expected
+            assert clustering_column(net) == expected
             assert average_clustering(net) == sum(expected) / net.n_nodes
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_closed_forms(self, n):
         clique = undirected_graph(complete(n))
-        assert all(local_clustering(clique, v) == 1 for v in range(n))
+        assert all(value == 1 for value in clustering_column(clique))
         ring = undirected_graph(cycle(n))
         assert average_clustering(ring) == (1 if n == 3 else 0)
         spokes = undirected_graph(wheel(n))
+        clustering = clustering_column(spokes)
         hub = spokes.node_id("hub")
         # the hub's n neighbors form an n-cycle: n links among them
-        assert local_clustering(spokes, hub) == Fraction(2 * n, n * (n - 1))
+        assert clustering[hub] == Fraction(2 * n, n * (n - 1))
         # a rim node sees the hub and two rim neighbors: two links, or three in W3
         rim = spokes.node_id("v0")
-        assert local_clustering(spokes, rim) == (1 if n == 3 else Fraction(2, 3))
+        assert clustering[rim] == (1 if n == 3 else Fraction(2, 3))
 
     def test_shared_edge_and_pendant_path(self):
         diamond = undirected_graph(TIED_GRAPHS["two-triangles-sharing-an-edge"])
-        values = {w: local_clustering(diamond, diamond.node_id(w)) for w in "abcd"}
+        clustering = clustering_column(diamond)
+        values = {w: clustering[diamond.node_id(w)] for w in "abcd"}
         assert values == {"a": 1, "b": Fraction(2, 3), "c": Fraction(2, 3), "d": 1}
         tail = undirected_graph(TIED_GRAPHS["K5-with-pendant-path"])
+        clustering = clustering_column(tail)
         # v0 has its four clique neighbors plus p1: 6 links among 5 neighbors
-        assert local_clustering(tail, tail.node_id("v0")) == Fraction(12, 20)
+        assert clustering[tail.node_id("v0")] == Fraction(12, 20)
         for word in ("p1", "p2", "p3"):
-            assert local_clustering(tail, tail.node_id(word)) == 0
+            assert clustering[tail.node_id(word)] == 0
 
 
 class TestDensity:
@@ -267,25 +244,33 @@ class TestDensity:
         assert density(build_network([["solo"]])) is None
 
 
+def distance_column(
+    net: CooccurrenceNetwork, sample: int | None = None
+) -> list[Fraction | None]:
+    """Every node's average distance, indexed by node id."""
+    return [row.avg_distance for row in all_node_metrics(net, sample)]
+
+
 class TestDistances:
     def test_two_node_path(self):
         net = from_edge_list([("a", "b", 1)])
-        assert node_average_distance(net, net.node_id("a")) == Fraction(1, 2)
+        assert distance_column(net)[net.node_id("a")] == Fraction(1, 2)
 
     def test_three_node_path_middle(self):
         net = from_edge_list([("a", "b", 1), ("b", "c", 1)])
-        assert node_average_distance(net, net.node_id("b")) == Fraction(2, 3)
-        assert node_average_distance(net, net.node_id("a")) == 1
+        distance = distance_column(net)
+        assert distance[net.node_id("b")] == Fraction(2, 3)
+        assert distance[net.node_id("a")] == 1
 
     def test_singleton_component(self):
         net = build_network([["solo"]])
-        assert node_average_distance(net, 0) == 0
+        assert distance_column(net)[0] == 0
         assert average_shortest_path(net) is None
         assert diameter(net) is None
 
     def test_node_outside_largest_component(self):
         net = build_network([["a", "b", "c"], ["d"]])
-        assert node_average_distance(net, net.node_id("d")) is None
+        assert distance_column(net)[net.node_id("d")] is None
 
     def test_three_node_path_average(self):
         net = from_edge_list([("a", "b", 1), ("b", "c", 1)])
@@ -311,8 +296,9 @@ def assert_distances_match_oracle(net: CooccurrenceNetwork) -> None:
     want_l, want_d, want_node = oracles.path_stats(net)
     assert average_shortest_path(net) == want_l
     assert diameter(net) == want_d
+    distance = distance_column(net)
     for node in range(net.n_nodes):
-        assert node_average_distance(net, node) == want_node.get(node)
+        assert distance[node] == want_node.get(node)
 
 
 def assert_sampled_distances_match_oracle(
@@ -322,10 +308,7 @@ def assert_sampled_distances_match_oracle(
     _, _, want_node = oracles.path_stats(net)
     eccentricity = oracles.eccentricities(net)
     n_prime = len(want_node)
-    values = {
-        node: node_average_distance(net, node, sample=sample)
-        for node in range(net.n_nodes)
-    }
+    values = dict(enumerate(distance_column(net, sample)))
     sources = [node for node, value in values.items() if value is not None]
     assert len(sources) == min(sample, n_prime)
     for node in sources:
@@ -347,10 +330,9 @@ class TestOracleEquivalence:
         for _ in range(60):
             net = oracles.random_network(rng, max_nodes=50)
             assert_distances_match_oracle(net)
+            clustering = clustering_column(net)
             for node in range(net.n_nodes):
-                assert local_clustering(net, node) == oracles.local_clustering(
-                    net, node
-                )
+                assert clustering[node] == oracles.local_clustering(net, node)
 
     def test_node_metrics_match_oracles(self):
         rng = np.random.default_rng(2025)
@@ -387,10 +369,12 @@ class TestOracleEquivalence:
                 assert_sampled_distances_match_oracle(net, sample)
         assert average_shortest_path(pair_and_singletons) == 1
         assert diameter(pair_and_singletons) == 1
-        assert node_average_distance(pair_and_singletons, 0) == Fraction(1, 2)
-        assert node_average_distance(pair_and_singletons, 2) is None
-        assert node_average_distance(only_singletons, 0) == 0
-        assert node_average_distance(only_singletons, 1) is None
+        pair_distance = distance_column(pair_and_singletons)
+        assert pair_distance[0] == Fraction(1, 2)
+        assert pair_distance[2] is None
+        singleton_distance = distance_column(only_singletons)
+        assert singleton_distance[0] == 0
+        assert singleton_distance[1] is None
         assert diameter(only_singletons) is None
 
     def test_l_never_exceeds_diameter(self):
@@ -515,14 +499,15 @@ class TestScaleInvariance:
         for _ in range(20):
             net = oracles.random_network(rng, max_nodes=30)
             scaled = oracles.scaled_network(net, 7)
-            for node in range(net.n_nodes):
+            for row, scaled_row in zip(all_node_metrics(net), all_node_metrics(scaled)):
                 for side in ("in", "out"):
-                    assert degree(scaled, node, side) == degree(net, node, side)
-                    base = selectivity(net, node, side)
+                    degree, selectivity = f"{side}_degree", f"{side}_selectivity"
+                    assert getattr(scaled_row, degree) == getattr(row, degree)
+                    base = getattr(row, selectivity)
                     if base is None:
-                        assert selectivity(scaled, node, side) is None
+                        assert getattr(scaled_row, selectivity) is None
                     else:
-                        assert selectivity(scaled, node, side) == 7 * base
+                        assert getattr(scaled_row, selectivity) == 7 * base
             assert average_degree(scaled) == average_degree(net)
             assert average_shortest_path(scaled) == average_shortest_path(net)
             assert diameter(scaled) == diameter(net)
@@ -617,7 +602,7 @@ class TestSampledEstimates:
         net = from_edge_list(
             [("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("d", "e", 1)]
         )
-        values = [node_average_distance(net, n, sample=2) for n in range(5)]
+        values = distance_column(net, sample=2)
         assert sum(v is not None for v in values) == 2
 
     def test_sampled_values_match_oracle(self):
@@ -635,7 +620,7 @@ class TestSampledEstimates:
     @pytest.mark.parametrize("sentences", [[], [["solo"]], [["a", "b"]]])
     def test_invalid_sample_size_on_tiny_networks(self, sentences, sample):
         net = build_network(sentences)
-        for measure in (average_shortest_path, diameter):
+        for measure in (average_shortest_path, diameter, all_node_metrics):
             with pytest.raises(ValueError, match="sample must be >= 1"):
                 measure(net, sample=sample)
         # the empty network has no summary, whatever the sample
@@ -661,10 +646,11 @@ class TestNetworkxCrossCheck:
         assert diameter(net) == max(max(row.values()) for row in lengths.values())
         triangles = nx.triangles(graph)
         clustering = []
+        values = clustering_column(net)
         for node in range(net.n_nodes):
             k = graph.degree(node)
             want = Fraction(2 * triangles[node], k * (k - 1)) if k > 1 else Fraction(0)
-            assert local_clustering(net, node) == want
+            assert values[node] == want
             clustering.append(want)
         assert average_clustering(net) == sum(clustering) / net.n_nodes
         assert global_summary(net).n_components == nx.number_connected_components(

@@ -1,5 +1,6 @@
 import gc
 import re
+import sys
 import tracemalloc
 import unicodedata
 
@@ -226,23 +227,45 @@ class TestLoadConfig:
         self, tmp_path, terminator, cleaned
     ):
         # normalize lowercases and folds the text before it looks for
-        # terminators, so this one never splits a sentence
-        config = PipelineConfig(terminators=terminator)
-        assert len(extract_sentences(f"one two{terminator}three four", config)) == 1
+        # terminators, so this one would never split a sentence
+        problem = (
+            f"terminator {terminator!r} becomes {cleaned!r} in "
+            f"text cleaning, so it never splits"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            PipelineConfig(terminators=terminator)
         path = tmp_path / "pipeline.conf"
         path.write_text(f"# one\nterminators = .{terminator}\n", encoding="utf-8")
         with pytest.raises(ValueError) as info:
             load_config(path)
-        assert str(info.value) == (
-            f"{path}: line 2: terminator {terminator!r} becomes {cleaned!r} in "
-            f"text cleaning, so it never splits"
+        assert str(info.value) == f"{path}: line 2: {problem}"
+
+    @pytest.mark.parametrize(
+        "terminator",
+        ["\u0301", "\u1161"],
+        ids=["combining-acute", "hangul-vowel-jamo"],
+    )
+    def test_terminator_that_composes_is_refused(self, tmp_path, terminator):
+        # NFC composes it into a letter that has a composed form with it, so
+        # it would split "q" + it but not "e" + it (or "ᄀ" + it)
+        problem = (
+            f"terminator {terminator!r} can compose with the character before "
+            f"it, so it may not split"
         )
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            PipelineConfig(terminators=terminator)
+        path = tmp_path / "pipeline.conf"
+        path.write_text(f"terminators = .{terminator}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: line 1: {problem}"
 
     def test_terminators_that_cleaning_keeps_are_accepted(self, tmp_path):
         path = tmp_path / "pipeline.conf"
-        # an ASCII apostrophe and a lone combining acute accent
-        path.write_text("terminators = .!?…'́\n", encoding="utf-8")
-        assert load_config(path).terminators == ".!?…'́"
+        # an ASCII apostrophe among the defaults
+        path.write_text("terminators = .!?…'\n", encoding="utf-8")
+        assert load_config(path).terminators == ".!?…'"
+        assert PipelineConfig(terminators=".!?…'").terminators == ".!?…'"
 
 
 def _collapse(text: str) -> str:
@@ -305,11 +328,70 @@ _PIECE = st.one_of(
     st.sampled_from(_EDGE_PIECES),
 )
 _TEXT = st.lists(_PIECE).map("".join)
+
+# the edges of the two Hangul jamo ranges NFC composes, and one step outside
+_JAMO_EDGES = "\u1160\u1161\u1175\u1176\u11a7\u11a8\u11c2\u11c3"
+
+
+def _refused(ch: str) -> bool:
+    """The terminator rule: text cleaning changes ``ch``, or NFC may compose
+    it into the character before it (a mark, a Hangul vowel or final jamo)."""
+    cleaned = unicodedata.normalize("NFC", unicodedata.normalize("NFC", ch).lower())
+    return (
+        cleaned != ch
+        or ch in "\u2018\u2019\u02bc\u2010\u2011"  # folded to ' and -
+        or unicodedata.category(ch).startswith("M")
+        or "\u1161" <= ch <= "\u1175"
+        or "\u11a8" <= ch <= "\u11c2"
+    )
+
+
+# terminators hold only the characters the constructor accepts
 _CONFIG = st.builds(
     PipelineConfig,
-    terminators=st.lists(_PIECE, max_size=4).map("".join),
+    terminators=st.lists(_PIECE, max_size=4).map(
+        lambda pieces: "".join(ch for ch in "".join(pieces) if not _refused(ch))
+    ),
     keep_digits=st.booleans(),
 )
+
+
+class TestTerminatorRule:
+    @given(_PIECE | st.sampled_from(_JAMO_EDGES))
+    @settings(max_examples=1000, deadline=None)
+    def test_refused_exactly_by_the_rule(self, piece):
+        for ch in piece:
+            if _refused(ch):
+                message = f"^terminator {re.escape(repr(ch))} "
+                with pytest.raises(ValueError, match=message):
+                    PipelineConfig(terminators=ch)
+            else:
+                assert PipelineConfig(terminators=ch).terminators == ch
+
+    def test_replace_checks_terminators(self):
+        config = PipelineConfig(terminators=";")
+        assert config._replace(keep_digits=False) == PipelineConfig(";", False)
+        with pytest.raises(ValueError, match="terminator 'X' becomes 'x'"):
+            config._replace(terminators="X")
+        with pytest.raises(ValueError, match="terminator 'X' becomes 'x'"):
+            PipelineConfig._make(["X", True])
+
+    def test_every_character_that_nfc_composes_is_refused(self):
+        # the characters NFC composes into the one before them: every one
+        # after the first of the canonical decomposition of a code point
+        # that NFC rebuilds from it
+        composing = set()
+        for code_point in range(sys.maxunicode + 1):
+            ch = chr(code_point)
+            if unicodedata.is_normalized("NFD", ch):
+                continue
+            parts = unicodedata.normalize("NFD", ch)
+            if len(parts) > 1 and unicodedata.normalize("NFC", parts) == ch:
+                composing.update(parts[1:])
+        assert {"\u0301", "\u1161", "\u11c2"} <= composing
+        for ch in composing:
+            with pytest.raises(ValueError, match="can compose"):
+                PipelineConfig(terminators=ch)
 
 
 class TestPipelineOracle:
