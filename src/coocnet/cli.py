@@ -229,14 +229,15 @@ def _profile_text(
     config: PipelineConfig,
     sample: int | None,
 ) -> NetworkProfile:
-    """Build one input's network, profile it and write its edge list.
+    """Build one input's network, write its edge list and profile it.
 
-    The network is dropped on return, so ``compare`` holds one at a time.
+    The writer's transients are freed before the profile's projection and
+    per-node table are built.  The network is dropped on return, so
+    ``compare`` holds one at a time.
     """
     net = _build_from_text(path, config)
-    profile = profile_network(net, sample)
     _write_edges(out, label, net)
-    return profile
+    return profile_network(net, sample)
 
 
 def _cmd_compare(args: argparse.Namespace, config: PipelineConfig) -> int:

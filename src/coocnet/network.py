@@ -15,13 +15,15 @@ the int objects of the id table, and the offsets 8-byte machine ints; on
 a 40,000-token text the network retains ~36 bytes per edge, its words
 not counted (one dict of out-edges per node took ~100).  `out_weights`
 and `in_weights` return a new dict on each call, which the caller owns.
-A network is treated as immutable and caches four derived views on the
+A network is treated as immutable and caches five derived views on the
 instance, each filled on first use and safe for concurrent readers: the
 in-neighbor maps, a transpose of the out-edges that only `in_weights`
 reads (`_in_edges`); the undirected projection as one tuple of neighbor
-ids per node (`_adjacency`); the per-node table of `metrics` (degree
-family and neighbor links); and the hop-distance aggregates of `metrics`
-per sample size.  The measures and writers read the edge lists alone, so
+ids per node (`_adjacency`); the node ids sorted by word, as the id
+table's own ints, which the edge-list writer and the rank series read
+(`_word_order`); the per-node table of `metrics` (degree family and
+neighbor links); and the hop-distance aggregates of `metrics` per sample
+size.  The measures and writers read the edge lists alone, so
 the in-neighbor maps are never filled unless a caller asks for them.
 `undirected_projection` returns the projection as fresh sets on each
 call and caches nothing; the tuples are filled from one such call, and
@@ -159,9 +161,10 @@ class CooccurrenceNetwork:
         self._offsets = offsets
         self._targets = targets
         self._weights = weights
-        # lazily filled caches, see _in_edges / _adjacency / metrics
+        # lazily filled caches, see _in_edges / _adjacency / _word_order / metrics
         self._in_cache: list[dict[int, int]] | None = None
         self._adjacency_cache: list[tuple[int, ...]] | None = None
+        self._word_order_cache: list[int] | None = None
         self._node_cache = None  # metrics._node_table
         self._distance_cache: dict = {}
 
@@ -275,11 +278,11 @@ def build_network(sentences: Iterable[Sequence[str]]) -> CooccurrenceNetwork:
 def _sorted_edges(net: CooccurrenceNetwork) -> Iterator[tuple[int, list[int]]]:
     """Each source id with out-edges, and its edges' positions, in word order.
 
-    The node ids are sorted by word once, and each edge takes the rank of
-    its target; each source's edge positions are then sorted by that rank,
-    which orders the edges by (src, dst) word.
+    Each edge takes the rank of its target in the cached word order; each
+    source's edge positions are then sorted by that rank, which orders the
+    edges by (src, dst) word.
     """
-    order = sorted(range(net.n_nodes), key=net.words.__getitem__)
+    order = _word_order(net)
     rank = [0] * net.n_nodes
     for place, node in enumerate(order):
         rank[node] = place
@@ -484,6 +487,18 @@ def _adjacency(net: CooccurrenceNetwork) -> list[tuple[int, ...]]:
             adjacency[node] = tuple(neighbors)  # frees each set as it goes
         net._adjacency_cache = adjacency
     return net._adjacency_cache
+
+
+def _word_order(net: CooccurrenceNetwork) -> list[int]:
+    """The node ids sorted by word; cached on the network.
+
+    Holds the id table's own int objects, so the cache adds one pointer
+    per node.  The edge-list writer and the rank series read it.
+    """
+    if net._word_order_cache is None:
+        ids = net._ids
+        net._word_order_cache = list(map(ids.__getitem__, sorted(ids)))
+    return net._word_order_cache
 
 
 def weak_components(net: CooccurrenceNetwork) -> ComponentLabeling:

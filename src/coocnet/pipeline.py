@@ -22,10 +22,17 @@ deterministic steps:
     stripped).
 
 All three functions are pure and total over their documented inputs.
-``normalize`` and ``tokenize`` classify characters through ``str.translate``
-tables that are shared by every call and filled on the first sight of each
-code point; a concurrent fill writes the same value, so threads may share
-them.
+``normalize`` and ``tokenize`` clean by table translation, with no step
+per token: one ``str.translate`` maps each character to itself when its
+class can survive (letter, digit, mark, joiner, terminator) and to a
+space otherwise.  Then the rare cases a table cannot see, which depend
+on a neighbor, are blanked: a combining mark that follows no letter or
+digit (found on a string of character classes, built only for a
+non-ASCII text once a mark has been seen), and in ``tokenize`` a joiner
+not between word characters.  ``normalize`` then collapses spaces and
+``tokenize`` splits on them.  The tables are shared by every call and
+filled on the first sight of each code point; a concurrent fill writes
+the same value, so threads may share them.
 
 Known limitations, by design: abbreviations are not special-cased (``dr.``
 ends a sentence), and combining marks that have no precomposed form stay
@@ -160,12 +167,19 @@ def _char_class(ch: str) -> str:
 class _ClassTable(dict):
     """A ``str.translate`` table from code point to class, each entry filled
     the first time its code point is seen: a terminator is ``t``, a joiner
-    (``-``, ``'``) is itself, a digit is ``w`` or, when dropped, ``" "``."""
+    (``-``, ``'``) is itself, a digit is ``w`` or, when dropped, ``" "``.
+
+    Each fill also fills `kept`, the table that maps a code point to itself
+    when its class can survive cleaning (``w m - ' t``) and to a space
+    otherwise, and sets `marks_seen` once a mark (``m``) has been seen.
+    """
 
     def __init__(self, terminators: str = "", keep_digits: bool = True) -> None:
         super().__init__()
         self._terminators = terminators
         self._digit = "w" if keep_digits else " "
+        self.kept = _KeptTable(self)
+        self.marks_seen = False
 
     def __missing__(self, code_point: int) -> str:
         ch = chr(code_point)
@@ -177,18 +191,52 @@ class _ClassTable(dict):
             cls = _char_class(ch)
             if cls == "d":
                 cls = self._digit
+            elif cls == "m":
+                self.marks_seen = True  # before the entries, for concurrent readers
+        self.kept[code_point] = ch if cls in "wm-'t" else " "
         self[code_point] = cls
         return cls
+
+
+class _KeptTable(dict):
+    """The `kept` table of a `_ClassTable`, filled through it."""
+
+    def __init__(self, classes: _ClassTable) -> None:
+        super().__init__()
+        self._classes = classes
+
+    def __missing__(self, code_point: int) -> str:
+        self._classes.__missing__(code_point)
+        return self[code_point]
 
 
 # one shared table per recent (terminators, keep_digits); an evicted one is
 # only filled again
 _class_table = lru_cache(maxsize=16)(_ClassTable)
-# what survives cleaning: terminators, joiners, and word characters with
-# the marks that follow them; a mark after anything else is dropped
-_KEPT = re.compile(r"(?:wm*|[-'t])+")
-# a token joins runs of word characters with single joiners
-_TOKEN = re.compile(r"w[wm]*(?:[-']w[wm]*)*")
+# in a class string: a run of marks that follows no word character or mark
+_ORPHAN_MARKS = re.compile("(?<![wm])m+")
+# in a kept string, where every mark left follows a word character: a
+# joiner that has a space, a joiner or an end of the string on either side
+_LOOSE_JOINER = re.compile(r"(?<![^ '-])[-']|[-'](?![^ '-])")
+
+
+def _without_orphan_marks(text: str, kept: str, table: _ClassTable) -> str:
+    """`kept`, the translation of `text` by `table.kept`, with a space for
+    each run of marks that follows no word character or mark.
+
+    `kept` is translated first, so a mark in `text` has set
+    `table.marks_seen`; the class string is built only when it is set and
+    `text` is not ASCII, which no mark is.
+    """
+    if not table.marks_seen or text.isascii():
+        return kept
+    pieces = []
+    last = 0
+    for match in _ORPHAN_MARKS.finditer(text.translate(table)):
+        pieces.append(kept[last : match.start()])
+        last = match.end()
+    pieces.append(kept[last:])
+    return " ".join(pieces)
 
 
 def _fold(text: str) -> str:
@@ -233,8 +281,8 @@ def normalize(text: str, config: PipelineConfig | None = None) -> str:
     """
     cfg = config or DEFAULT_CONFIG
     text = _fold(text)
-    classes = text.translate(_class_table(cfg.terminators, cfg.keep_digits))
-    kept = " ".join(text[m.start() : m.end()] for m in _KEPT.finditer(classes))
+    table = _class_table(cfg.terminators, cfg.keep_digits)
+    kept = _without_orphan_marks(text, text.translate(table.kept), table)
     return _SPACE_RUN.sub(" ", kept).strip()
 
 
@@ -254,8 +302,11 @@ def tokenize(sentence: str) -> list[str]:
     character acts as a separator, so the output is well formed even on
     text that skipped ``normalize``.
     """
-    classes = sentence.translate(_class_table())
-    return [sentence[m.start() : m.end()] for m in _TOKEN.finditer(classes)]
+    table = _class_table()
+    kept = _without_orphan_marks(sentence, sentence.translate(table.kept), table)
+    if "-" in kept or "'" in kept:
+        kept = _LOOSE_JOINER.sub(" ", kept)
+    return kept.split()
 
 
 def extract_sentences(

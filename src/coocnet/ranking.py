@@ -6,6 +6,15 @@ the series is reproducible.  Nodes whose value is zero or undefined are
 left out: a node with no incoming edge carries no information about the
 incoming side, and including a zero tail would only flatten log-log plots.
 
+Every series comes from one core, `_ranked`: a single stable sort, by
+descending int key, of positions that are already in word order, so ties
+stay in word order; the keys are equal exactly when the values are, and
+a run of equal values ends wherever the sorted keys change.  A network's
+nodes come in its cached word order (`network._word_order`); a degree or
+strength is its own key, and a selectivity is keyed by the rank of its
+value among the column's few hundred distinct values, the only place
+where `Fraction`s are compared.
+
 A series is stored as three flat tuples in rank order: the words, their
 values, and the end of each run of equal value (a network's thousands of
 nodes share a few hundred values).  The writers work once per run: one
@@ -32,11 +41,12 @@ import math
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
+from operator import ne
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .metrics import GlobalMetrics, NodeMetrics, _node_table, global_summary
-from .network import CooccurrenceNetwork, _new_text_file
+from .network import CooccurrenceNetwork, _new_text_file, _word_order
 
 MEASURES = (
     "in-degree",
@@ -87,7 +97,8 @@ class RankSeries(_RankSeriesFields):
     its last entry equal to the length.  Within a run the words are sorted
     by word, and every word keeps its own value object, so a run may mix
     equal ints and Fractions.  `entries`, the (rank, value, word) rows, is
-    derived on each access.  Build a series with `rank_sequence`.
+    derived on each access.  Build a series with `rank_sequence` or
+    `network_rank_series`; both end in the keyed sort of `_ranked`.
 
     A named tuple of its four fields, but its length is its row count, so
     an empty series is falsy.  `typing.NamedTuple` allows no `__new__` in
@@ -125,53 +136,80 @@ def rank_sequence(
     """Rank (word, value) pairs; None values are dropped, zeros are kept.
 
     Sorting is by descending value, then ascending word; ranks are the
-    1-based positions after the sort.  The words and values are grouped by
-    exact value in one dict keyed by (numerator, denominator), which equal
-    ints and Fractions share and which, unlike `Fraction.__hash__`, is
-    cheap.  Only the distinct values are sorted, and each group, sorted by
-    word, becomes one run of the series: exact `Fraction` comparisons run
-    over a network's few hundred distinct values, not its thousands of
-    nodes, and the writers format, divide and take logs once per run.  A
-    group extends the flat words and values and adds its end, so no pair
-    is kept per word.  Every word keeps its own value object, and pairs
-    with equal value and word keep their input order.
+    1-based positions after the sort.  The pairs are first put in word
+    order by one stable sort.  Each value is keyed by the rank of its
+    (numerator, denominator) group, which equal ints and Fractions share,
+    so exact comparisons run over the few distinct values only, and
+    `_ranked` sorts by those int keys.  Every word keeps its own value
+    object, and pairs with equal value and word keep their input order.
     """
-    groups: dict[tuple[int, int], tuple[list[str], list[int | Fraction]]] = {}
-    for word, value in pairs:
-        if value is not None:
-            key = (value.numerator, value.denominator)
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = ([], [])
-            group[0].append(word)
-            group[1].append(value)
     words: list[str] = []
     values: list[int | Fraction] = []
-    ends: list[int] = []
-    for group_words, group_values in sorted(
-        groups.values(), key=lambda group: group[1][0], reverse=True
-    ):
-        order = sorted(range(len(group_words)), key=group_words.__getitem__)  # stable
-        words.extend(map(group_words.__getitem__, order))
-        values.extend(map(group_values.__getitem__, order))
-        ends.append(len(words))
-    return RankSeries(measure, tuple(words), tuple(values), tuple(ends))
+    for word, value in pairs:
+        if value is not None:
+            words.append(word)
+            values.append(value)
+    groups = {(value.numerator, value.denominator): value for value in values}
+    ascending = sorted(groups, key=groups.__getitem__)
+    key_of = dict(zip(ascending, itertools.count()))
+    keys = [key_of[value.numerator, value.denominator] for value in values]
+    positions = sorted(range(len(words)), key=words.__getitem__)  # stable
+    return _ranked(measure, positions, words, values, keys)
+
+
+def _ranked(
+    measure: str,
+    positions: Iterable[int],
+    words: Sequence[str],
+    values: Sequence[int | Fraction],
+    keys: Sequence[int],
+) -> RankSeries:
+    """The series of the entries at `positions`, which are in word order.
+
+    Position p holds `words[p]` and `values[p]`; `keys[p]` is an int that
+    orders the values, equal exactly when they are equal.  One stable sort
+    by descending key keeps word order within each run of equal values,
+    and a run ends wherever the sorted keys change.
+    """
+    ranked = sorted(positions, key=keys.__getitem__, reverse=True)
+    ranked_keys = list(map(keys.__getitem__, ranked))
+    changes = map(ne, ranked_keys, itertools.islice(ranked_keys, 1, None))
+    ends = [*itertools.compress(itertools.count(1), changes)]
+    if ranked:
+        ends.append(len(ranked))
+    return RankSeries(
+        measure,
+        tuple(map(words.__getitem__, ranked)),
+        tuple(map(values.__getitem__, ranked)),
+        tuple(ends),
+    )
 
 
 def network_rank_series(net: CooccurrenceNetwork, measure: str) -> RankSeries:
     """Rank series of one measure over a network's nodes.
 
-    Zero values are mapped to None before ranking, so a series only covers
-    nodes active on the relevant side; the in-degree, in-strength, and
-    in-selectivity series of one network therefore all have the same length
-    (likewise for the out side).
+    Zero values are dropped like None, so a series only covers nodes
+    active on the relevant side; the in-degree, in-strength, and
+    in-selectivity series of one network therefore all have the same
+    length (likewise for the out side).  The nodes come in the network's
+    cached word order.  A degree or strength is its own key; a
+    selectivity is keyed by the rank of its value among the column's
+    distinct values, found over its shared objects (one per distinct
+    (strength, degree) pair), not per node.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
-    values = getattr(_node_table(net), measure.replace("-", "_"))
-    return rank_sequence(
-        measure, ((word, value or None) for word, value in zip(net.words, values))
-    )
+    column = getattr(_node_table(net), measure.replace("-", "_"))
+    order = _word_order(net)
+    active = itertools.compress(order, map(column.__getitem__, order))
+    keys = column
+    if measure.endswith("selectivity"):
+        shared = dict(zip(map(id, column), column))
+        ascending = sorted(set(filter(None, shared.values())))
+        key_of = dict(zip(ascending, itertools.count()))
+        key_of_id = {obj_id: key_of.get(value) for obj_id, value in shared.items()}
+        keys = list(map(key_of_id.__getitem__, map(id, column)))
+    return _ranked(measure, active, net.words, column, keys)
 
 
 def all_rank_series(net: CooccurrenceNetwork) -> dict[str, RankSeries]:

@@ -8,7 +8,8 @@ the per-node table tallies the in-side from the out-edges;
 `undirected_projection` builds fresh sets on each call, while
 components, the per-node table and the distance sweeps read one cached
 adjacency of int tuples, the sweeps in place; `to_edge_list` and
-`write_edge_list` share one edge order, and the writer writes each
+`write_edge_list` share one edge order, built on a word order cached
+once for them and the rank series, and the writer writes each
 source's lines into the open file instead of joining every line first;
 the edge-record readers fill the out-maps directly and scan their records
 again only to cite a duplicate.  Each is checked against an oracle, and a
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 from coocnet import (
     CooccurrenceNetwork,
     EdgeListFormatError,
+    all_rank_series,
     average_clustering,
     average_shortest_path,
     build_network,
@@ -324,6 +326,24 @@ def test_edge_list_is_in_word_order(tmp_path_factory, seed):
     write_edge_list(net, path)
     lines = "".join(f"{src}\t{dst}\t{weight}\n" for src, dst, weight in want)
     assert path.read_bytes() == lines.encode("utf-8")
+
+
+@pytest.mark.parametrize("first", ["rank series", "edge list"])
+def test_word_order_is_filled_once_from_the_id_table(tmp_path, first):
+    net = _synthetic_network(n_nodes=600, out_degree=2)
+    path = tmp_path / "net.edges.tsv"
+    readers = [lambda: all_rank_series(net), lambda: write_edge_list(net, path)]
+    if first == "edge list":
+        readers.reverse()
+    readers[0]()
+    order = net._word_order_cache
+    assert order is not None
+    readers[1]()
+    assert net._word_order_cache is order  # read, not filled again
+    assert [net.words[node] for node in order] == sorted(net.words)
+    # the id table's ints, not equal copies: ids past 256 are not shared
+    table_ints = {id(node) for node in net._ids.values()}
+    assert all(id(node) in table_ints for node in order)
 
 
 def test_sampled_distances_walk_the_adjacency_in_place(monkeypatch):

@@ -5,7 +5,7 @@ import tracemalloc
 import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -394,21 +394,49 @@ class TestTerminatorRule:
                 PipelineConfig(terminators=ch)
 
 
+# the neighbor-dependent blanking paths, so each runs on every test run:
+# an orphan mark at the start, after a space terminator and after "-"; a
+# joiner next to a joiner, before a mark, at the start and at the end
+_ORPHAN_MARK_CASES = (
+    ("\u0301ab c", PipelineConfig()),
+    ("ab \u0301c. d", PipelineConfig(terminators=" .")),
+    ("ab-\u0301c", PipelineConfig()),
+)
+_LOOSE_JOINER_CASES = ("a--b", "a-\u0301b", "'a'", "a'")
+
+
+def _examples(cases):
+    """Hypothesis `example` decorators, one per argument tuple."""
+
+    def decorate(test):
+        for case in reversed(cases):
+            test = example(*case)(test)
+        return test
+
+    return decorate
+
+
 class TestPipelineOracle:
-    """The class-string grammars equal the per-character state machines."""
+    """Translation and blanking equal the per-character state machines."""
 
     @given(_TEXT, _CONFIG)
     @settings(max_examples=1000, deadline=None)
+    @_examples(_ORPHAN_MARK_CASES)
+    @_examples([(case, PipelineConfig()) for case in _LOOSE_JOINER_CASES])
     def test_normalize(self, text, config):
         assert normalize(text, config) == oracles.normalize(text, config)
 
     @given(_TEXT)
     @settings(max_examples=1000, deadline=None)
+    @_examples([(text,) for text, _ in _ORPHAN_MARK_CASES])
+    @_examples([(case,) for case in _LOOSE_JOINER_CASES])
     def test_tokenize(self, text):
         assert tokenize(text) == oracles.tokenize(text)
 
     @given(_TEXT, _CONFIG)
     @settings(max_examples=1000, deadline=None)
+    @_examples(_ORPHAN_MARK_CASES)
+    @_examples([(case, PipelineConfig()) for case in _LOOSE_JOINER_CASES])
     def test_extract_sentences(self, text, config):
         assert extract_sentences(text, config) == oracles.extract_sentences(
             text, config

@@ -232,6 +232,79 @@ class TestWritersMatchOracles:
         assert written(render_rank_svg, *args) == written(oracles.rank_svg, *args)
 
 
+def assert_network_series_match_rank_order(net):
+    """Each measure's series is the oracle's order of the table's column,
+    zeros dropped, with the same value objects and one run per value."""
+    table = _node_table(net)
+    for measure in MEASURES:
+        column = getattr(table, measure.replace("-", "_"))
+        pairs = [(word, value or None) for word, value in zip(net.words, column)]
+        series = network_rank_series(net, measure)
+        assert_matches_rank_order(series, pairs)
+        values = series.values
+        changes = [i for i in range(1, len(values)) if values[i - 1] != values[i]]
+        assert list(series.ends) == changes + [len(values)] * bool(values)
+
+
+class TestNetworkSeriesOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_networks(self, seed):
+        rng = np.random.default_rng(seed)
+        words = [f"w{i}" for i in range(60)]  # "w10" sorts before "w2"
+        net = oracles.random_network(rng, max_nodes=60, max_weight=4, words=words)
+        assert_network_series_match_rank_order(net)
+
+    def test_equal_ratios_of_distinct_pairs_share_a_run(self):
+        # out-selectivities 2/1, 4/2 and 6/3 are equal, each its own object
+        net = from_edge_list([
+            ("c", "x", 2),
+            ("b", "x", 3), ("b", "y", 1),
+            ("a", "x", 1), ("a", "y", 2), ("a", "z", 3),
+            ("d", "x", 1),
+        ])
+        series = network_rank_series(net, "out-selectivity")
+        assert series.words == ("a", "b", "c", "d")
+        assert series.values == (2, 2, 2, 1)
+        assert len({id(value) for value in series.values[:3]}) == 3
+        assert series.ends == (3, 4)
+        assert_network_series_match_rank_order(net)
+
+    def test_strengths_where_floats_collide(self):
+        # 2**53 + 1 rounds to the float 2**53, as a strength and a ratio
+        big = 2**53
+        assert float(big + 1) == float(big) == float(Fraction(big + 1, 1))
+        net = from_edge_list([
+            ("a", "x", big + 1),
+            ("b", "x", big),
+            ("c", "x", big), ("c", "y", 2),
+            ("d", "x", big), ("d", "y", 1),
+            ("e", "x", big - 1),
+        ])
+        series = network_rank_series(net, "out-strength")
+        assert series.words == ("c", "a", "d", "b", "e")
+        assert series.ends == (1, 3, 4, 5)
+        selectivity = network_rank_series(net, "out-selectivity")
+        assert selectivity.words == ("a", "b", "e", "c", "d")
+        assert_network_series_match_rank_order(net)
+
+    def test_strengths_past_float_range(self):
+        huge = 10**400
+        net = from_edge_list([
+            ("a", "x", huge),
+            ("b", "x", huge + 1),
+            ("c", "x", huge), ("c", "y", huge),
+            ("d", "x", 2 * huge - 1), ("d", "y", 1),
+        ])
+        series = network_rank_series(net, "out-strength")
+        assert series.words == ("c", "d", "b", "a")
+        # 10**400 three ways: huge / 1, 2 * huge / 2 twice
+        selectivity = network_rank_series(net, "out-selectivity")
+        assert selectivity.words == ("b", "a", "c", "d")
+        assert selectivity.ends == (1, 4)
+        assert_network_series_match_rank_order(net)
+
+
 class TestNetworkSeries:
     def test_zero_degree_nodes_are_absent(self):
         net = from_edge_list([("a", "b", 2), ("c", "b", 1)])
