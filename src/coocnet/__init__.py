@@ -16,19 +16,16 @@ Every record type (`PipelineConfig`, `NodeMetrics`, `GlobalMetrics`,
 equal by value, and unpacked or indexed like the tuple of its fields;
 `_fields`, `_asdict` and `_replace` list, map and copy them.
 
-A per-node measure is a field of the `NodeMetrics` rows of
-`all_node_metrics(net, sample)`, indexed by node id.
+A whole-network measure is a field of the `GlobalMetrics` that
+`global_summary(net, sample)` returns, and a per-node measure a field of
+the `NodeMetrics` rows of `all_node_metrics(net, sample)`, indexed by
+node id.
 """
 
 from .metrics import (
     GlobalMetrics,
     NodeMetrics,
     all_node_metrics,
-    average_clustering,
-    average_degree,
-    average_shortest_path,
-    density,
-    diameter,
     global_summary,
 )
 from .network import (
@@ -92,12 +89,7 @@ __all__ = [
     "RankSeries",
     "all_node_metrics",
     "all_rank_series",
-    "average_clustering",
-    "average_degree",
-    "average_shortest_path",
     "build_network",
-    "density",
-    "diameter",
     "excluded_fraction",
     "export_pair_csv",
     "export_rank_csv",

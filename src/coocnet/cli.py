@@ -13,6 +13,9 @@ produce identical output trees (timestamps aside).  Exit status is 0 only
 when every requested output was written; a command that fails writes back
 the earlier bytes of the files it overwrote, deletes the files it made
 and removes the directories it made, so it leaves ``--out`` as it was.
+An interrupt (Ctrl-C) does the same, prints one ``error: interrupted``
+line and exits 130.  A stdout closed by its reader stops the printed
+lines but not the command (`_say`).
 
 ``build`` and ``compare`` check that their labels differ before they read
 an input, then hold one network at a time: each input in turn is read and
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -103,6 +107,23 @@ def _load_network(
     return _build_from_text(path, config)
 
 
+def _say(line: str) -> None:
+    """Print and flush one line of the report; a closed stdout is not an error.
+
+    The files are the results, so a reader that stops reading
+    (``coocnet compare ... | head -1``) must not fail the command.  On
+    `BrokenPipeError` stdout's descriptor is pointed at ``os.devnull``, as
+    the Python documentation's note on SIGPIPE advises, so the later lines
+    and the flush at exit go nowhere.
+    """
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _print_summary(label: str, metrics: GlobalMetrics, excluded) -> None:
     undef = "undefined"
     rows = [
@@ -117,10 +138,10 @@ def _print_summary(label: str, metrics: GlobalMetrics, excluded) -> None:
         ("largest component", str(metrics.largest_component_size)),
         ("rank-excluded nodes", f"{float(excluded):.1%}"),
     ]
-    print(f"network: {label}")
+    _say(f"network: {label}")
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
-        print(f"  {name:<{width}}  {value}")
+        _say(f"  {name:<{width}}  {value}")
 
 
 class _Outputs:
@@ -165,7 +186,7 @@ class _Outputs:
         path = self.directory / name
         self._files.append((path, path.read_bytes() if path.is_file() else None))
         writer(*args, path)
-        print(f"wrote {path}")
+        _say(f"wrote {path}")
 
 
 def _write_edges(out: _Outputs, label: str, net: CooccurrenceNetwork) -> None:
@@ -189,7 +210,7 @@ def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
     with _Outputs(args.out) as out:
         for label, path in zip(labels, args.texts):
             net = _build_from_text(path, config)
-            print(f"{label}: N={net.n_nodes} K={net.n_edges}")
+            _say(f"{label}: N={net.n_nodes} K={net.n_edges}")
             _write_edges(out, label, net)
             del net  # freed before the next input is built
     return 0
@@ -375,6 +396,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # the package's errors subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # --out is already put back; no traceback
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Global and per-node structure measures for co-occurrence networks.
 
-Per-node measures are the fields of the `NodeMetrics` rows of
-`all_node_metrics`.  The degree family (degree, strength, selectivity)
+Whole-network measures are the fields of the `GlobalMetrics` of
+`global_summary`, per-node measures the fields of the `NodeMetrics` rows
+of `all_node_metrics`.  The degree family (degree, strength, selectivity)
 respects edge direction.  Clustering, 2E/(k(k-1)) with 0 below k = 2, and
 the distance family (a node's mean hop distance to the largest weak
 component, itself included; average shortest path; diameter) ignore
@@ -27,7 +28,7 @@ of ANF (Palmer, Gibbons & Faloutsos, KDD 2002).  The balls of the last
 depth and of this one take 2 * N' * B / 8 bytes, and B is the widest
 block that keeps them within a 32 MiB budget (every source at once up to
 N' ~ 11,585), so memory stays bounded for any number of sources.
-For very large networks the distance-family functions accept
+For very large networks `global_summary` and `all_node_metrics` accept
 ``sample=m`` to sweep from m deterministically chosen source nodes only:
 the average shortest path becomes an estimate, the diameter a lower
 bound, and a node's average distance is None unless it is a sampled
@@ -75,7 +76,19 @@ class NodeMetrics(NamedTuple):
 
 
 class GlobalMetrics(NamedTuple):
-    """Whole-network measures; path measures and density may be None."""
+    """The whole-network measures of `global_summary` and summary.csv.
+
+    Over N nodes and K directed edges, ``avg_degree`` is 2K/N, one in- and
+    one out-stub per edge, and ``density`` is K/(N(N-1)), the share of the
+    possible directed edges present, None when N < 2.  ``n_components``
+    counts the weak components, and the largest has N' nodes
+    (``largest_component_size``).  On it, ``avg_shortest_path`` is the mean
+    hop distance over ordered pairs of distinct nodes and ``diameter`` the
+    longest hop distance, both None when N' < 2.  With ``sample=m`` both
+    run over the pairs from m sampled sources only, so the mean is an
+    estimate and the diameter a lower bound.  ``avg_clustering`` is the
+    mean local clustering over all N nodes, isolated ones included.
+    """
 
     n_nodes: int
     n_edges: int
@@ -159,28 +172,16 @@ def _shared_ratios(numerators: list[int], denominators: list[int]) -> list:
     return list(map(ratios.__getitem__, pairs))
 
 
-def average_degree(net: CooccurrenceNetwork) -> Fraction:
-    """2K/N: every directed edge contributes one in- and one out-stub."""
-    if net.n_nodes == 0:
-        raise ValueError("average degree of an empty network is undefined")
-    return Fraction(2 * net.n_edges, net.n_nodes)
-
-
-def density(net: CooccurrenceNetwork) -> Fraction | None:
-    """Fraction of the N(N-1) possible directed edges present; None if N < 2."""
-    if net.n_nodes < 2:
-        return None
-    return Fraction(net.n_edges, net.n_nodes * (net.n_nodes - 1))
-
-
 def average_clustering(net: CooccurrenceNetwork) -> Fraction:
-    """Mean local clustering over all nodes, isolated ones included.
+    """The clustering step of `global_summary`, on a network of N >= 1 nodes.
 
     The numerators are summed as integers per projection degree k, so the
     exact sum takes one `Fraction` per distinct degree, not one per node.
+    It is a function of its own only because the traced benchmark
+    (``perfbench/spans.py``) times it and ``tests/test_hook_points.py``
+    pins that call; once the benchmark reads an in-package stage recorder
+    (ROADMAP item 1b), item 1c folds it into `global_summary`.
     """
-    if net.n_nodes == 0:
-        raise ValueError("average clustering of an empty network is undefined")
     table = _node_table(net)
     links_by_k: dict[int, int] = {}
     for k, twice_links in zip(table.k, table.twice_links):
@@ -345,32 +346,6 @@ def _distance_stats(
     return stats
 
 
-def average_shortest_path(
-    net: CooccurrenceNetwork, sample: int | None = None
-) -> Fraction | None:
-    """Mean hop distance over ordered node pairs of the largest component.
-
-    None when the component has fewer than two nodes.  With sampling the
-    outer sum runs over the sampled sources only.
-    """
-    stats = _distance_stats(net, sample)
-    if stats.n_prime < 2:
-        return None
-    return Fraction(stats.total, stats.n_sources * (stats.n_prime - 1))
-
-
-def diameter(net: CooccurrenceNetwork, sample: int | None = None) -> int | None:
-    """Longest shortest path (in hops) within the largest weak component.
-
-    None when the component has fewer than two nodes.  With sampling this
-    is max eccentricity over the sampled sources, a lower bound.
-    """
-    stats = _distance_stats(net, sample)
-    if stats.n_prime < 2:
-        return None
-    return stats.max_dist
-
-
 def all_node_metrics(
     net: CooccurrenceNetwork, sample: int | None = None
 ) -> list[NodeMetrics]:
@@ -390,18 +365,27 @@ def all_node_metrics(
 def global_summary(
     net: CooccurrenceNetwork, sample: int | None = None
 ) -> GlobalMetrics:
-    """All whole-network measures in one pass; raises on an empty network."""
-    if net.n_nodes == 0:
+    """Every `GlobalMetrics` field from one `_distance_stats` call.
+
+    Raises ValueError on an empty network, which has no measure defined.
+    """
+    n, k = net.n_nodes, net.n_edges
+    if n == 0:
         raise ValueError("global summary of an empty network is undefined")
     stats = _distance_stats(net, sample)
+    has_paths = stats.n_prime >= 2
     return GlobalMetrics(
-        n_nodes=net.n_nodes,
-        n_edges=net.n_edges,
-        avg_degree=average_degree(net),
-        avg_shortest_path=average_shortest_path(net, sample),
-        diameter=diameter(net, sample),
+        n_nodes=n,
+        n_edges=k,
+        avg_degree=Fraction(2 * k, n),
+        avg_shortest_path=(
+            Fraction(stats.total, stats.n_sources * (stats.n_prime - 1))
+            if has_paths
+            else None
+        ),
+        diameter=stats.max_dist if has_paths else None,
         avg_clustering=average_clustering(net),
-        density=density(net),
+        density=Fraction(k, n * (n - 1)) if n > 1 else None,
         n_components=stats.labeling.count,
         largest_component_size=stats.n_prime,
     )

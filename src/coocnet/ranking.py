@@ -527,7 +527,8 @@ def render_rank_svg(
         parts.append(_text(legend_x + 32, y + 4, _svg_escape(label)))
 
     parts.append("</g>\n</svg>\n")
-    Path(path).write_bytes("".join(parts).encode("utf-8"))
+    with _new_text_file(path) as handle:
+        handle.write("".join(parts))
 
 
 def _svg_escape(text: str) -> str:

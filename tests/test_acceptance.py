@@ -20,12 +20,7 @@ import pytest
 
 from coocnet import (
     all_node_metrics,
-    average_clustering,
-    average_degree,
-    average_shortest_path,
     build_network,
-    density,
-    diameter,
     extract_sentences,
     format_value,
     from_edge_list,
@@ -105,12 +100,13 @@ def test_path_component_and_clustering_measures_match_bruteforce():
         for _ in range(200):
             net = oracles.random_network(rng, max_nodes=50)
             want_l, want_d, want_node = oracles.path_stats(net)
-            assert average_shortest_path(net) == want_l
-            assert diameter(net) == want_d
+            summary = global_summary(net)
+            assert summary.avg_shortest_path == want_l
+            assert summary.diameter == want_d
             rows = all_node_metrics(net)
             for node, expected in want_node.items():
                 assert rows[node].avg_distance == expected
-            assert global_summary(net).n_components == len(oracles.components(net))
+            assert summary.n_components == len(oracles.components(net))
             for node, row in enumerate(rows):
                 assert row.clustering == oracles.local_clustering(net, node)
 
@@ -152,15 +148,17 @@ def test_closed_form_fixture_measures_are_exact():
             [("a", "b", 1), ("b", "a", 1), ("b", "c", 1),
              ("c", "b", 1), ("a", "c", 1), ("c", "a", 1)]
         )
-        assert average_clustering(triangle) == 1
-        assert density(triangle) == 1
-        assert average_shortest_path(triangle) == 1
-        assert diameter(triangle) == 1
-        assert average_degree(triangle) == 4  # complete 3-node digraph
+        summary = global_summary(triangle)
+        assert summary.avg_clustering == 1
+        assert summary.density == 1
+        assert summary.avg_shortest_path == 1
+        assert summary.diameter == 1
+        assert summary.avg_degree == 4  # complete 3-node digraph
 
         path = from_edge_list([("a", "b", 1), ("b", "c", 1), ("c", "d", 1)])
-        assert average_shortest_path(path) == Fraction(5, 3)
-        assert diameter(path) == 3
+        summary = global_summary(path)
+        assert summary.avg_shortest_path == Fraction(5, 3)
+        assert summary.diameter == 3
 
 
 def test_uniform_weight_scaling_moves_only_selectivity():
@@ -176,15 +174,8 @@ def test_uniform_weight_scaling_moves_only_selectivity():
                         assert getattr(scaled_row, f"{side}_selectivity") is None
                     else:
                         assert getattr(scaled_row, f"{side}_selectivity") == 7 * base
-            assert average_degree(scaled) == average_degree(net)
-            assert average_shortest_path(scaled) == average_shortest_path(net)
-            assert diameter(scaled) == diameter(net)
-            assert average_clustering(scaled) == average_clustering(net)
-            assert density(scaled) == density(net)
-            assert (
-                global_summary(scaled).n_components
-                == global_summary(net).n_components
-            )
+            # weights enter no whole-network measure
+            assert global_summary(scaled) == global_summary(net)
 
 
 def _check_rank_csv(path):

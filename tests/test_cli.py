@@ -1,6 +1,7 @@
 import contextlib
 import filecmp
 import io
+import os
 import re
 import sys
 import warnings
@@ -587,6 +588,43 @@ class TestCompare:
             r"rank series are not directly comparable\n",
             err,
         )
+
+    def test_a_closed_stdout_stops_the_lines_not_the_outputs(self, tmp_path, capsys):
+        # as `coocnet compare ... | head -1` once head has exited
+        alpha, beta = self._write_pair(tmp_path)
+        argv = ["compare", str(alpha), str(beta), "--svg", "--out"]
+        assert run(capsys, *argv, str(tmp_path / "reference"))[0] == 0
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe raises BrokenPipeError
+        with open(write_end, "w", encoding="utf-8", buffering=1) as stdout:
+            with contextlib.redirect_stdout(stdout):
+                code = main([*argv, str(tmp_path / "piped")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        reference = snapshot(tmp_path / "reference")
+        assert len(reference) == 27
+        assert snapshot(tmp_path / "piped") == reference
+
+    def test_an_interrupt_is_one_line_and_leaves_out_as_it_was(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        alpha, beta = self._write_pair(tmp_path)
+        out = tmp_path / "cmp"
+        argv = ["compare", str(alpha), str(beta), "--out", str(out)]
+        assert run(capsys, *argv)[0] == 0
+        before = snapshot(out)
+
+        def interrupted(*args):  # as Ctrl-C while the first pair CSV is written
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "export_pair_csv", interrupted)
+        try:
+            code, _, err = run(capsys, *argv, "--svg")
+        except KeyboardInterrupt:  # would end the whole test session
+            pytest.fail("the interrupt escaped main")
+        assert code == 130
+        assert err == "error: interrupted\n"
+        assert snapshot(out) == before
 
     def test_runs_are_byte_identical(self, tmp_path, capsys):
         alpha, beta = self._write_pair(tmp_path)

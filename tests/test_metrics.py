@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 from coocnet import (
     CooccurrenceNetwork,
     all_node_metrics,
-    average_clustering,
-    average_degree,
-    average_shortest_path,
     build_network,
-    density,
-    diameter,
     extract_sentences,
     from_edge_list,
     global_summary,
@@ -32,24 +27,24 @@ def star4() -> CooccurrenceNetwork:
 
 class TestDegreeFamily:
     def test_average_degree_two_nodes(self, two_node_net):
-        assert average_degree(two_node_net) == 2
+        assert global_summary(two_node_net).avg_degree == 2
 
     def test_average_degree_single_node(self):
-        assert average_degree(build_network([["solo"]])) == 0
+        assert global_summary(build_network([["solo"]])).avg_degree == 0
 
     def test_average_degree_complete_triad(self, complete_triad):
-        assert average_degree(complete_triad) == 4
+        assert global_summary(complete_triad).avg_degree == 4
 
     def test_average_degree_empty_network(self):
-        with pytest.raises(ValueError):
-            average_degree(build_network([]))
+        with pytest.raises(ValueError, match="empty network"):
+            global_summary(build_network([]))
 
     def test_average_degree_equals_mean_stub_count(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             net = oracles.random_network(rng, max_nodes=40)
             stubs = sum(row.in_degree + row.out_degree for row in all_node_metrics(net))
-            assert average_degree(net) == Fraction(stubs, net.n_nodes)
+            assert global_summary(net).avg_degree == Fraction(stubs, net.n_nodes)
 
     def test_strength_sums_weights(self):
         net = from_edge_list(
@@ -133,18 +128,18 @@ class TestClustering:
             assert clustering[node] == oracles.local_clustering(net, node)
 
     def test_average_over_all_nodes(self, complete_triad):
-        assert average_clustering(complete_triad) == 1
-        assert average_clustering(star4()) == 0
+        assert global_summary(complete_triad).avg_clustering == 1
+        assert global_summary(star4()).avg_clustering == 0
 
     def test_isolated_nodes_count_in_the_average(self, complete_triad):
         net = build_network(
             [["a", "b", "c", "a"], ["loner"]]
         )  # triangle plus isolated node
-        assert average_clustering(net) == Fraction(3, 4)
+        assert global_summary(net).avg_clustering == Fraction(3, 4)
 
     def test_empty_network_rejected(self):
-        with pytest.raises(ValueError):
-            average_clustering(build_network([]))
+        with pytest.raises(ValueError, match="empty network"):
+            global_summary(build_network([]))
 
 
 def undirected_graph(edges, order=None) -> CooccurrenceNetwork:
@@ -199,14 +194,14 @@ class TestTriangleOrientation:
             net = undirected_graph(edges, order)
             expected = [oracles.local_clustering(net, v) for v in range(net.n_nodes)]
             assert clustering_column(net) == expected
-            assert average_clustering(net) == sum(expected) / net.n_nodes
+            assert global_summary(net).avg_clustering == sum(expected) / net.n_nodes
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_closed_forms(self, n):
         clique = undirected_graph(complete(n))
         assert all(value == 1 for value in clustering_column(clique))
         ring = undirected_graph(cycle(n))
-        assert average_clustering(ring) == (1 if n == 3 else 0)
+        assert global_summary(ring).avg_clustering == (1 if n == 3 else 0)
         spokes = undirected_graph(wheel(n))
         clustering = clustering_column(spokes)
         hub = spokes.node_id("hub")
@@ -231,17 +226,17 @@ class TestTriangleOrientation:
 
 class TestDensity:
     def test_complete_triad(self, complete_triad):
-        assert density(complete_triad) == 1
+        assert global_summary(complete_triad).density == 1
 
     def test_two_nodes_both_edges(self, two_node_net):
-        assert density(two_node_net) == 1
+        assert global_summary(two_node_net).density == 1
 
     def test_sparse_triple(self):
         net = build_network([["a", "b"], ["c"]])
-        assert density(net) == Fraction(1, 6)
+        assert global_summary(net).density == Fraction(1, 6)
 
     def test_undefined_below_two_nodes(self):
-        assert density(build_network([["solo"]])) is None
+        assert global_summary(build_network([["solo"]])).density is None
 
 
 def distance_column(
@@ -265,8 +260,9 @@ class TestDistances:
     def test_singleton_component(self):
         net = build_network([["solo"]])
         assert distance_column(net)[0] == 0
-        assert average_shortest_path(net) is None
-        assert diameter(net) is None
+        summary = global_summary(net)
+        assert summary.avg_shortest_path is None
+        assert summary.diameter is None
 
     def test_node_outside_largest_component(self):
         net = build_network([["a", "b", "c"], ["d"]])
@@ -274,28 +270,32 @@ class TestDistances:
 
     def test_three_node_path_average(self):
         net = from_edge_list([("a", "b", 1), ("b", "c", 1)])
-        assert average_shortest_path(net) == Fraction(4, 3)
+        assert global_summary(net).avg_shortest_path == Fraction(4, 3)
 
     def test_complete_graph_average_is_one(self, complete_triad):
-        assert average_shortest_path(complete_triad) == 1
-        assert diameter(complete_triad) == 1
+        summary = global_summary(complete_triad)
+        assert summary.avg_shortest_path == 1
+        assert summary.diameter == 1
 
     def test_four_node_path(self, path4):
-        assert average_shortest_path(path4) == Fraction(5, 3)
-        assert diameter(path4) == 3
+        summary = global_summary(path4)
+        assert summary.avg_shortest_path == Fraction(5, 3)
+        assert summary.diameter == 3
 
     def test_weights_do_not_affect_distances(self):
         light = from_edge_list([("a", "b", 1), ("b", "c", 1)])
         heavy = from_edge_list([("a", "b", 9), ("b", "c", 5)])
-        assert average_shortest_path(light) == average_shortest_path(heavy)
-        assert diameter(light) == diameter(heavy)
+        light, heavy = global_summary(light), global_summary(heavy)
+        assert light.avg_shortest_path == heavy.avg_shortest_path
+        assert light.diameter == heavy.diameter
 
 
 def assert_distances_match_oracle(net: CooccurrenceNetwork) -> None:
     """Exact L, D and every node average distance equal the matrix oracle."""
     want_l, want_d, want_node = oracles.path_stats(net)
-    assert average_shortest_path(net) == want_l
-    assert diameter(net) == want_d
+    summary = global_summary(net)
+    assert summary.avg_shortest_path == want_l
+    assert summary.diameter == want_d
     distance = distance_column(net)
     for node in range(net.n_nodes):
         assert distance[node] == want_node.get(node)
@@ -313,15 +313,14 @@ def assert_sampled_distances_match_oracle(
     assert len(sources) == min(sample, n_prime)
     for node in sources:
         assert values[node] == want_node[node]
+    summary = global_summary(net, sample=sample)
     if n_prime < 2:
-        assert average_shortest_path(net, sample=sample) is None
-        assert diameter(net, sample=sample) is None
+        assert summary.avg_shortest_path is None
+        assert summary.diameter is None
         return
     row_total = sum(want_node[node] * n_prime for node in sources)
-    assert average_shortest_path(net, sample=sample) == row_total / (
-        len(sources) * (n_prime - 1)
-    )
-    assert diameter(net, sample=sample) == max(eccentricity[n] for n in sources)
+    assert summary.avg_shortest_path == row_total / (len(sources) * (n_prime - 1))
+    assert summary.diameter == max(eccentricity[n] for n in sources)
 
 
 class TestOracleEquivalence:
@@ -367,24 +366,24 @@ class TestOracleEquivalence:
             assert_distances_match_oracle(net)
             for sample in (1, 2):
                 assert_sampled_distances_match_oracle(net, sample)
-        assert average_shortest_path(pair_and_singletons) == 1
-        assert diameter(pair_and_singletons) == 1
+        pair_summary = global_summary(pair_and_singletons)
+        assert pair_summary.avg_shortest_path == 1
+        assert pair_summary.diameter == 1
         pair_distance = distance_column(pair_and_singletons)
         assert pair_distance[0] == Fraction(1, 2)
         assert pair_distance[2] is None
         singleton_distance = distance_column(only_singletons)
         assert singleton_distance[0] == 0
         assert singleton_distance[1] is None
-        assert diameter(only_singletons) is None
+        assert global_summary(only_singletons).diameter is None
 
     def test_l_never_exceeds_diameter(self):
         rng = np.random.default_rng(17)
         for _ in range(30):
             net = oracles.random_network(rng, max_nodes=40)
-            l_value = average_shortest_path(net)
-            d_value = diameter(net)
-            if l_value is not None:
-                assert l_value <= d_value
+            summary = global_summary(net)
+            if summary.avg_shortest_path is not None:
+                assert summary.avg_shortest_path <= summary.diameter
 
 
 def largest_component_without_node_0() -> CooccurrenceNetwork:
@@ -508,11 +507,8 @@ class TestScaleInvariance:
                         assert getattr(scaled_row, selectivity) is None
                     else:
                         assert getattr(scaled_row, selectivity) == 7 * base
-            assert average_degree(scaled) == average_degree(net)
-            assert average_shortest_path(scaled) == average_shortest_path(net)
-            assert diameter(scaled) == diameter(net)
-            assert average_clustering(scaled) == average_clustering(net)
-            assert density(scaled) == density(net)
+            # weights enter no whole-network measure
+            assert global_summary(scaled) == global_summary(net)
 
 
 class TestBatchViews:
@@ -579,24 +575,24 @@ class TestBatchViews:
 
 class TestSampledEstimates:
     def test_sample_covering_component_is_exact(self, path4):
-        assert average_shortest_path(path4, sample=10) == Fraction(5, 3)
-        assert diameter(path4, sample=10) == 3
+        summary = global_summary(path4, sample=10)
+        assert summary.avg_shortest_path == Fraction(5, 3)
+        assert summary.diameter == 3
 
     def test_sampled_diameter_is_a_lower_bound(self):
         rng = np.random.default_rng(55)
         for _ in range(10):
             net = oracles.random_network(rng, max_nodes=40)
-            exact = diameter(net)
-            estimate = diameter(net, sample=3)
+            exact = global_summary(net).diameter
+            estimate = global_summary(net, sample=3).diameter
             if exact is not None:
                 assert estimate <= exact
 
     def test_sampling_is_deterministic(self):
         rng = np.random.default_rng(66)
         net = oracles.random_network(rng, max_nodes=40)
-        assert average_shortest_path(net, sample=5) == average_shortest_path(
-            net, sample=5
-        )
+        first = global_summary(net, sample=5).avg_shortest_path
+        assert global_summary(net, sample=5).avg_shortest_path == first
 
     def test_unsampled_sources_have_no_node_distance(self):
         net = from_edge_list(
@@ -614,15 +610,14 @@ class TestSampledEstimates:
 
     def test_invalid_sample_size(self, path4):
         with pytest.raises(ValueError):
-            average_shortest_path(path4, sample=0)
+            global_summary(path4, sample=0)
 
     @pytest.mark.parametrize("sample", [0, -1])
     @pytest.mark.parametrize("sentences", [[], [["solo"]], [["a", "b"]]])
     def test_invalid_sample_size_on_tiny_networks(self, sentences, sample):
         net = build_network(sentences)
-        for measure in (average_shortest_path, diameter, all_node_metrics):
-            with pytest.raises(ValueError, match="sample must be >= 1"):
-                measure(net, sample=sample)
+        with pytest.raises(ValueError, match="sample must be >= 1"):
+            all_node_metrics(net, sample=sample)
         # the empty network has no summary, whatever the sample
         message = "sample must be >= 1" if net.n_nodes else "empty network"
         with pytest.raises(ValueError, match=message):
@@ -642,8 +637,9 @@ class TestNetworkxCrossCheck:
         lengths = dict(nx.all_pairs_shortest_path_length(component))
         n_prime = len(lengths)
         total = sum(sum(row.values()) for row in lengths.values())
-        assert average_shortest_path(net) == Fraction(total, n_prime * (n_prime - 1))
-        assert diameter(net) == max(max(row.values()) for row in lengths.values())
+        summary = global_summary(net)
+        assert summary.avg_shortest_path == Fraction(total, n_prime * (n_prime - 1))
+        assert summary.diameter == max(max(row.values()) for row in lengths.values())
         triangles = nx.triangles(graph)
         clustering = []
         values = clustering_column(net)
@@ -652,7 +648,5 @@ class TestNetworkxCrossCheck:
             want = Fraction(2 * triangles[node], k * (k - 1)) if k > 1 else Fraction(0)
             assert values[node] == want
             clustering.append(want)
-        assert average_clustering(net) == sum(clustering) / net.n_nodes
-        assert global_summary(net).n_components == nx.number_connected_components(
-            graph
-        )
+        assert summary.avg_clustering == sum(clustering) / net.n_nodes
+        assert summary.n_components == nx.number_connected_components(graph)

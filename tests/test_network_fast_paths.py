@@ -31,11 +31,9 @@ from coocnet import (
     CooccurrenceNetwork,
     EdgeListFormatError,
     all_rank_series,
-    average_clustering,
-    average_shortest_path,
     build_network,
-    diameter,
     from_edge_list,
+    global_summary,
     read_edge_list,
     to_edge_list,
     undirected_projection,
@@ -274,9 +272,10 @@ def test_projection_is_fresh_and_adjacency_holds_its_neighbors(seed):
     # the measures read the adjacency, not the sets mutated above
     assert weak_components(net).count == len(oracles.components(net))
     want_l, want_d, _ = oracles.path_stats(net)
-    assert average_shortest_path(net) == want_l
-    assert diameter(net) == want_d
-    assert average_clustering(net) == Fraction(
+    summary = global_summary(net)
+    assert summary.avg_shortest_path == want_l
+    assert summary.diameter == want_d
+    assert summary.avg_clustering == Fraction(
         sum(oracles.local_clustering(net, node) for node in range(net.n_nodes)),
         net.n_nodes,
     )

@@ -579,7 +579,7 @@ class TestCsvExports:
         export_pair_csv(small, huge, path)
         assert path.read_text("utf-8").splitlines()[1] == f"1,1,1{'0' * 400},1e-400"
 
-    @pytest.mark.parametrize("writer", ["rank", "summary", "nodes"])
+    @pytest.mark.parametrize("writer", ["rank", "summary", "nodes", "svg"])
     def test_a_word_utf8_cannot_hold_leaves_no_file(self, tmp_path, writer):
         word = "\ud800"  # a lone surrogate
         net = from_edge_list([("a", word, 1)])
@@ -589,8 +589,11 @@ class TestCsvExports:
                 export_rank_csv(network_rank_series(net, "in-degree"), path)
             elif writer == "summary":
                 write_summary_csv([(word, global_summary(net))], path)
-            else:
+            elif writer == "nodes":
                 write_node_metrics_csv(all_node_metrics(net), path)
+            else:
+                series = network_rank_series(net, "in-degree")
+                render_rank_svg(series, series, word, "b", path)
         assert not path.exists()
 
     def test_pair_csv_requires_matching_measures(self, tmp_path):
