@@ -13,9 +13,10 @@ produce identical output trees (timestamps aside).  Exit status is 0 only
 when every requested output was written; a command that fails writes back
 the earlier bytes of the files it overwrote, deletes the files it made
 and removes the directories it made, so it leaves ``--out`` as it was.
-An interrupt (Ctrl-C) does the same, prints one ``error: interrupted``
-line and exits 130.  A stdout closed by its reader stops the printed
-lines but not the command (`_say`).
+An interrupt (Ctrl-C) or SIGTERM does the same, prints one
+``error: interrupted`` line and exits 130 or 143.  Every line the command
+prints, to stdout or stderr, goes through `_say`, so a stream closed by
+its reader stops the lines but not the command.
 
 ``build`` and ``compare`` check that their labels differ before they read
 an input, then hold one network at a time: each input in turn is read and
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import signal
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -107,20 +109,24 @@ def _load_network(
     return _build_from_text(path, config)
 
 
-def _say(line: str) -> None:
-    """Print and flush one line of the report; a closed stdout is not an error.
+def _say(line: str, stream=None) -> None:
+    """Print and flush one line; a closed stream is not an error.
 
+    `stream` is stdout when None, looked up at each call so that a
+    redirected stdout is followed; warnings and errors pass ``sys.stderr``.
     The files are the results, so a reader that stops reading
-    (``coocnet compare ... | head -1``) must not fail the command.  On
-    `BrokenPipeError` stdout's descriptor is pointed at ``os.devnull``, as
-    the Python documentation's note on SIGPIPE advises, so the later lines
-    and the flush at exit go nowhere.
+    (``coocnet compare ... 2>&1 | head -1``) must not fail the command,
+    whether the line is a report line or a warning or error.  On
+    `BrokenPipeError` the stream's descriptor is pointed at
+    ``os.devnull``, as the Python documentation's note on SIGPIPE advises,
+    so the later lines and the flush at exit go nowhere.
     """
+    stream = sys.stdout if stream is None else stream
     try:
-        print(line, flush=True)
+        print(line, file=stream, flush=True)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
 
 
@@ -197,10 +203,10 @@ def _write_edges(out: _Outputs, label: str, net: CooccurrenceNetwork) -> None:
     """
     edgeless = _edgeless_count(net)
     if edgeless:
-        print(
+        _say(
             f"warning: {label}: {edgeless} of {net.n_nodes} words have "
             f"no edge and are not in the edge list",
-            file=sys.stderr,
+            sys.stderr,
         )
     out.write(f"{label}.edges.tsv", write_edge_list, net)
 
@@ -269,7 +275,7 @@ def _cmd_compare(args: argparse.Namespace, config: PipelineConfig) -> int:
         side_b = _profile_text(out, label_b, args.text_b, config, args.sample)
         message = size_mismatch(side_a.summary.n_nodes, side_b.summary.n_nodes)
         if message is not None:
-            print(f"warning: {message}", file=sys.stderr)
+            _say(f"warning: {message}", sys.stderr)
         out.write(
             "summary.csv",
             write_summary_csv,
@@ -387,18 +393,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _terminated(signum, frame):
+    """SIGTERM's handler: take the interrupt path, with the signal's number."""
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous = None
     try:
+        with contextlib.suppress(ValueError):  # only the main thread may set it
+            previous = signal.signal(signal.SIGTERM, _terminated)
         config = DEFAULT_CONFIG if args.config is None else load_config(args.config)
         return args.func(args, config)
     except (ValueError, OSError) as exc:  # the package's errors subclass ValueError
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}", sys.stderr)
         return 1
-    except KeyboardInterrupt:  # --out is already put back; no traceback
-        print("error: interrupted", file=sys.stderr)
-        return 130
+    except KeyboardInterrupt as exc:  # --out is already put back; no traceback
+        _say("error: interrupted", sys.stderr)
+        return 143 if exc.args == (signal.SIGTERM,) else 130
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,14 @@
 import contextlib
+import errno
 import filecmp
 import io
 import os
 import re
+import signal
+import subprocess
 import sys
+import threading
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -14,6 +19,8 @@ from hypothesis import strategies as st
 
 from coocnet import cli
 from coocnet.cli import main, sanitize_label
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -605,6 +612,104 @@ class TestCompare:
         assert len(reference) == 27
         assert snapshot(tmp_path / "piped") == reference
 
+    def test_a_closed_stderr_stops_the_warnings_not_the_outputs(
+        self, tmp_path, capsys, formal_text_path, informal_text_path
+    ):
+        # as `coocnet compare ... 2>&1 | head -1`; the informal text has
+        # three edgeless words, so compare warns on stderr
+        argv = [
+            "compare", str(formal_text_path), str(informal_text_path),
+            "--svg", "--out",
+        ]
+        code, _, err = run(capsys, *argv, str(tmp_path / "reference"))
+        assert code == 0 and err.startswith("warning: informal_excerpt:")
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe raises BrokenPipeError
+        with open(write_end, "w", encoding="utf-8", buffering=1) as stderr:
+            with contextlib.redirect_stderr(stderr):
+                code = main([*argv, str(tmp_path / "piped")])
+        assert code == 0
+        reference = snapshot(tmp_path / "reference")
+        assert len(reference) == 27
+        assert snapshot(tmp_path / "piped") == reference
+
+    @pytest.mark.parametrize(
+        "signum, status",
+        [(signal.SIGINT, 130), (signal.SIGTERM, 143)],
+        ids=["SIGINT", "SIGTERM"],
+    )
+    def test_a_signal_is_one_line_and_leaves_out_as_it_was(
+        self, tmp_path, capsys, formal_text_path, informal_text_path, signum, status
+    ):
+        out = tmp_path / "cmp"
+        argv = ["compare", str(formal_text_path), str(informal_text_path)]
+        assert run(capsys, *argv, "--svg", "--out", str(out))[0] == 0
+        before = snapshot(out)
+        fifo = tmp_path / "side_b.txt"
+        os.mkfifo(fifo)
+        # side A, the formal text labelled informal_excerpt, overwrites
+        # informal_excerpt.edges.tsv with other bytes; then the child
+        # blocks on the FIFO, its side B
+        command = [
+            sys.executable, "-m", "coocnet.cli", "compare",
+            str(formal_text_path), str(fifo),
+            "--labels", "informal_excerpt", "formal_excerpt", "--out", str(out),
+        ]
+        # a shell's background job starts with SIGINT ignored, and so would
+        # the child; a caught signal is reset to the default by exec
+        sigint = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            child = subprocess.Popen(
+                command,
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+            )
+        finally:
+            signal.signal(signal.SIGINT, sigint)
+        with child:
+            try:
+                write_end = _open_once_read(fifo, child)
+                child.send_signal(signum)
+                os.close(write_end)
+                stdout, err = child.communicate(timeout=60)
+            finally:
+                child.kill()  # after a failed step; a no-op once it has exited
+        assert child.returncode == status
+        assert err == b"error: interrupted\n"
+        assert f"wrote {out / 'informal_excerpt.edges.tsv'}".encode() in stdout
+        assert snapshot(out) == before
+
+    def test_main_runs_in_a_worker_thread(self, tmp_path, capsys):
+        # only the main thread may set a signal handler
+        alpha, beta = self._write_pair(tmp_path)
+        out = tmp_path / "cmp"
+        codes = []
+        argv = ["compare", str(alpha), str(beta), "--svg", "--out", str(out)]
+        worker = threading.Thread(target=lambda: codes.append(main(argv)))
+        worker.start()
+        worker.join(timeout=60)
+        assert codes == [0]
+        assert len(snapshot(out)) == 27
+
+    def test_main_puts_the_sigterm_handler_back(self, tmp_path, capsys, monkeypatch):
+        alpha, beta = self._write_pair(tmp_path)
+        before = signal.getsignal(signal.SIGTERM)
+        during = []
+        original = cli.write_summary_csv
+
+        def noting(*args):
+            during.append(signal.getsignal(signal.SIGTERM))
+            original(*args)
+
+        monkeypatch.setattr(cli, "write_summary_csv", noting)
+        code, _, _ = run(
+            capsys, "compare", str(alpha), str(beta), "--out", str(tmp_path / "cmp")
+        )
+        assert code == 0
+        assert during == [cli._terminated]
+        assert signal.getsignal(signal.SIGTERM) == before
+
     def test_an_interrupt_is_one_line_and_leaves_out_as_it_was(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -639,6 +744,23 @@ class TestCompare:
         assert names == sorted(p.name for p in second.iterdir())
         match, mismatch, errors = filecmp.cmpfiles(first, second, names, shallow=False)
         assert mismatch == [] and errors == []
+
+
+def _open_once_read(fifo: Path, child: subprocess.Popen) -> int:
+    """The FIFO's write end, opened once `child` has opened it to read.
+
+    A child that exits first, or has not opened it within a minute, fails
+    the test instead of hanging it.
+    """
+    deadline = time.monotonic() + 60
+    while child.poll() is None and time.monotonic() < deadline:
+        try:
+            return os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+        except OSError as exc:  # ENXIO: nothing has it open to read yet
+            if exc.errno != errno.ENXIO:
+                raise
+        time.sleep(0.01)
+    pytest.fail(f"the child never opened {fifo.name} to read")
 
 
 def _lines(lines: list[str]) -> bytes:
