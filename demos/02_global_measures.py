@@ -19,11 +19,11 @@ from coocnet import (
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "formal_excerpt.txt"
 
-doc = load_document(FIXTURE)
-net = build_network(extract_sentences(doc.content))
+text = load_document(FIXTURE)
+net = build_network(extract_sentences(text))
 gm = global_summary(net)
 
-print(f"text: {doc.source_label} ({len(doc.content.split())} raw words)\n")
+print(f"text: {FIXTURE.name} ({len(text.split())} raw words)\n")
 
 print(f"nodes (distinct words)      N = {gm.n_nodes}")
 print(f"directed edges              K = {gm.n_edges}")

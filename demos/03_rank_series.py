@@ -23,7 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "fixtures" / "informal_excerpt.txt"
 OUT_DIR = Path(__file__).resolve().parent / "output"
 
-net = build_network(extract_sentences(load_document(FIXTURE).content))
+net = build_network(extract_sentences(load_document(FIXTURE)))
 
 for measure in ("out-degree", "out-selectivity"):
     series = network_rank_series(net, measure)

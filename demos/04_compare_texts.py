@@ -33,7 +33,7 @@ OUT_DIR = Path(__file__).resolve().parent / "output"
 profiles = {}
 for label in ("formal", "informal"):
     path = ROOT / "fixtures" / f"{label}_excerpt.txt"
-    net = build_network(extract_sentences(load_document(path).content))
+    net = build_network(extract_sentences(load_document(path)))
     profiles[label] = profile_network(net)
     del net  # the profile outlives it; the next text is built without it
 formal, informal = profiles["formal"], profiles["informal"]

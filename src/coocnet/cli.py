@@ -16,7 +16,8 @@ and removes the directories it made, so it leaves ``--out`` as it was.
 An interrupt (Ctrl-C) or SIGTERM does the same, prints one
 ``error: interrupted`` line and exits 130 or 143.  Every line the command
 prints, to stdout or stderr, goes through `_say`, so a stream closed by
-its reader stops the lines but not the command.
+its reader stops the lines but not the command, and a line the stream
+cannot encode is printed with backslash escapes.
 
 ``build`` and ``compare`` check that their labels differ before they read
 an input, then hold one network at a time: each input in turn is read and
@@ -95,7 +96,13 @@ def _labels(given: Sequence[str | None], paths: Sequence[str]) -> list[str]:
 
 def _build_from_text(path: str, config: PipelineConfig) -> CooccurrenceNetwork:
     # the text is freed once its sentences are extracted
-    return build_network(extract_sentences(load_document(path).content, config))
+    return build_network(extract_sentences(load_document(path), config))
+
+
+def _check_not_empty(net: CooccurrenceNetwork, path: str) -> None:
+    """Refuse, naming the input, a network that has no measure defined."""
+    if net.n_nodes == 0:
+        raise ValueError(f"{path}: global summary of an empty network is undefined")
 
 
 def _load_network(
@@ -116,14 +123,20 @@ def _say(line: str, stream=None) -> None:
     redirected stdout is followed; warnings and errors pass ``sys.stderr``.
     The files are the results, so a reader that stops reading
     (``coocnet compare ... 2>&1 | head -1``) must not fail the command,
-    whether the line is a report line or a warning or error.  On
+    whether the line is a report line or a warning or error.  A line the
+    stream cannot encode (a label in Cyrillic, on an ASCII stdout) is
+    printed again with backslash escapes, as Python prints to stderr.  On
     `BrokenPipeError` the stream's descriptor is pointed at
     ``os.devnull``, as the Python documentation's note on SIGPIPE advises,
     so the later lines and the flush at exit go nowhere.
     """
     stream = sys.stdout if stream is None else stream
     try:
-        print(line, file=stream, flush=True)
+        try:
+            print(line, file=stream, flush=True)
+        except UnicodeEncodeError:
+            escaped = line.encode(stream.encoding, "backslashreplace")
+            print(escaped.decode(stream.encoding), file=stream, flush=True)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, stream.fileno())
@@ -225,6 +238,7 @@ def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
 def _cmd_analyze(args: argparse.Namespace, config: PipelineConfig) -> int:
     net = _load_network(args.input, config, args.format)
     label = _label(args.label, args.input)
+    _check_not_empty(net, args.input)
     metrics = global_summary(net, args.sample)
     excluded = excluded_fraction(net)
     _print_summary(label, metrics, excluded)
@@ -264,6 +278,7 @@ def _profile_text(
     """
     net = _build_from_text(path, config)
     _write_edges(out, label, net)
+    _check_not_empty(net, path)
     return profile_network(net, sample)
 
 
@@ -343,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.set_defaults(func=_cmd_build)
 
     p_analyze = sub.add_parser(
-        "analyze", help="compute global measures, write a summary CSV"
+        "analyze", help="compute global measures, write summary and node CSVs"
     )
     _add_input_options(p_analyze)
     _add_common(p_analyze)

@@ -37,12 +37,15 @@ The constructor and every edge-record reader keep one set of rules: a word
 is non-empty and holds no whitespace, there is no self-loop, a weight is
 an ``int >= 1`` (never a ``bool``), and a (src, dst) pair appears once.
 `from_edge_list` errors cite the record number, `read_edge_list` errors
-the file and line.  `build_network` and the readers check each word and
-edge as they meet it and put it straight into its source's out-neighbor
-map; a target already there is a duplicate, and only then do the readers
-scan their records again, up to the pair's first record.  A trusted
-constructor takes the maps unchecked; every constructor copies them into
-the edge lists and drops each map once copied.
+the file and line.  `read_edge_list` reads the file through
+`pipeline.load_document`, the one reader of input files, and raises its
+UTF-8 error as an EdgeListFormatError of the same text.  `build_network`
+and the readers check each word and edge as they meet it and put it
+straight into its source's out-neighbor map; a target already there is a
+duplicate, and only then do the readers scan their records again, up to
+the pair's first record.  A trusted constructor takes the maps
+unchecked; every constructor copies them into the edge lists and drops
+each map once copied.
 
 On-disk edge-list format: UTF-8 TSV, one ``src<TAB>dst<TAB>weight`` record
 per line, LF endings, sorted lexicographically by (src, dst).  Weights are
@@ -65,6 +68,8 @@ from itertools import chain, islice, pairwise, repeat
 from operator import itemgetter, sub
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+
+from .pipeline import IngestionError, load_document
 
 
 class EdgeListFormatError(ValueError):
@@ -373,12 +378,9 @@ def _new_text_file(path: str | Path) -> Iterator[TextIO]:
 def read_edge_list(path: str | Path) -> CooccurrenceNetwork:
     """Parse a TSV edge list; errors cite the file and the line number."""
     try:
-        decoded = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise EdgeListFormatError(
-            f"{path}: invalid UTF-8 at byte offset {exc.start}"
-        ) from exc
-    lines = decoded.split("\n")
+        lines = load_document(path).split("\n")
+    except IngestionError as exc:
+        raise EdgeListFormatError(str(exc)) from exc
     if lines[-1] == "":
         lines.pop()  # trailing newline, not an empty record
     return _network_from_records(lambda: _parse_lines(path, lines), "line", f"{path}: ")

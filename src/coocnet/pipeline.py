@@ -34,6 +34,9 @@ not between word characters.  ``normalize`` then collapses spaces and
 filled on the first sight of each code point; a concurrent fill writes
 the same value, so threads may share them.
 
+`load_document` is the one reader of input files, texts, configs and
+edge lists; a file that is not UTF-8 raises IngestionError.
+
 Known limitations, by design: abbreviations are not special-cased (``dr.``
 ends a sentence), and combining marks that have no precomposed form stay
 attached to the preceding word character.
@@ -83,27 +86,10 @@ class PipelineConfig(_PipelineConfigFields):
         return cls(*iterable)
 
 
-class RawDocument(NamedTuple):
-    """A decoded input text plus a label identifying where it came from."""
-
-    content: str
-    source_label: str
-
-
-def load_document(path: str | Path) -> RawDocument:
-    """Read a UTF-8 text file into a RawDocument.
-
-    Raises IngestionError naming the byte offset when the file is not
-    valid UTF-8.
-    """
-    path = Path(path)
-    return RawDocument(content=_read_utf8(path), source_label=path.name)
-
-
-def _read_utf8(path: Path) -> str:
-    """The file's text; IngestionError names the first invalid byte."""
+def load_document(path: str | Path) -> str:
+    """The text of a UTF-8 file; IngestionError names the first bad byte."""
     try:
-        return path.read_bytes().decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise IngestionError(
             f"{path}: invalid UTF-8 at byte offset {exc.start}"
@@ -115,39 +101,33 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     Recognized keys: ``terminators`` (a string of terminator characters)
     and ``keep_digits`` (true/yes/1 or false/no/0).  Lines starting with
-    ``#`` and blank lines are ignored.  An unknown key, a bad value or a
-    terminator that `PipelineConfig` refuses raises ValueError citing the
+    ``#`` and blank lines are ignored.  Each line is one `_replace` of the
+    config, so `PipelineConfig` alone checks the terminators.  An unknown
+    key, a bad value or a refused terminator raises ValueError citing the
     file and line; a file that is not UTF-8 raises IngestionError.
     """
     if path == "":
         raise ValueError("config path is empty")  # Path("") would read "."
-    overrides: dict[str, str | bool] = {}
-    for lineno, raw_line in enumerate(_read_utf8(Path(path)).splitlines(), 1):
+    config = DEFAULT_CONFIG
+    for lineno, raw_line in enumerate(load_document(path).splitlines(), 1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key == "terminators":
-            problem = next(filter(None, map(_terminator_problem, value)), None)
-            if problem:
-                raise ValueError(f"{path}: line {lineno}: {problem}")
-            overrides[key] = value
-        elif key == "keep_digits":
-            if value.lower() in ("true", "yes", "1"):
-                overrides[key] = True
-            elif value.lower() in ("false", "no", "0"):
-                overrides[key] = False
-            else:
-                raise ValueError(
-                    f"{path}: line {lineno}: keep_digits must be true or false"
-                )
-        else:
-            raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
-    return PipelineConfig(**overrides)
+        key, equals, value = (part.strip() for part in line.partition("="))
+        try:
+            if not equals:
+                raise ValueError("expected 'key = value'")
+            if key not in PipelineConfig._fields:
+                raise ValueError(f"unknown key {key!r}")
+            if key == "keep_digits":
+                value = value.lower()
+                if value not in ("true", "yes", "1", "false", "no", "0"):
+                    raise ValueError("keep_digits must be true or false")
+                value = value in ("true", "yes", "1")
+            config = config._replace(**{key: value})
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return config
 
 
 def _char_class(ch: str) -> str:

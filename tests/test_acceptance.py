@@ -232,7 +232,7 @@ def test_fixture_rank_series_are_monotone_with_selectivity_at_least_one(
     with criterion("fixture rank series fall monotonically", 30.0):
         for path in (formal_text_path, informal_text_path):
             net = build_network(
-                extract_sentences(load_document(path).content)
+                extract_sentences(load_document(path))
             )
             for measure in MEASURES:
                 entries = network_rank_series(net, measure).entries

@@ -290,6 +290,14 @@ class TestAnalyze:
         assert row[header.index("avg_shortest_path")] == "1"
         assert row[header.index("diameter")] == "1"
 
+    def test_an_empty_input_is_named(self, tmp_path, capsys):
+        edges = write_text(tmp_path, "empty.tsv", "")
+        code, _, err = run(capsys, "analyze", str(edges), "--out", str(tmp_path))
+        assert code == 1
+        assert err == (
+            f"error: {edges}: global summary of an empty network is undefined\n"
+        )
+
     def test_writes_node_metrics_table(self, tmp_path, capsys):
         edges = tmp_path / "pair.tsv"
         edges.write_text("a\tb\t2\n", encoding="utf-8")
@@ -536,6 +544,17 @@ class TestCompare:
         assert err.startswith("error:") and message in err
         assert list(out.iterdir()) == []
 
+    def test_an_empty_input_is_named(self, tmp_path, capsys):
+        alpha = write_text(tmp_path, "alpha.txt", "a b c. c b a.")
+        wordless = write_text(tmp_path, "wordless.txt", "... !")
+        code, _, err = run(
+            capsys, "compare", str(alpha), str(wordless), "--out", str(tmp_path / "cmp")
+        )
+        assert code == 1
+        assert err == (
+            f"error: {wordless}: global summary of an empty network is undefined\n"
+        )
+
     def test_failure_removes_the_out_directory_it_made(self, tmp_path, capsys):
         alpha = write_text(tmp_path, "alpha.txt", "a b c. c b a.")
         beta = write_text(tmp_path, "beta.txt", "... !")
@@ -632,6 +651,26 @@ class TestCompare:
         reference = snapshot(tmp_path / "reference")
         assert len(reference) == 27
         assert snapshot(tmp_path / "piped") == reference
+
+    def test_a_label_stdout_cannot_encode_costs_no_output(
+        self, tmp_path, capsys, formal_text_path, informal_text_path
+    ):
+        # as a redirected stdout on Windows, whose ANSI code page is strict
+        blog = tmp_path / "блог.txt"
+        blog.write_bytes(informal_text_path.read_bytes())
+        argv = ["compare", str(formal_text_path), str(blog), "--svg", "--out"]
+        assert run(capsys, *argv, str(tmp_path / "reference"))[0] == 0
+        raw = io.BytesIO()
+        with io.TextIOWrapper(raw, encoding="ascii", write_through=True) as stdout:
+            with contextlib.redirect_stdout(stdout):
+                code = main([*argv, str(tmp_path / "ascii")])
+            printed = raw.getvalue()
+        assert code == 0
+        reference = snapshot(tmp_path / "reference")
+        assert len(reference) == 27
+        assert snapshot(tmp_path / "ascii") == reference
+        line = f"wrote {tmp_path / 'ascii' / 'блог.edges.tsv'}\n"
+        assert line.encode("ascii", "backslashreplace") in printed
 
     @pytest.mark.parametrize(
         "signum, status",

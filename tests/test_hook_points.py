@@ -70,7 +70,7 @@ def test_cli_calls_every_hook_point(
     calls, tmp_path, capsys, formal_text_path, informal_text_path
 ):
     edges = tmp_path / "formal.edges.tsv"
-    sentences = extract_sentences(load_document(formal_text_path).content)
+    sentences = extract_sentences(load_document(formal_text_path))
     write_edge_list(build_network(sentences), edges)
     calls.clear()  # count only what the CLI calls
 
@@ -93,7 +93,7 @@ def test_cli_calls_every_hook_point(
 
 def test_global_summary_caches_distances_by_sample(formal_text_path):
     # the traced benchmark times _distance_stats only while this cache is cold
-    sentences = extract_sentences(load_document(formal_text_path).content)
+    sentences = extract_sentences(load_document(formal_text_path))
     net = build_network(sentences)
     global_summary(net, 4)
     assert 4 in net._distance_cache

@@ -628,7 +628,7 @@ class TestNetworkxCrossCheck:
     def test_formal_fixture_measures(self, formal_text_path):
         import networkx as nx  # declared in the test extra
 
-        net = build_network(extract_sentences(load_document(formal_text_path).content))
+        net = build_network(extract_sentences(load_document(formal_text_path)))
         graph = nx.Graph()
         graph.add_nodes_from(range(net.n_nodes))
         graph.add_edges_from(edge for edge, _ in net.edge_items())

@@ -56,6 +56,15 @@ class TestConstruction:
         net = build_network([])
         assert net.n_nodes == 0 and net.n_edges == 0
 
+    def test_node_ids_out_of_range_are_refused(self, path4):
+        n = path4.n_nodes
+        with pytest.raises(IndexError, match="node id -1 out of range"):
+            path4.out_weights(-1)
+        with pytest.raises(IndexError, match=f"node id {n} out of range"):
+            path4.in_weights(n)
+        with pytest.raises(IndexError, match=f"node id {n} out of range"):
+            path4.weight(0, n)
+
     def test_reversed_sentences_transpose_the_network(self):
         sentences = [["a", "b", "c", "a"], ["b", "d"], ["d", "c", "d"]]
         forward = build_network(sentences)

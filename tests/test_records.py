@@ -19,14 +19,12 @@ from coocnet import (
     PipelineConfig,
     all_node_metrics,
     global_summary,
-    load_document,
     profile_network,
     rank_sequence,
     weak_components,
 )
 from coocnet.metrics import GlobalMetrics, NodeMetrics
 from coocnet.network import ComponentLabeling
-from coocnet.pipeline import RawDocument
 from coocnet.ranking import NetworkProfile, RankSeries
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -34,7 +32,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # each record type's fields in their documented order
 FIELDS = {
     PipelineConfig: ("terminators", "keep_digits"),
-    RawDocument: ("content", "source_label"),
     ComponentLabeling: ("labels", "sizes", "largest"),
     NodeMetrics: (
         "word",
@@ -64,11 +61,10 @@ FIELDS = {
 
 
 @pytest.fixture
-def records(two_node_net, path4, formal_text_path):
+def records(two_node_net, path4):
     """One record of each type, as the package builds it."""
     return [
         PipelineConfig(terminators=";", keep_digits=False),
-        load_document(formal_text_path),
         weak_components(path4),
         all_node_metrics(two_node_net)[0],
         global_summary(path4),
