@@ -39,7 +39,12 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .metrics import GlobalMetrics, all_node_metrics, global_summary
+from .metrics import (
+    GlobalMetrics,
+    _check_sample,
+    all_node_metrics,
+    global_summary,
+)
 from .network import (
     CooccurrenceNetwork,
     _edgeless_count,
@@ -420,6 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with contextlib.suppress(ValueError):  # only the main thread may set it
             previous = signal.signal(signal.SIGTERM, _terminated)
+        _check_sample(getattr(args, "sample", None))  # before any input is read
         config = DEFAULT_CONFIG if args.config is None else load_config(args.config)
         return args.func(args, config)
     except (ValueError, OSError) as exc:  # the package's errors subclass ValueError

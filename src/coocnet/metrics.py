@@ -293,6 +293,12 @@ class _DistanceStats(NamedTuple):
     max_dist: int
 
 
+def _check_sample(sample: int | None) -> None:
+    """Refuse a sample size below 1; None is the exact computation."""
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be >= 1, got {sample}")
+
+
 def _distance_stats(
     net: CooccurrenceNetwork, sample: int | None
 ) -> _DistanceStats:
@@ -303,8 +309,7 @@ def _distance_stats(
     ``_SWEEP_BYTES`` (32 MiB) plus Python's per-int overhead.  Cached on the
     network, keyed by the sample size.
     """
-    if sample is not None and sample < 1:
-        raise ValueError(f"sample must be >= 1, got {sample}")
+    _check_sample(sample)
     cached = net._distance_cache.get(sample)
     if cached is not None:
         return cached

@@ -23,19 +23,22 @@ deterministic steps:
 
 All three functions are pure and total over their documented inputs.
 ``normalize`` and ``tokenize`` clean by table translation, with no step
-per token: one ``str.translate`` maps each character to itself when its
-class can survive (letter, digit, mark, joiner, terminator) and to a
-space otherwise.  Then the rare cases a table cannot see, which depend
-on a neighbor, are blanked: a combining mark that follows no letter or
-digit (found on a string of character classes, built only for a
-non-ASCII text once a mark has been seen), and in ``tokenize`` a joiner
-not between word characters.  ``normalize`` then collapses spaces and
-``tokenize`` splits on them.  The tables are shared by every call and
-filled on the first sight of each code point; a concurrent fill writes
-the same value, so threads may share them.
+per token, each through one call of `_kept`.  It translates by the
+config's table, which maps each character to itself when its class can
+survive (letter, digit, mark, joiner, terminator) and to a space
+otherwise and records the class in a map beside it.  Then it blanks each
+combining mark that follows no letter or digit, which depends on a
+neighbor and so no table can see, found on the string of classes (built
+only for a non-ASCII text once a mark has been seen).  ``tokenize`` also
+blanks a joiner not between word characters.  ``normalize`` then
+collapses spaces and ``tokenize`` splits on them.  A table is shared by
+every call with its config and filled on the first sight of each code
+point; a concurrent fill writes the same values, each class before its
+kept entry, so threads may share it.
 
 `load_document` is the one reader of input files, texts, configs and
-edge lists; a file that is not UTF-8 raises IngestionError.
+edge lists; it skips a leading byte order mark, and a file that is not
+UTF-8 raises IngestionError.
 
 Known limitations, by design: abbreviations are not special-cased (``dr.``
 ends a sentence), and combining marks that have no precomposed form stay
@@ -87,13 +90,15 @@ class PipelineConfig(_PipelineConfigFields):
 
 
 def load_document(path: str | Path) -> str:
-    """The text of a UTF-8 file; IngestionError names the first bad byte."""
+    """The text of a UTF-8 file, without one leading byte order mark;
+    IngestionError names the first bad byte by its offset in the file."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise IngestionError(
             f"{path}: invalid UTF-8 at byte offset {exc.start}"
         ) from exc
+    return text.removeprefix("\ufeff")
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -130,69 +135,50 @@ def load_config(path: str | Path) -> PipelineConfig:
     return config
 
 
-def _char_class(ch: str) -> str:
-    """One-letter class of a code point: ``w`` letter, ``d`` decimal digit,
-    ``m`` combining mark, ``" "`` whitespace and everything else."""
-    cat = unicodedata.category(ch)
-    if cat[0] == "L":
-        return "w"
-    if cat[0] == "M":
-        # combining marks ride along with the letter they modify
-        return "m"
-    if cat == "Nd":
-        return "d"
-    return " "
+class _CleaningTable(dict):
+    """A ``str.translate`` table from code point to what cleaning keeps of
+    it, each entry filled the first time its code point is seen: the
+    character itself when its class can survive (``w m - ' t``), a space
+    otherwise.
 
-
-class _ClassTable(dict):
-    """A ``str.translate`` table from code point to class, each entry filled
-    the first time its code point is seen: a terminator is ``t``, a joiner
-    (``-``, ``'``) is itself, a digit is ``w`` or, when dropped, ``" "``.
-
-    Each fill also fills `kept`, the table that maps a code point to itself
-    when its class can survive cleaning (``w m - ' t``) and to a space
-    otherwise, and sets `marks_seen` once a mark (``m``) has been seen.
+    Each fill records the class in `classes`, a plain dict: ``w`` letter or
+    kept digit, ``m`` combining mark, ``t`` terminator, a joiner (``-``,
+    ``'``) itself, ``" "`` whitespace and everything else.  A fill sets
+    `marks_seen` on a mark, then writes the class, then the kept entry, so
+    a reader that has translated a text finds every class of it and, if it
+    holds a mark, `marks_seen` set.
     """
 
     def __init__(self, terminators: str = "", keep_digits: bool = True) -> None:
         super().__init__()
         self._terminators = terminators
-        self._digit = "w" if keep_digits else " "
-        self.kept = _KeptTable(self)
+        self._keep_digits = keep_digits
+        self.classes: dict[int, str] = {}
         self.marks_seen = False
 
     def __missing__(self, code_point: int) -> str:
         ch = chr(code_point)
+        cat = unicodedata.category(ch)
         if ch in self._terminators:
             cls = "t"
         elif ch in "-'":
             cls = ch
+        elif cat[0] == "L" or (cat == "Nd" and self._keep_digits):
+            cls = "w"
+        elif cat[0] == "M":
+            # combining marks ride along with the letter they modify
+            cls = "m"
+            self.marks_seen = True
         else:
-            cls = _char_class(ch)
-            if cls == "d":
-                cls = self._digit
-            elif cls == "m":
-                self.marks_seen = True  # before the entries, for concurrent readers
-        self.kept[code_point] = ch if cls in "wm-'t" else " "
-        self[code_point] = cls
-        return cls
-
-
-class _KeptTable(dict):
-    """The `kept` table of a `_ClassTable`, filled through it."""
-
-    def __init__(self, classes: _ClassTable) -> None:
-        super().__init__()
-        self._classes = classes
-
-    def __missing__(self, code_point: int) -> str:
-        self._classes.__missing__(code_point)
-        return self[code_point]
+            cls = " "
+        self.classes[code_point] = cls
+        kept = self[code_point] = ch if cls != " " else " "
+        return kept
 
 
 # one shared table per recent (terminators, keep_digits); an evicted one is
 # only filled again
-_class_table = lru_cache(maxsize=16)(_ClassTable)
+_cleaning_table = lru_cache(maxsize=16)(_CleaningTable)
 # in a class string: a run of marks that follows no word character or mark
 _ORPHAN_MARKS = re.compile("(?<![wm])m+")
 # in a kept string, where every mark left follows a word character: a
@@ -200,19 +186,19 @@ _ORPHAN_MARKS = re.compile("(?<![wm])m+")
 _LOOSE_JOINER = re.compile(r"(?<![^ '-])[-']|[-'](?![^ '-])")
 
 
-def _without_orphan_marks(text: str, kept: str, table: _ClassTable) -> str:
-    """`kept`, the translation of `text` by `table.kept`, with a space for
-    each run of marks that follows no word character or mark.
+def _kept(text: str, table: _CleaningTable) -> str:
+    """`text` translated by `table`, with a space for each run of marks
+    that follows no word character or mark.
 
-    `kept` is translated first, so a mark in `text` has set
-    `table.marks_seen`; the class string is built only when it is set and
-    `text` is not ASCII, which no mark is.
+    The class string is built only when `table` has seen a mark and `text`
+    is not ASCII, which no mark is.
     """
+    kept = text.translate(table)
     if not table.marks_seen or text.isascii():
         return kept
     pieces = []
     last = 0
-    for match in _ORPHAN_MARKS.finditer(text.translate(table)):
+    for match in _ORPHAN_MARKS.finditer(text.translate(table.classes)):
         pieces.append(kept[last : match.start()])
         last = match.end()
     pieces.append(kept[last:])
@@ -261,8 +247,7 @@ def normalize(text: str, config: PipelineConfig | None = None) -> str:
     """
     cfg = config or DEFAULT_CONFIG
     text = _fold(text)
-    table = _class_table(cfg.terminators, cfg.keep_digits)
-    kept = _without_orphan_marks(text, text.translate(table.kept), table)
+    kept = _kept(text, _cleaning_table(cfg.terminators, cfg.keep_digits))
     return _SPACE_RUN.sub(" ", kept).strip()
 
 
@@ -282,8 +267,7 @@ def tokenize(sentence: str) -> list[str]:
     character acts as a separator, so the output is well formed even on
     text that skipped ``normalize``.
     """
-    table = _class_table()
-    kept = _without_orphan_marks(sentence, sentence.translate(table.kept), table)
+    kept = _kept(sentence, _cleaning_table())
     if "-" in kept or "'" in kept:
         kept = _LOOSE_JOINER.sub(" ", kept)
     return kept.split()

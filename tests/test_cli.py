@@ -544,6 +544,19 @@ class TestCompare:
         assert err.startswith("error:") and message in err
         assert list(out.iterdir()) == []
 
+    def test_sample_below_one_is_refused_before_any_read(self, tmp_path, capsys):
+        alpha = write_text(tmp_path, "alpha.txt", "a b c. c b a.")
+        beta = write_text(tmp_path, "beta.txt", "p q r. r q p.")
+        out = tmp_path / "cmp"
+        code, stdout, err = run(
+            capsys, "compare", str(alpha), str(beta), "--out", str(out),
+            "--sample", "0",
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err == "error: sample must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_an_empty_input_is_named(self, tmp_path, capsys):
         alpha = write_text(tmp_path, "alpha.txt", "a b c. c b a.")
         wordless = write_text(tmp_path, "wordless.txt", "... !")

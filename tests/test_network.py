@@ -218,6 +218,14 @@ class TestEdgeListFiles:
         write_edge_list(net, rewritten)
         assert rewritten.read_bytes() == ordered.read_bytes()
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        marked = tmp_path / "marked.tsv"
+        marked.write_bytes(b"\xef\xbb\xbfa\tb\t1\nb\ta\t2\n")
+        plain = tmp_path / "plain.tsv"
+        plain.write_bytes(b"a\tb\t1\nb\ta\t2\n")
+        assert read_edge_list(marked) == read_edge_list(plain)
+        assert read_edge_list(marked).n_nodes == 2
+
     def test_field_count_error_cites_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("a\tb\t1\nc\td\t2\nx y 3\n", encoding="utf-8")

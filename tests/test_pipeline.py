@@ -1,8 +1,11 @@
 import gc
+import random
 import re
 import sys
+import threading
 import tracemalloc
 import unicodedata
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +21,7 @@ from coocnet import (
     load_config,
     load_document,
     normalize,
+    pipeline,
     segment_sentences,
     tokenize,
 )
@@ -173,6 +177,17 @@ class TestLoadDocument:
         with pytest.raises(IngestionError, match="byte offset 2"):
             load_document(path)
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "marked.txt"
+        path.write_bytes(b"\xef\xbb\xbfab \xef\xbb\xbfc")
+        assert load_document(path) == "ab \ufeffc"  # only the leading one
+
+    def test_offset_counts_the_byte_order_mark(self, tmp_path):
+        path = tmp_path / "broken.txt"
+        path.write_bytes(b"\xef\xbb\xbfab\xff")
+        with pytest.raises(IngestionError, match="byte offset 5$"):
+            load_document(path)
+
 
 class TestLoadConfig:
     def test_overrides(self, tmp_path):
@@ -184,6 +199,11 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.terminators == ".!"
         assert cfg.keep_digits is False
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "pipeline.conf"
+        path.write_bytes("\ufeffterminators = ;\n".encode("utf-8"))
+        assert load_config(path) == PipelineConfig(terminators=";")
 
     def test_defaults_when_empty(self, tmp_path):
         path = tmp_path / "pipeline.conf"
@@ -439,6 +459,45 @@ class TestPipelineOracle:
         assert extract_sentences(text, config) == oracles.extract_sentences(
             text, config
         )
+
+
+class TestCleaningTableFill:
+    """A cold table gives the oracles' output while marks are first seen."""
+
+    def test_marks_first_seen_inside_the_call(self):
+        for text, config in _ORPHAN_MARK_CASES:
+            pipeline._cleaning_table.cache_clear()
+            assert normalize(text, config) == oracles.normalize(text, config)
+            pipeline._cleaning_table.cache_clear()
+            assert tokenize(text) == oracles.tokenize(text)
+
+    def test_threads_share_a_cold_table(self):
+        # each thread cleans every combining mark of U+0300-U+036F in its own
+        # order, at the start, after a letter or after a joiner, so the
+        # threads race to fill the same entries
+        marks = [chr(code_point) for code_point in range(0x300, 0x370)]
+        texts = []
+        for seed in range(4):
+            rng = random.Random(seed)
+            rng.shuffle(marks)
+            texts.append(" ".join(rng.choice(["", "q", "ab-"]) + m for m in marks))
+        expected = [(oracles.normalize(t), oracles.tokenize(t)) for t in texts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                pipeline._cleaning_table.cache_clear()
+                barrier = threading.Barrier(len(texts))
+
+                def clean(text):
+                    barrier.wait(timeout=60)
+                    return normalize(text), tokenize(text)
+
+                with ThreadPoolExecutor(max_workers=len(texts)) as pool:
+                    results = list(pool.map(clean, texts, timeout=60))
+                assert results == expected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestUnicodeVersion:
