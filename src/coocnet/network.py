@@ -285,7 +285,7 @@ def _sorted_edges(net: CooccurrenceNetwork) -> Iterator[tuple[int, list[int]]]:
 
     Each edge takes the rank of its target in the cached word order; each
     source's edge positions are then sorted by that rank, which orders the
-    edges by (src, dst) word.
+    edges by (src, dst) word.  A source with one edge needs no sort.
     """
     order = _word_order(net)
     rank = [0] * net.n_nodes
@@ -295,7 +295,9 @@ def _sorted_edges(net: CooccurrenceNetwork) -> Iterator[tuple[int, list[int]]]:
     offsets = net._offsets
     for src in order:
         start, end = offsets[src], offsets[src + 1]
-        if start != end:
+        if end - start == 1:
+            yield src, [start]
+        elif start != end:
             yield src, sorted(range(start, end), key=edge_rank.__getitem__)
 
 
@@ -344,20 +346,29 @@ def _network_from_records(
     return CooccurrenceNetwork._trusted(ids, out_adj)
 
 
+# edge-list lines gathered before one write
+_LINES_PER_WRITE = 1024
+
+
 def write_edge_list(net: CooccurrenceNetwork, path: str | Path) -> None:
     """Write the TSV edge list (sorted, LF endings, bit-exact).
 
-    Each source's lines go into the open file in turn, so no list of every
-    edge or line is ever built.
+    Lines are collected across sources and written in batches of about
+    `_LINES_PER_WRITE`, so no list of every edge or line is ever built, and
+    a network of many one-edge sources costs few writes.
     """
     words, targets, weights = net.words, net._targets, net._weights
+    lines: list[str] = []
     with _new_text_file(path) as file:
         for src, edges in _sorted_edges(net):
             head = words[src] + "\t"
-            lines = [
+            lines += [
                 f"{head}{words[targets[edge]]}\t{weights[edge]}\n" for edge in edges
             ]
-            file.write("".join(lines))
+            if len(lines) >= _LINES_PER_WRITE:
+                file.write("".join(lines))
+                lines.clear()
+        file.write("".join(lines))
 
 
 @contextmanager

@@ -19,10 +19,13 @@ A series is stored as three flat tuples in rank order: the words, their
 values, and the end of each run of equal value (a network's thousands of
 nodes share a few hundred values).  The writers work once per run: one
 formatted value cell per run in a rank CSV, one ratio per overlap of two
-runs in a pair CSV, one logarithm per run in an SVG plot.  Only the rank
-and the word are handled row by row.  A series keeps two references per
-row and no object of its own per row; the (rank, value, word) rows are
-built only when `RankSeries.entries` is read.
+runs in a pair CSV, one logarithm per run in an SVG plot.  The lines of
+a run (of an overlap, in a pair CSV) are made by one join and written by
+one write, so only the rank and the word are handled row by row, and in
+C.  An SVG plot's x cells depend only on the axis length, and are cached
+for the last two lengths.  A series keeps two references per row and no
+object of its own per row; the (rank, value, word) rows are built only
+when `RankSeries.entries` is read.
 
 Two networks built from different text categories are compared by pairing
 their global summaries and their rank series measure by measure.  Each
@@ -36,6 +39,8 @@ inputs, same bytes.
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import itertools
 import math
 import sys
@@ -310,18 +315,51 @@ def _write_csv(
         writer.writerows(rows)
 
 
+# the characters that may make the csv module quote a cell; which of them
+# do depends on the Python version ("\r" alone is left bare on 3.11)
+_CSV_SPECIALS = (",", '"', "\r", "\n")
+
+
+def _csv_cell(text: str) -> str:
+    """`text` as one cell of a `_write_csv` row, quoted by the csv module."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((text,))
+    return buffer.getvalue()[:-1]
+
+
+def _word_cells(words: tuple[str, ...]) -> Sequence[str]:
+    """The CSV cells of `words`: the words themselves unless one needs quoting.
+
+    Words built from text never do.  An empty word is never passed to
+    `_csv_cell`, which would quote it as a lone field.
+    """
+    joined = "".join(words)
+    if not any(char in joined for char in _CSV_SPECIALS):
+        return words
+    return [
+        _csv_cell(word) if any(char in word for char in _CSV_SPECIALS) else word
+        for word in words
+    ]
+
+
 def export_rank_csv(series: RankSeries, path: str | Path) -> None:
     """Write one rank series as ``rank,value,word`` rows (with header).
 
-    The value cell is formatted once per run of equal values.
+    The value cell is formatted once per run of equal values, and each
+    run's rows are joined into one string and written at once.
     """
-    cells = itertools.chain.from_iterable(
-        itertools.repeat(format_value(series.values[start]), end - start)
-        for start, end in _runs(series)
-    )
-    _write_csv(
-        path, ("rank", "value", "word"), zip(itertools.count(1), cells, series.words)
-    )
+    words = _word_cells(series.words)
+    with _new_text_file(path) as handle:
+        handle.write("rank,value,word\n")
+        for start, end in _runs(series):
+            middle = f",{format_value(series.values[start])},"
+            fields = zip(
+                map(str, range(start + 1, end + 1)),
+                itertools.repeat(middle),
+                words[start:end],
+                itertools.repeat("\n"),
+            )
+            handle.write("".join(itertools.chain.from_iterable(fields)))
 
 
 def write_summary_csv(
@@ -338,14 +376,32 @@ def write_summary_csv(
 NODE_COLUMNS = NodeMetrics._fields
 
 
+class _ValueCells(dict):
+    """Measure value -> its `format_value` cell, formatted on first use.
+
+    Equal values share a key, and their cells are equal too: 1 and
+    Fraction(1) both print as ``1``.  A bool would share the key of 0 or 1,
+    so no bool may be looked up.
+    """
+
+    def __missing__(self, value: int | Fraction | None) -> str:
+        self[value] = cell = format_value(value)
+        return cell
+
+
 def write_node_metrics_csv(
     records: Sequence[NodeMetrics], path: str | Path
 ) -> None:
-    """Write per-node measures, one row per node in node-id order."""
+    """Write per-node measures, one row per node in node-id order.
+
+    Each distinct value is formatted once per call; the word is not a
+    value and is written as it is.
+    """
+    cells = _ValueCells()
     _write_csv(
         path,
         NODE_COLUMNS,
-        (list(map(format_value, rec)) for rec in records),
+        ([rec.word, *map(cells.__getitem__, rec[1:])] for rec in records),
     )
 
 
@@ -365,20 +421,19 @@ def export_pair_csv(
             f"cannot pair {series_a.measure!r} with {series_b.measure!r}"
         )
     cuts = sorted({0, *series_a.ends, *series_b.ends})
-    segments = []
-    for start, end in zip(cuts, cuts[1:]):
-        value_a, value_b = (
-            series.values[start] if start < len(series) else None
-            for series in (series_a, series_b)
-        )
-        ratio = Fraction(value_a, value_b) if value_a is not None and value_b else None
-        cells = map(format_value, (value_a, value_b, ratio))
-        segments.append(zip(range(start + 1, end + 1), *map(itertools.repeat, cells)))
-    _write_csv(
-        path,
-        ("rank", "value_a", "value_b", "ratio_a_over_b"),
-        itertools.chain.from_iterable(segments),
-    )
+    with _new_text_file(path) as handle:
+        handle.write("rank,value_a,value_b,ratio_a_over_b\n")
+        for start, end in zip(cuts, cuts[1:]):
+            value_a, value_b = (
+                series.values[start] if start < len(series) else None
+                for series in (series_a, series_b)
+            )
+            ratio = (
+                Fraction(value_a, value_b) if value_a is not None and value_b else None
+            )
+            cells = map(format_value, (value_a, value_b, ratio))
+            tail = ",{},{},{}\n".format(*cells)
+            handle.write(tail.join(map(str, range(start + 1, end + 1))) + tail)
 
 
 # -- SVG rank plot ----------------------------------------------------------
@@ -403,12 +458,26 @@ def _polyline_points(
     The y axis runs from decade `y_bottom` up `y_span` decades.  The y cell
     is computed once per run of equal values.
     """
-    points = []
+    runs = []
     for start, end in _runs(series):
         log_value = _log10(series.values[start]) - y_bottom
         y_cell = f",{_MARGIN_TOP + _PLOT_H - log_value / y_span * _PLOT_H:.2f}"
-        points.extend(x + y_cell for x in x_cells[start:end])
-    return " ".join(points)
+        runs.append((y_cell + " ").join(x_cells[start:end]) + y_cell)
+    return " ".join(runs)
+
+
+@functools.lru_cache(maxsize=2)
+def _x_cells(max_rank: int, x_span: float) -> tuple[str, ...]:
+    """The x cell of each rank 1..`max_rank`, on an axis of `x_span` decades.
+
+    `x_span` follows from `max_rank`, so the axis length alone tells the
+    entries apart.  The in and out plots of `compare` alternate two lengths,
+    so two entries serve all six plots.
+    """
+    return tuple(
+        f"{_MARGIN_LEFT + math.log10(rank) / x_span * _PLOT_W:.2f}"
+        for rank in range(1, max_rank + 1)
+    )
 
 
 def _log10(value: int | Fraction) -> float:
@@ -507,10 +576,7 @@ def render_rank_svg(
     )
 
     # data; both series share the x cell of each rank
-    x_cells = [
-        f"{_MARGIN_LEFT + math.log10(rank) / x_span * _PLOT_W:.2f}"
-        for rank in range(1, max_rank + 1)
-    ]
+    x_cells = _x_cells(max_rank, x_span)
     for series, color in ((series_a, _COLOR_A), (series_b, _COLOR_B)):
         if series.values:
             parts.append(

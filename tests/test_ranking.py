@@ -151,10 +151,14 @@ def written(writer, *args) -> bytes:
         return path.read_bytes()
 
 
-# integral Fractions next to the same ints, so runs of mixed type are common
+# integral Fractions next to the same ints, so runs of mixed type are common;
+# words that the csv module quotes, or leaves bare ("x\ry" on 3.11), as
+# `rank` on an edge list can give
 _CSV_PAIRS = st.lists(
     st.tuples(
-        st.sampled_from(["a", "b", "c", "ab", "ba", "é"]),
+        st.sampled_from(
+            ["a", "b", "c", "ab", "ba", "é", "a,b", 'say"hi"', "x\ry", "x\ny"]
+        ),
         st.one_of(_RANK_VALUES, st.integers(min_value=-3, max_value=6).map(Fraction)),
     ),
     max_size=40,
@@ -230,6 +234,18 @@ class TestWritersMatchOracles:
         series_b = rank_sequence("in-degree", pairs_b)
         args = (series_a, series_b, "books", "blogs")
         assert written(render_rank_svg, *args) == written(oracles.rank_svg, *args)
+
+
+    def test_rank_svg_x_cells_follow_the_axis_length(self):
+        # lengths n, m, k, n: 3 and 8 share an x span of one decade, the
+        # third length evicts the first from the two-entry cache, and no
+        # entry may be served for another length
+        for length in (3, 8, 40, 3):
+            series = rank_sequence(
+                "in-degree", [(f"w{i}", i // 2 + 1) for i in range(length)]
+            )
+            args = (series, series, "a", "b")
+            assert written(render_rank_svg, *args) == written(oracles.rank_svg, *args)
 
 
 def assert_network_series_match_rank_order(net):
