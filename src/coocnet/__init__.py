@@ -64,7 +64,6 @@ from .ranking import (
     format_value,
     network_rank_series,
     profile_network,
-    rank_sequence,
     render_rank_svg,
     size_mismatch,
     write_node_metrics_csv,
@@ -102,7 +101,6 @@ __all__ = [
     "network_rank_series",
     "normalize",
     "profile_network",
-    "rank_sequence",
     "read_edge_list",
     "render_rank_svg",
     "segment_sentences",

@@ -357,10 +357,8 @@ def all_node_metrics(
     """NodeMetrics for every node, indexed by node id, built by columns."""
     table = _node_table(net)
     stats = _distance_stats(net, sample)
-    clustering = [
-        Fraction(twice_links, k * (k - 1)) if k > 1 else Fraction(0)
-        for k, twice_links in zip(table.k, table.twice_links)
-    ]
+    # 2E is 0 wherever k < 2, so a denominator of 1 gives them Fraction(0)
+    clustering = _shared_ratios(table.twice_links, [k * (k - 1) or 1 for k in table.k])
     distance: list[Fraction | None] = [None] * net.n_nodes
     for source, dist_sum in stats.node_sum.items():
         distance[source] = Fraction(dist_sum, stats.n_prime)

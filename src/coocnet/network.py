@@ -206,16 +206,6 @@ class CooccurrenceNetwork:
         self._check_node(node)
         return dict(_in_edges(self)[node])
 
-    def weight(self, src: int, dst: int) -> int:
-        """Edge weight, or 0 when the edge does not exist."""
-        self._check_node(src)
-        self._check_node(dst)
-        try:
-            edge = self._targets.index(dst, self._offsets[src], self._offsets[src + 1])
-        except ValueError:
-            return 0
-        return self._weights[edge]
-
     def edge_items(self) -> Iterator[tuple[tuple[int, int], int]]:
         """Iterate ((src, dst), weight) over all directed edges."""
         return zip(zip(_edge_sources(self), self._targets), self._weights)

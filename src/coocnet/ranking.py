@@ -6,14 +6,14 @@ the series is reproducible.  Nodes whose value is zero or undefined are
 left out: a node with no incoming edge carries no information about the
 incoming side, and including a zero tail would only flatten log-log plots.
 
-Every series comes from one core, `_ranked`: a single stable sort, by
-descending int key, of positions that are already in word order, so ties
-stay in word order; the keys are equal exactly when the values are, and
-a run of equal values ends wherever the sorted keys change.  A network's
-nodes come in its cached word order (`network._word_order`); a degree or
-strength is its own key, and a selectivity is keyed by the rank of its
-value among the column's few hundred distinct values, the only place
-where `Fraction`s are compared.
+Every series comes from `network_rank_series`: a single stable sort, by
+descending int key, of node ids that are already in the network's cached
+word order (`network._word_order`), so ties stay in word order; the keys
+are equal exactly when the values are, and a run of equal values ends
+wherever the sorted keys change.  A degree or strength is its own key,
+and a selectivity is keyed by the rank of its value among the column's
+few hundred distinct values, the only place where `Fraction`s are
+compared.
 
 A series is stored as three flat tuples in rank order: the words, their
 values, and the end of each run of equal value (a network's thousands of
@@ -102,8 +102,8 @@ class RankSeries(_RankSeriesFields):
     its last entry equal to the length.  Within a run the words are sorted
     by word, and every word keeps its own value object, so a run may mix
     equal ints and Fractions.  `entries`, the (rank, value, word) rows, is
-    derived on each access.  Build a series with `rank_sequence` or
-    `network_rank_series`; both end in the keyed sort of `_ranked`.
+    derived on each access.  `network_rank_series` builds the series of a
+    network.
 
     A named tuple of its four fields, but its length is its row count, so
     an empty series is falsy.  `typing.NamedTuple` allows no `__new__` in
@@ -135,61 +135,6 @@ def _runs(series: RankSeries) -> Iterator[tuple[int, int]]:
     return zip((0, *series.ends), series.ends)
 
 
-def rank_sequence(
-    measure: str, pairs: Iterable[tuple[str, int | Fraction | None]]
-) -> RankSeries:
-    """Rank (word, value) pairs; None values are dropped, zeros are kept.
-
-    Sorting is by descending value, then ascending word; ranks are the
-    1-based positions after the sort.  The pairs are first put in word
-    order by one stable sort.  Each value is keyed by the rank of its
-    (numerator, denominator) group, which equal ints and Fractions share,
-    so exact comparisons run over the few distinct values only, and
-    `_ranked` sorts by those int keys.  Every word keeps its own value
-    object, and pairs with equal value and word keep their input order.
-    """
-    words: list[str] = []
-    values: list[int | Fraction] = []
-    for word, value in pairs:
-        if value is not None:
-            words.append(word)
-            values.append(value)
-    groups = {(value.numerator, value.denominator): value for value in values}
-    ascending = sorted(groups, key=groups.__getitem__)
-    key_of = dict(zip(ascending, itertools.count()))
-    keys = [key_of[value.numerator, value.denominator] for value in values]
-    positions = sorted(range(len(words)), key=words.__getitem__)  # stable
-    return _ranked(measure, positions, words, values, keys)
-
-
-def _ranked(
-    measure: str,
-    positions: Iterable[int],
-    words: Sequence[str],
-    values: Sequence[int | Fraction],
-    keys: Sequence[int],
-) -> RankSeries:
-    """The series of the entries at `positions`, which are in word order.
-
-    Position p holds `words[p]` and `values[p]`; `keys[p]` is an int that
-    orders the values, equal exactly when they are equal.  One stable sort
-    by descending key keeps word order within each run of equal values,
-    and a run ends wherever the sorted keys change.
-    """
-    ranked = sorted(positions, key=keys.__getitem__, reverse=True)
-    ranked_keys = list(map(keys.__getitem__, ranked))
-    changes = map(ne, ranked_keys, itertools.islice(ranked_keys, 1, None))
-    ends = [*itertools.compress(itertools.count(1), changes)]
-    if ranked:
-        ends.append(len(ranked))
-    return RankSeries(
-        measure,
-        tuple(map(words.__getitem__, ranked)),
-        tuple(map(values.__getitem__, ranked)),
-        tuple(ends),
-    )
-
-
 def network_rank_series(net: CooccurrenceNetwork, measure: str) -> RankSeries:
     """Rank series of one measure over a network's nodes.
 
@@ -200,7 +145,9 @@ def network_rank_series(net: CooccurrenceNetwork, measure: str) -> RankSeries:
     cached word order.  A degree or strength is its own key; a
     selectivity is keyed by the rank of its value among the column's
     distinct values, found over its shared objects (one per distinct
-    (strength, degree) pair), not per node.
+    (strength, degree) pair), not per node.  One stable sort by
+    descending key keeps word order within each run of equal values, and
+    a run ends wherever the sorted keys change.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
@@ -214,7 +161,18 @@ def network_rank_series(net: CooccurrenceNetwork, measure: str) -> RankSeries:
         key_of = dict(zip(ascending, itertools.count()))
         key_of_id = {obj_id: key_of.get(value) for obj_id, value in shared.items()}
         keys = list(map(key_of_id.__getitem__, map(id, column)))
-    return _ranked(measure, active, net.words, column, keys)
+    ranked = sorted(active, key=keys.__getitem__, reverse=True)
+    ranked_keys = list(map(keys.__getitem__, ranked))
+    changes = map(ne, ranked_keys, itertools.islice(ranked_keys, 1, None))
+    ends = [*itertools.compress(itertools.count(1), changes)]
+    if ranked:
+        ends.append(len(ranked))
+    return RankSeries(
+        measure,
+        tuple(map(net.words.__getitem__, ranked)),
+        tuple(map(column.__getitem__, ranked)),
+        tuple(ends),
+    )
 
 
 def all_rank_series(net: CooccurrenceNetwork) -> dict[str, RankSeries]:
@@ -522,9 +480,9 @@ def render_rank_svg(
     and past that every (1 + span // 10)-th decade counted down from the
     top one, so a value of thousands of digits still gives a small plot.
     A log-log plot needs positive values, so a series holding a zero or a
-    negative value (`rank_sequence` keeps zeros) raises ValueError.
-    Network series hold values >= 1, as `network_rank_series` drops zeros,
-    so their axis starts at 10**0.
+    negative value (one built by hand) raises ValueError.  Network series
+    hold values >= 1, as `network_rank_series` drops zeros, so their axis
+    starts at 10**0.
     """
     if series_a.measure != series_b.measure:
         raise ValueError(

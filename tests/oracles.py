@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from coocnet import CooccurrenceNetwork, EdgeListFormatError, EdgeRecord
+from coocnet import CooccurrenceNetwork, EdgeListFormatError, EdgeRecord, RankSeries
 from coocnet.pipeline import DEFAULT_CONFIG, PipelineConfig, segment_sentences
 from coocnet.ranking import (
     _COLOR_A,
@@ -286,6 +286,19 @@ def rank_order(pairs) -> list[tuple]:
     kept = [(word, value) for word, value in pairs if value is not None]
     kept.sort(key=lambda item: (-item[1], item[0]))
     return kept
+
+
+def rank_series(measure: str, pairs) -> RankSeries:
+    """The series of `rank_order(pairs)`, built by hand for the writer tests.
+
+    A run ends wherever two consecutive values differ (``!=``), so 2 and
+    Fraction(2) share one; zeros and negative values are kept.
+    """
+    kept = rank_order(pairs)
+    values = tuple(value for _, value in kept)
+    ends = [i for i in range(1, len(values)) if values[i - 1] != values[i]]
+    ends += [len(values)] * bool(values)
+    return RankSeries(measure, tuple(word for word, _ in kept), values, tuple(ends))
 
 
 def random_weights(

@@ -127,6 +127,19 @@ class TestClustering:
         for node in range(net.n_nodes):
             assert clustering[node] == oracles.local_clustering(net, node)
 
+    def test_column_holds_one_object_per_distinct_ratio_pair(self):
+        rng = np.random.default_rng(41)
+        nets = [oracles.random_network(rng, max_nodes=40) for _ in range(20)]
+        nets.append(build_network([["a", "b", "c", "a"], ["loner"], ["x", "y"]]))
+        for net in nets:
+            clustering = clustering_column(net)
+            table = metrics._node_table(net)
+            pairs = set(zip(table.twice_links, [k * (k - 1) for k in table.k]))
+            assert len(set(map(id, clustering))) <= len(pairs)
+            assert all(type(value) is Fraction for value in clustering)
+            for node in range(net.n_nodes):
+                assert clustering[node] == oracles.local_clustering(net, node)
+
     def test_average_over_all_nodes(self, complete_triad):
         assert global_summary(complete_triad).avg_clustering == 1
         assert global_summary(star4()).avg_clustering == 0

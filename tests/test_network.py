@@ -30,8 +30,9 @@ class TestConstruction:
         # adjacent pairs: (a,b), (b,a), (a,b)
         assert net.n_nodes == 2
         assert net.n_edges == 2
-        assert net.weight(net.node_id("a"), net.node_id("b")) == 2
-        assert net.weight(net.node_id("b"), net.node_id("a")) == 1
+        a, b = net.node_id("a"), net.node_id("b")
+        assert net.out_weights(a) == {b: 2}
+        assert net.out_weights(b) == {a: 1}
 
     def test_one_word_sentences_make_isolated_nodes(self):
         net = build_network([["a"], ["b"]])
@@ -40,13 +41,16 @@ class TestConstruction:
 
     def test_no_edges_across_sentences(self):
         net = build_network([["a", "b"], ["b", "a"]])
-        assert net.weight(net.node_id("a"), net.node_id("b")) == 1
-        assert net.weight(net.node_id("b"), net.node_id("a")) == 1
+        a, b = net.node_id("a"), net.node_id("b")
+        assert net.out_weights(a) == {b: 1}
+        assert net.out_weights(b) == {a: 1}
 
     def test_consecutive_duplicates_never_loop(self):
         net = build_network([["a", "a", "b"]])
         assert net.n_edges == 1
-        assert net.weight(net.node_id("a"), net.node_id("b")) == 1
+        a, b = net.node_id("a"), net.node_id("b")
+        assert net.out_weights(a) == {b: 1}
+        assert net.out_weights(b) == {}
 
     def test_node_ids_in_first_appearance_order(self):
         net = build_network([["c", "a"], ["b", "a"]])
@@ -62,8 +66,6 @@ class TestConstruction:
             path4.out_weights(-1)
         with pytest.raises(IndexError, match=f"node id {n} out of range"):
             path4.in_weights(n)
-        with pytest.raises(IndexError, match=f"node id {n} out of range"):
-            path4.weight(0, n)
 
     def test_reversed_sentences_transpose_the_network(self):
         sentences = [["a", "b", "c", "a"], ["b", "d"], ["d", "c", "d"]]

@@ -86,9 +86,6 @@ def test_edge_accessors_equal_the_weights_dict(seed):
         assert set(net.edge_items()) == set(weights.items())
         assert [net.out_weights(node) for node in nodes] == outgoing
         assert [net.in_weights(node) for node in nodes] == incoming
-        for src in nodes:
-            for dst in nodes:
-                assert net.weight(src, dst) == weights.get((src, dst), 0)
 
     check()
     for node in nodes:  # the caller owns every mapping it was given

@@ -3,7 +3,6 @@ import sys
 import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +13,6 @@ from hypothesis import strategies as st
 
 from coocnet import (
     MEASURES,
-    RankEntry,
     all_node_metrics,
     all_rank_series,
     build_network,
@@ -26,7 +24,6 @@ from coocnet import (
     global_summary,
     network_rank_series,
     profile_network,
-    rank_sequence,
     render_rank_svg,
     size_mismatch,
     write_node_metrics_csv,
@@ -38,41 +35,6 @@ from coocnet.metrics import _node_table
 import oracles
 
 
-class TestRankSequence:
-    def test_descending_sort(self):
-        series = rank_sequence("in-degree", [("a", 3), ("b", 1), ("c", 2)])
-        assert series.entries == (
-            RankEntry(1, 3, "a"),
-            RankEntry(2, 2, "c"),
-            RankEntry(3, 1, "b"),
-        )
-
-    def test_ties_break_by_word(self):
-        series = rank_sequence("in-degree", [("b", 2), ("a", 2)])
-        assert [e.word for e in series.entries] == ["a", "b"]
-        assert [e.rank for e in series.entries] == [1, 2]
-
-    def test_undefined_values_dropped(self):
-        series = rank_sequence("out-selectivity", [("a", None), ("b", 5)])
-        assert series.entries == (RankEntry(1, 5, "b"),)
-
-    def test_measure_name_validated(self):
-        with pytest.raises(ValueError, match="unknown measure"):
-            rank_sequence("degree", [("a", 1)])
-
-    def test_defined_values_form_a_permutation(self):
-        rng = np.random.default_rng(12)
-        words = [f"w{i}" for i in range(50)]
-        values = [
-            None if rng.random() < 0.2 else Fraction(int(rng.integers(1, 9)), 2)
-            for _ in words
-        ]
-        series = rank_sequence("in-strength", list(zip(words, values)))
-        assert sorted(e.value for e in series.entries) == sorted(
-            v for v in values if v is not None
-        )
-
-
 # small ranges so equal values of mixed type (2 and Fraction(2)), zeros,
 # duplicate words and equal-value runs are all common
 _RANK_VALUES = st.one_of(
@@ -80,10 +42,6 @@ _RANK_VALUES = st.one_of(
     st.just(0),
     st.integers(min_value=-3, max_value=6),
     st.fractions(min_value=-3, max_value=6, max_denominator=4),
-)
-_RANK_PAIRS = st.lists(
-    st.tuples(st.sampled_from(["a", "b", "c", "ab", "ba", "é"]), _RANK_VALUES),
-    max_size=40,
 )
 
 
@@ -98,49 +56,6 @@ def assert_matches_rank_order(series, pairs):
     assert all(
         entry.value is value for entry, (_, value) in zip(series.entries, expected)
     )
-
-
-class TestRankOrderOracle:
-    @settings(max_examples=300, deadline=None)
-    @given(_RANK_PAIRS)
-    def test_matches_keyed_sort(self, pairs):
-        assert_matches_rank_order(rank_sequence("in-selectivity", pairs), pairs)
-
-    def test_colliding_floats_rank_exactly(self):
-        # both sides round to the float 1.0; only the exact order puts b first
-        above_one = Fraction(2**53 + 1, 2**53)
-        assert float(above_one) == 1.0
-        pairs = [
-            ("a", 1),
-            ("b", above_one),
-            ("c", Fraction(2**53 - 1, 2**53)),
-            ("d", Fraction(2**54 + 1, 2**54)),
-        ]
-        series = rank_sequence("out-selectivity", pairs)
-        assert [e.word for e in series.entries] == ["b", "d", "a", "c"]
-        assert_matches_rank_order(series, pairs)
-
-    def test_equal_values_of_mixed_type_keep_their_objects(self):
-        pairs = [("b", Fraction(1)), ("a", 1), ("c", 1), ("a", Fraction(1)), ("z", 2)]
-        series = rank_sequence("in-strength", pairs)
-        assert [(e.word, type(e.value)) for e in series.entries] == [
-            ("z", int),
-            ("a", int),
-            ("a", Fraction),
-            ("b", Fraction),
-            ("c", int),
-        ]
-        assert_matches_rank_order(series, pairs)
-
-    def test_zeros_are_kept_below_positive_values(self):
-        pairs = [("a", 0), ("b", None), ("c", Fraction(1, 3)), ("d", Fraction(0))]
-        series = rank_sequence("in-selectivity", pairs)
-        assert [(e.word, e.value) for e in series.entries] == [
-            ("c", Fraction(1, 3)),
-            ("a", 0),
-            ("d", 0),
-        ]
-        assert_matches_rank_order(series, pairs)
 
 
 def written(writer, *args) -> bytes:
@@ -185,25 +100,6 @@ _SVG_PAIRS = st.lists(
 )
 
 
-class TestSeriesLayout:
-    @settings(max_examples=300, deadline=None)
-    @given(_CSV_PAIRS)
-    @example(_MIXED)
-    def test_runs_cut_the_flat_tuples(self, pairs):
-        series = rank_sequence("in-degree", pairs)
-        ends = series.ends
-        assert len(series.words) == len(series.values) == len(series)
-        assert all(a < b for a, b in zip((0, *ends), ends))
-        assert (0, *ends)[-1] == len(series)
-        runs = [series.values[start:end] for start, end in zip((0, *ends), ends)]
-        assert all(value == run[0] for run in runs for value in run)
-        assert all(upper[0] != lower[0] for upper, lower in zip(runs, runs[1:]))
-        # each word holds the very object it came with
-        given_objects = Counter((w, id(v)) for w, v in pairs if v is not None)
-        kept = Counter((w, id(v)) for w, v in zip(series.words, series.values))
-        assert kept == given_objects
-
-
 class TestWritersMatchOracles:
     """The run-based writers write the per-entry reference writers' bytes."""
 
@@ -211,7 +107,7 @@ class TestWritersMatchOracles:
     @given(_CSV_PAIRS)
     @example(_MIXED)
     def test_rank_csv(self, pairs):
-        series = rank_sequence("in-strength", pairs)
+        series = oracles.rank_series("in-strength", pairs)
         assert written(export_rank_csv, series) == written(oracles.rank_csv, series)
 
     @settings(max_examples=200, deadline=None)
@@ -220,8 +116,8 @@ class TestWritersMatchOracles:
     @example([], _MIXED)
     @example([], [])
     def test_pair_csv(self, pairs_a, pairs_b):
-        series_a = rank_sequence("out-selectivity", pairs_a)
-        series_b = rank_sequence("out-selectivity", pairs_b)
+        series_a = oracles.rank_series("out-selectivity", pairs_a)
+        series_b = oracles.rank_series("out-selectivity", pairs_b)
         assert written(export_pair_csv, series_a, series_b) == written(
             oracles.pair_csv, series_a, series_b
         )
@@ -230,8 +126,8 @@ class TestWritersMatchOracles:
     @given(_SVG_PAIRS, _SVG_PAIRS)
     @example(_MIXED[:3], [])
     def test_rank_svg(self, pairs_a, pairs_b):
-        series_a = rank_sequence("in-degree", pairs_a)
-        series_b = rank_sequence("in-degree", pairs_b)
+        series_a = oracles.rank_series("in-degree", pairs_a)
+        series_b = oracles.rank_series("in-degree", pairs_b)
         args = (series_a, series_b, "books", "blogs")
         assert written(render_rank_svg, *args) == written(oracles.rank_svg, *args)
 
@@ -241,7 +137,7 @@ class TestWritersMatchOracles:
         # third length evicts the first from the two-entry cache, and no
         # entry may be served for another length
         for length in (3, 8, 40, 3):
-            series = rank_sequence(
+            series = oracles.rank_series(
                 "in-degree", [(f"w{i}", i // 2 + 1) for i in range(length)]
             )
             args = (series, series, "a", "b")
@@ -508,18 +404,18 @@ class TestValueFormatting:
 
 class TestCsvExports:
     def test_rank_csv_bytes(self, tmp_path):
-        series = rank_sequence("in-degree", [("a", 3), ("b", 1), ("c", 2)])
+        series = oracles.rank_series("in-degree", [("a", 3), ("b", 1), ("c", 2)])
         path = tmp_path / "series.csv"
         export_rank_csv(series, path)
         assert path.read_bytes() == b"rank,value,word\n1,3,a\n2,2,c\n3,1,b\n"
 
     def test_empty_series_is_header_only(self, tmp_path):
         path = tmp_path / "series.csv"
-        export_rank_csv(rank_sequence("in-degree", []), path)
+        export_rank_csv(oracles.rank_series("in-degree", []), path)
         assert path.read_bytes() == b"rank,value,word\n"
 
     def test_three_entries_make_four_lines(self, tmp_path):
-        series = rank_sequence("out-degree", [("a", 3), ("b", 1), ("c", 2)])
+        series = oracles.rank_series("out-degree", [("a", 3), ("b", 1), ("c", 2)])
         path = tmp_path / "series.csv"
         export_rank_csv(series, path)
         assert len(path.read_text("utf-8").splitlines()) == 4
@@ -564,8 +460,8 @@ class TestCsvExports:
         assert lines[1] == "a,1,1,1,2,1,2,0,0.5"
 
     def test_pair_csv_alignment_and_ratio(self, tmp_path):
-        left = rank_sequence("in-degree", [("a", 3), ("b", 2)])
-        right = rank_sequence("in-degree", [("x", 2)])
+        left = oracles.rank_series("in-degree", [("a", 3), ("b", 2)])
+        right = oracles.rank_series("in-degree", [("x", 2)])
         path = tmp_path / "pair.csv"
         export_pair_csv(left, right, path)
         assert path.read_text("utf-8").splitlines() == [
@@ -575,8 +471,10 @@ class TestCsvExports:
         ]
 
     def test_pair_csv_zero_denominator_gives_empty_ratio(self, tmp_path):
-        left = rank_sequence("in-strength", [("a", 3), ("b", 2), ("c", 0)])
-        right = rank_sequence("in-strength", [("x", 2), ("y", 0), ("z", Fraction(0))])
+        left = oracles.rank_series("in-strength", [("a", 3), ("b", 2), ("c", 0)])
+        right = oracles.rank_series(
+            "in-strength", [("x", 2), ("y", 0), ("z", Fraction(0))]
+        )
         path = tmp_path / "pair.csv"
         export_pair_csv(left, right, path)
         assert path.read_text("utf-8").splitlines() == [
@@ -613,8 +511,8 @@ class TestCsvExports:
         assert not path.exists()
 
     def test_pair_csv_requires_matching_measures(self, tmp_path):
-        left = rank_sequence("in-degree", [("a", 1)])
-        right = rank_sequence("out-degree", [("a", 1)])
+        left = oracles.rank_series("in-degree", [("a", 1)])
+        right = oracles.rank_series("out-degree", [("a", 1)])
         with pytest.raises(ValueError):
             export_pair_csv(left, right, tmp_path / "pair.csv")
 
@@ -676,8 +574,8 @@ class TestSvgRendering:
         ET.fromstring(path.read_text("utf-8"))
 
     def test_mismatched_measures_rejected(self, tmp_path):
-        left = rank_sequence("in-degree", [("a", 1)])
-        right = rank_sequence("out-degree", [("a", 1)])
+        left = oracles.rank_series("in-degree", [("a", 1)])
+        right = oracles.rank_series("out-degree", [("a", 1)])
         with pytest.raises(ValueError):
             render_rank_svg(left, right, "a", "b", tmp_path / "plot.svg")
 
@@ -734,7 +632,7 @@ class TestSvgRendering:
         assert len(y_ticks) == len(y_labels) == 10
 
     def test_a_value_below_float_range_is_plotted(self, tmp_path):
-        series = rank_sequence("in-selectivity", [("a", Fraction(1, 10**400))])
+        series = oracles.rank_series("in-selectivity", [("a", Fraction(1, 10**400))])
         path = tmp_path / "plot.svg"
         render_rank_svg(series, series, "a", "b", path)
         root = ET.fromstring(path.read_text("utf-8"))
@@ -748,7 +646,7 @@ class TestSvgRendering:
         ]
 
     def test_values_below_1_start_the_y_axis_at_their_decade(self, tmp_path):
-        series = rank_sequence(
+        series = oracles.rank_series(
             "in-selectivity", [("a", Fraction(1, 2)), ("b", Fraction(3, 2))]
         )
         path = tmp_path / "plot.svg"
@@ -766,8 +664,8 @@ class TestSvgRendering:
     def test_every_point_lies_between_the_top_margin_and_the_x_axis(
         self, pairs_a, pairs_b
     ):
-        series_a = rank_sequence("in-selectivity", pairs_a)
-        series_b = rank_sequence("in-selectivity", pairs_b)
+        series_a = oracles.rank_series("in-selectivity", pairs_a)
+        series_b = oracles.rank_series("in-selectivity", pairs_b)
         root = ET.fromstring(written(render_rank_svg, series_a, series_b, "a", "b"))
         ys = [
             float(point.split(",")[1])
@@ -780,8 +678,8 @@ class TestSvgRendering:
 
     @pytest.mark.parametrize("side", ["a", "b"])
     def test_zero_value_rejected_by_name(self, tmp_path, side):
-        positive = rank_sequence("out-strength", [("a", 4), ("b", 1)])
-        with_zero = rank_sequence("out-strength", [("a", 4), ("b", 0)])
+        positive = oracles.rank_series("out-strength", [("a", 4), ("b", 1)])
+        with_zero = oracles.rank_series("out-strength", [("a", 4), ("b", 0)])
         series = (with_zero, positive) if side == "a" else (positive, with_zero)
         path = tmp_path / "plot.svg"
         with pytest.raises(ValueError, match="'out-strength'.*needs positive values"):

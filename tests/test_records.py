@@ -20,12 +20,13 @@ from coocnet import (
     all_node_metrics,
     global_summary,
     profile_network,
-    rank_sequence,
     weak_components,
 )
 from coocnet.metrics import GlobalMetrics, NodeMetrics
 from coocnet.network import ComponentLabeling
 from coocnet.ranking import NetworkProfile, RankSeries
+
+import oracles
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -62,13 +63,13 @@ FIELDS = {
 
 @pytest.fixture
 def records(two_node_net, path4):
-    """One record of each type, as the package builds it."""
+    """One record of each type, as the package builds it; a bare series by hand."""
     return [
         PipelineConfig(terminators=";", keep_digits=False),
         weak_components(path4),
         all_node_metrics(two_node_net)[0],
         global_summary(path4),
-        rank_sequence("out-strength", [("a", 4), ("b", 1), ("c", 1)]),
+        oracles.rank_series("out-strength", [("a", 4), ("b", 1), ("c", 1)]),
         profile_network(two_node_net),
     ]
 
@@ -110,10 +111,11 @@ def test_pipeline_config_defaults():
 
 
 def test_series_length_is_its_row_count():
-    series = rank_sequence("in-degree", [("a", 3), ("b", 1), ("c", 3), ("d", None)])
+    pairs = [("a", 3), ("b", 1), ("c", 3), ("d", None)]
+    series = oracles.rank_series("in-degree", pairs)
     assert len(series) == 3
     assert series
-    empty = rank_sequence("in-degree", [])
+    empty = oracles.rank_series("in-degree", [])
     assert len(empty) == 0
     assert not empty
 
@@ -160,7 +162,7 @@ def test_records_copy_with_replace_and_unpack(records):
         assert kind._fields == FIELDS[kind]
         assert record._replace() == record
         assert tuple(record._asdict().values()) == tuple(record)
-    series = rank_sequence("in-degree", [("a", 3), ("b", 1)])
+    series = oracles.rank_series("in-degree", [("a", 3), ("b", 1)])
     measure, words, values, ends = series
     assert series._replace(measure="out-degree") == ("out-degree", words, values, ends)
     with pytest.raises(ValueError, match=r"^unknown measure 'degree'$"):
