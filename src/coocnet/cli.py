@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import signal
 import sys
@@ -419,10 +420,16 @@ def _terminated(signum, frame):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The cyclic collector is paused for the command and left as the caller
+    # had it.  A command's data hold no reference cycle: a collection after
+    # any command finds the same few hundred objects of argparse's, on any
+    # input size, so its passes over the networks, tables and series would
+    # free nothing.  The argparse objects wait for the next collection.
+    collecting = gc.isenabled()
+    gc.disable()
     previous = None
     try:
+        args = build_parser().parse_args(argv)
         with contextlib.suppress(ValueError):  # only the main thread may set it
             previous = signal.signal(signal.SIGTERM, _terminated)
         _check_sample(getattr(args, "sample", None))  # before any input is read
@@ -437,6 +444,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if previous is not None:
             signal.signal(signal.SIGTERM, previous)
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

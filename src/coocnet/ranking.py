@@ -21,11 +21,13 @@ nodes share a few hundred values).  The writers work once per run: one
 formatted value cell per run in a rank CSV, one ratio per overlap of two
 runs in a pair CSV, one logarithm per run in an SVG plot.  The lines of
 a run (of an overlap, in a pair CSV) are made by one join and written by
-one write, so only the rank and the word are handled row by row, and in
-C.  An SVG plot's x cells depend only on the axis length, and are cached
-for the last two lengths.  A series keeps two references per row and no
-object of its own per row; the (rank, value, word) rows are built only
-when `RankSeries.entries` is read.
+one write.  The rank cells come from one table shared by every writer
+(`_rank_cells`), so no rank is formatted twice in a process, and only
+the word is handled row by row, and in C.  An SVG plot's x cells depend
+only on the axis length, and are cached for the last two lengths.  A
+series keeps two references per row and no object of its own per row;
+the (rank, value, word) rows are built only when `RankSeries.entries` is
+read.
 
 Two networks built from different text categories are compared by pairing
 their global summaries and their rank series measure by measure.  Each
@@ -138,10 +140,13 @@ def _runs(series: RankSeries) -> Iterator[tuple[int, int]]:
 def network_rank_series(net: CooccurrenceNetwork, measure: str) -> RankSeries:
     """Rank series of one measure over a network's nodes.
 
-    Zero values are dropped like None, so a series only covers nodes
-    active on the relevant side; the in-degree, in-strength, and
-    in-selectivity series of one network therefore all have the same
-    length (likewise for the out side).  The nodes come in the network's
+    A node is in a series exactly when its degree on the measure's side
+    is nonzero, so the in-degree, in-strength, and in-selectivity series
+    of one network hold the same nodes (likewise for the out side).  The
+    degree column decides for all three, as weights are at least 1: a
+    strength is zero, and a selectivity None, exactly where the degree is
+    zero.  So zeros are dropped like None, and no `Fraction` is asked for
+    its truth.  The nodes come in the network's
     cached word order.  A degree or strength is its own key; a
     selectivity is keyed by the rank of its value among the column's
     distinct values, found over its shared objects (one per distinct
@@ -151,9 +156,11 @@ def network_rank_series(net: CooccurrenceNetwork, measure: str) -> RankSeries:
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
-    column = getattr(_node_table(net), measure.replace("-", "_"))
+    table = _node_table(net)
+    column = getattr(table, measure.replace("-", "_"))
+    degrees = getattr(table, measure.partition("-")[0] + "_degree")
     order = _word_order(net)
-    active = itertools.compress(order, map(column.__getitem__, order))
+    active = itertools.compress(order, map(degrees.__getitem__, order))
     keys = column
     if measure.endswith("selectivity"):
         shared = dict(zip(map(id, column), column))
@@ -300,6 +307,28 @@ def _word_cells(words: tuple[str, ...]) -> Sequence[str]:
     ]
 
 
+# "1", "2", ...: the rank cells of the longest series written so far
+_RANK_CELLS: tuple[str, ...] = ()
+
+
+def _rank_cells(n: int) -> tuple[str, ...]:
+    """At least `n` rank cells: ``str(i + 1)`` at position i.
+
+    One tuple serves every writer in the process.  A longer request builds
+    a longer tuple, formatting only the ranks that are new, and rebinds
+    the name; a tuple never changes once made, so a writer keeps using the
+    one it got while another thread grows the table.  The table lives as
+    long as the process: one short string per rank of the longest series
+    written so far, about 0.5 MB at 8,000 ranks.
+    """
+    global _RANK_CELLS
+    cells = _RANK_CELLS
+    if len(cells) < n:
+        cells = (*cells, *map(str, range(len(cells) + 1, n + 1)))
+        _RANK_CELLS = cells
+    return cells
+
+
 def export_rank_csv(series: RankSeries, path: str | Path) -> None:
     """Write one rank series as ``rank,value,word`` rows (with header).
 
@@ -307,12 +336,13 @@ def export_rank_csv(series: RankSeries, path: str | Path) -> None:
     run's rows are joined into one string and written at once.
     """
     words = _word_cells(series.words)
+    ranks = _rank_cells(len(words))
     with _new_text_file(path) as handle:
         handle.write("rank,value,word\n")
         for start, end in _runs(series):
             middle = f",{format_value(series.values[start])},"
             fields = zip(
-                map(str, range(start + 1, end + 1)),
+                ranks[start:end],
                 itertools.repeat(middle),
                 words[start:end],
                 itertools.repeat("\n"),
@@ -379,6 +409,7 @@ def export_pair_csv(
             f"cannot pair {series_a.measure!r} with {series_b.measure!r}"
         )
     cuts = sorted({0, *series_a.ends, *series_b.ends})
+    ranks = _rank_cells(cuts[-1])
     with _new_text_file(path) as handle:
         handle.write("rank,value_a,value_b,ratio_a_over_b\n")
         for start, end in zip(cuts, cuts[1:]):
@@ -391,7 +422,7 @@ def export_pair_csv(
             )
             cells = map(format_value, (value_a, value_b, ratio))
             tail = ",{},{},{}\n".format(*cells)
-            handle.write(tail.join(map(str, range(start + 1, end + 1))) + tail)
+            handle.write(tail.join(ranks[start:end]) + tail)
 
 
 # -- SVG rank plot ----------------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import filecmp
+import gc
 import io
 import os
 import re
@@ -796,6 +797,100 @@ class TestCompare:
         assert names == sorted(p.name for p in second.iterdir())
         match, mismatch, errors = filecmp.cmpfiles(first, second, names, shallow=False)
         assert mismatch == [] and errors == []
+
+
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """Run the block with the cyclic collector on or off, then restore it."""
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+class TestCollectorPause:
+    """`main` pauses the cyclic collector, which would find nothing to free."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("outcome", [0, 1, 130])
+    def test_the_callers_setting_is_restored(
+        self, tmp_path, capsys, monkeypatch, enabled, outcome
+    ):
+        text = write_text(tmp_path, "t.txt", "a b c. c b a.")
+        if outcome == 1:
+            text = tmp_path / "missing.txt"
+        if outcome == 130:
+
+            def interrupted(sentences):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(cli, "build_network", interrupted)
+        with collector(enabled):
+            code, _, _ = run(capsys, "build", str(text), "--out", str(tmp_path))
+            assert code == outcome
+            assert gc.isenabled() == enabled
+
+    def test_no_collection_runs_during_a_command(
+        self, tmp_path, formal_text_path, informal_text_path
+    ):
+        phases = []
+
+        def record(phase, info):
+            phases.append(phase)
+
+        argv = [str(formal_text_path), str(informal_text_path), "--svg"]
+        with collector(True):
+            gc.collect()  # no collection falls due before main pauses it
+            gc.callbacks.append(record)
+            try:
+                code = main(["compare", *argv, "--out", str(tmp_path)])
+            finally:
+                gc.callbacks.remove(record)
+        assert code == 0
+        assert phases == []
+
+    @pytest.mark.parametrize(
+        "command, inputs, options",
+        [
+            ("compare", 2, ["--svg", "--sample", "16"]),
+            ("analyze", 1, ["--sample", "16"]),
+            ("rank", 1, []),
+            ("build", 2, []),
+        ],
+        ids=["compare", "analyze", "rank", "build"],
+    )
+    def test_a_command_leaves_as_much_cyclic_garbage_on_any_input_size(
+        self,
+        tmp_path,
+        capsys,
+        formal_text_path,
+        informal_text_path,
+        zipf_sentences,
+        command,
+        inputs,
+        options,
+    ):
+        # the premise of the pause: had a command's per-node data cycles,
+        # the count would grow with the input, and the paused collector
+        # would let them pile up until the command ends
+        big = tmp_path / "big.txt"
+        big.write_text(
+            "".join(" ".join(sentence) + ".\n" for sentence in zipf_sentences),
+            encoding="utf-8",
+        )
+        big_too = tmp_path / "big_too.txt"
+        big_too.write_text(big.read_text("utf-8")[::-1], encoding="utf-8")
+        found = []
+        with collector(False):
+            for texts in ((formal_text_path, informal_text_path), (big, big_too)):
+                argv = [command, *map(str, texts[:inputs]), *options]
+                gc.collect()
+                code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "out"))
+                assert code == 0
+                found.append(gc.collect())
+        assert found[0] == found[1]
 
 
 def _open_once_read(fifo: Path, child: subprocess.Popen) -> int:

@@ -1,8 +1,10 @@
 import gc
 import sys
 import tempfile
+import threading
 import tracemalloc
 import xml.etree.ElementTree as ET
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from coocnet import (
     write_summary_csv,
 )
 
+from coocnet import ranking
 from coocnet.metrics import _node_table
 
 import oracles
@@ -142,6 +145,70 @@ class TestWritersMatchOracles:
             )
             args = (series, series, "a", "b")
             assert written(render_rank_svg, *args) == written(oracles.rank_svg, *args)
+
+
+def _stepped_series(measure: str, length: int, step: int):
+    """A series of `length` rows whose value drops every `step` rows."""
+    pairs = [(f"w{i:03d}", length // step - i // step + 1) for i in range(length)]
+    return oracles.rank_series(measure, pairs)
+
+
+class TestRankCells:
+    """Every writer takes its rank cells from one table, grown on demand."""
+
+    @pytest.fixture(autouse=True)
+    def cold_table(self, monkeypatch):
+        monkeypatch.setattr(ranking, "_RANK_CELLS", ())
+
+    def test_a_shorter_series_between_longer_ones(self):
+        for length in (40, 7, 90):
+            series = _stepped_series("in-degree", length, 3)
+            other = _stepped_series("in-degree", length // 2, 5)
+            assert written(export_rank_csv, series) == written(oracles.rank_csv, series)
+            for pair in ((series, other), (other, series)):
+                assert written(export_pair_csv, *pair) == written(
+                    oracles.pair_csv, *pair
+                )
+
+    def test_an_earlier_table_is_never_changed(self):
+        short = ranking._rank_cells(5)
+        assert ranking._rank_cells(3) is short
+        longer = ranking._rank_cells(12)
+        assert short == ("1", "2", "3", "4", "5")
+        assert longer == tuple(map(str, range(1, 13)))
+
+    def test_threads_share_a_cold_table(self):
+        # four lengths, so the threads race to grow the table past each
+        # other's needs while the others slice it
+        jobs = []
+        for length in (300, 17, 900, 120):
+            series = _stepped_series("out-strength", length, 7)
+            other = _stepped_series("out-strength", length // 3, 2)
+            jobs.append((series, other))
+        expected = [
+            (written(oracles.rank_csv, series), written(oracles.pair_csv, series, other))
+            for series, other in jobs
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ranking._RANK_CELLS = ()
+                barrier = threading.Barrier(len(jobs))
+
+                def write(job):
+                    series, other = job
+                    barrier.wait(timeout=60)
+                    return (
+                        written(export_rank_csv, series),
+                        written(export_pair_csv, series, other),
+                    )
+
+                with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                    results = list(pool.map(write, jobs, timeout=60))
+                assert results == expected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def assert_network_series_match_rank_order(net):
