@@ -10,9 +10,10 @@ Subcommands:
 
 All writers are byte-deterministic, so two runs over the same inputs
 produce identical output trees (timestamps aside).  Exit status is 0 only
-when every requested output was written; a command that fails writes back
-the earlier bytes of the files it overwrote, deletes the files it made
-and removes the directories it made, so it leaves ``--out`` as it was.
+when every requested output was written.  Every output file is replaced
+whole, never left part-written under its name, even by a kill; a command
+that fails moves back a copy of each file it overwrote, kept on disk, and
+deletes the files and directories it made, so ``--out`` is as it was.
 An interrupt (Ctrl-C) or SIGTERM does the same, prints one
 ``error: interrupted`` line and exits 130 or 143.  Every line the command
 prints, to stdout or stderr, goes through `_say`, so a stream closed by
@@ -35,6 +36,7 @@ import argparse
 import contextlib
 import gc
 import os
+import shutil
 import signal
 import sys
 from pathlib import Path
@@ -173,33 +175,35 @@ class _Outputs:
     """The files one command writes into ``--out``, put back if it fails.
 
     `write` makes the directory on first use, and before a writer runs it
-    records the file's name with the bytes of the regular file already
-    there, if any; those bytes are held until the command ends.  Leaving
-    the ``with`` block by an exception writes the old bytes back, deletes
-    the files that were not there, then removes the directories `write`
-    made, innermost first, so a failed command leaves ``--out`` as it was.
+    records the file's name and copies a regular file already there to
+    ``NAME.coocnet-old`` (`shutil.copy2`: a kernel copy, mode and mtime
+    kept).  Leaving the ``with`` block deletes the copies; leaving it by
+    an exception moves each back, deletes the files that were not there,
+    then removes the directories `write` made, innermost first, so a
+    failed command leaves ``--out`` as it was.
     """
 
     def __init__(self, directory: str) -> None:
         self.directory = Path(directory)
-        self._files: list[tuple[Path, bytes | None]] = []
+        self._files: list[tuple[Path, Path | None]] = []
         self._dirs: list[Path] = []
 
     def __enter__(self) -> _Outputs:
         return self
 
     def __exit__(self, exc_type, exc, traceback) -> None:
-        if exc_type is None:
-            return
         # a recorded name may be a directory that was there before; unlink
         # fails on it, and only the directories made here are removed
         for path, old in self._files:
             with contextlib.suppress(OSError):
                 if old is None:
-                    path.unlink(missing_ok=True)
+                    if exc_type is not None:
+                        path.unlink(missing_ok=True)
+                elif exc_type is None:
+                    old.unlink()
                 else:
-                    path.write_bytes(old)
-        for path in self._dirs:
+                    os.replace(old, path)
+        for path in self._dirs if exc_type is not None else ():
             with contextlib.suppress(OSError):
                 path.rmdir()
 
@@ -209,7 +213,12 @@ class _Outputs:
             self._dirs.extend(d for d in missing if not d.exists())
             self.directory.mkdir(parents=True, exist_ok=True)
         path = self.directory / name
-        self._files.append((path, path.read_bytes() if path.is_file() else None))
+        old = path.with_name(f"{name}.coocnet-old") if path.is_file() else None
+        # until it is whole, a copy counts as made here: deleted on failure
+        self._files.append((old or path, None))
+        if old is not None:
+            shutil.copy2(path, old)
+        self._files[-1] = (path, old)
         writer(*args, path)
         _say(f"wrote {path}")
 

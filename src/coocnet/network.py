@@ -52,18 +52,20 @@ per line, LF endings, sorted lexicographically by (src, dst).  Weights are
 ASCII digits without sign or leading zero, no more of them than the
 interpreter's int digit limit (4,300 by default).  The reader rejects
 other spellings; the writer raises ValueError on a longer weight, as on a
-word UTF-8 cannot hold, and leaves no file.  The reader accepts records in
-any order and the writer sorts them, so rewriting an unsorted file changes
-its bytes.  The writer is byte-deterministic so output files can be
-hash-compared.  The format has no node section, so words without any edge
-(from one-word sentences) do not survive a write/read round trip.
+word UTF-8 cannot hold.  Like every writer of the package, it leaves no
+partial file on any exception (`_new_text_file`).  The reader accepts
+records in any order and the writer sorts them, so rewriting an unsorted
+file changes its bytes.  The writer is byte-deterministic so output files
+can be hash-compared.  The format has no node section, so words without
+any edge (from one-word sentences) do not survive a write/read round trip.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from itertools import chain, islice, pairwise, repeat
 from operator import itemgetter, sub
 from pathlib import Path
@@ -363,16 +365,20 @@ def write_edge_list(net: CooccurrenceNetwork, path: str | Path) -> None:
 
 @contextmanager
 def _new_text_file(path: str | Path) -> Iterator[TextIO]:
-    """Open `path` to write UTF-8 text with no newline translation.
+    """Write UTF-8 text for `path`, whole or not at all; no newline translation.
 
-    On a ValueError (a word UTF-8 cannot hold, or an int past the digit
-    limit) the file is closed and removed, so no partial file is left.
+    The text goes to ``NAME.coocnet-new``, which `os.replace` moves onto
+    `path` once closed; on any exception, an interrupt included, it is
+    removed, so `path` keeps its earlier bytes or stays absent.
     """
+    new = f"{path}.coocnet-new"
     try:
-        with open(path, "w", encoding="utf-8", newline="") as file:
+        with open(new, "w", encoding="utf-8", newline="") as file:
             yield file
-    except ValueError:
-        Path(path).unlink()
+        os.replace(new, path)
+    except BaseException:
+        with suppress(OSError):  # not made, when `open` failed
+            os.unlink(new)
         raise
 
 

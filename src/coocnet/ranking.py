@@ -273,7 +273,7 @@ def format_value(value: str | int | Fraction | None) -> str:
 def _write_csv(
     path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
 ) -> None:
-    """Write a header and rows as UTF-8 CSV, LF endings; no file on ValueError."""
+    """Write a header and rows as UTF-8 CSV, LF endings, whole or not at all."""
     with _new_text_file(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)

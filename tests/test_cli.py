@@ -5,6 +5,7 @@ import gc
 import io
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coocnet import cli
+from coocnet import cli, ranking
 from coocnet.cli import main, sanitize_label
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -784,6 +785,122 @@ class TestCompare:
         assert err == "error: interrupted\n"
         assert snapshot(out) == before
 
+    def test_a_kill_leaves_old_or_whole_new_bytes_under_each_name(
+        self, tmp_path, capsys, monkeypatch, formal_text_path, informal_text_path,
+        zipf_sentences,
+    ):
+        out, fresh = tmp_path / "cmp", tmp_path / "fresh"
+        texts = [str(formal_text_path), str(informal_text_path)]
+        assert run(capsys, "compare", *texts, "--svg", "--out", str(out))[0] == 0
+        before = snapshot(out)
+        # the same names, some with other bytes: a 40,000-word text under the
+        # formal label, whose rank CSVs pass the file buffer before their
+        # last run of equal values
+        zipf = "".join(" ".join(sentence) + ". " for sentence in zipf_sentences)
+        texts[0] = str(write_text(tmp_path, "zipf.txt", zipf))
+        swapped = [
+            "compare", *texts,
+            "--labels", "formal_excerpt", "informal_excerpt", "--svg",
+        ]
+        # a clean run of it gives the new bytes, and the number of
+        # format_value calls up to the last run of the first rank CSV
+        calls, ends = [], []
+        formatted, export = ranking.format_value, cli.export_rank_csv
+
+        def counted(value):
+            calls.append(value)
+            return formatted(value)
+
+        def exported(series, path):
+            export(series, path)
+            ends.append((path.name, len(calls)))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ranking, "format_value", counted)
+            patch.setattr(cli, "export_rank_csv", exported)
+            assert run(capsys, *swapped, "--out", str(fresh))[0] == 0
+        new = snapshot(fresh)
+        killed, kill_at = ends[0]
+        child = subprocess.run(
+            [sys.executable, "-c", _KILLED_AT_CALL, str(kill_at), *swapped,
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            timeout=120,
+        )
+        assert child.returncode == 9, child.stderr
+        after = snapshot(out)
+        kept = {n for n in after if n.endswith((".coocnet-new", ".coocnet-old"))}
+        assert set(before) <= set(after) and set(after) - kept <= set(new)
+        for name in set(after) - kept:
+            assert after[name] in (before[name], new[name]), name
+        assert after[killed] == before[killed]
+        # the kill landed inside the rank CSV, after a buffer was flushed
+        partial = after[f"{killed}.coocnet-new"]
+        assert partial and new[killed].startswith(partial) and partial != new[killed]
+        for name in kept - {f"{killed}.coocnet-new"}:
+            assert name.endswith(".coocnet-old")
+            assert after[name] == before[name.removesuffix(".coocnet-old")]
+
+    def test_overwritten_outputs_are_copied_on_disk_not_read(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        alpha, beta = self._write_pair(tmp_path)
+        wordless = write_text(tmp_path, "wordless.txt", "... !")
+        out = tmp_path / "cmp"
+        argv = ["compare", str(alpha), str(beta), "--svg", "--out", str(out)]
+        assert run(capsys, *argv)[0] == 0
+        read, read_bytes = [], Path.read_bytes
+
+        def noted(path):
+            read.append(Path(path).resolve())
+            return read_bytes(path)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "read_bytes", noted)
+            assert run(capsys, *argv)[0] == 0  # overwrites all 27 files
+            # overwrites both edge lists, then fails and puts them back
+            assert run(
+                capsys, "compare", str(beta), str(wordless),
+                "--labels", "alpha", "beta", "--out", str(out),
+            )[0] == 1
+        assert read  # the inputs are read through it
+        assert [path for path in read if out.resolve() in path.parents] == []
+
+    def test_leftovers_of_a_killed_run_do_not_stop_the_next(self, tmp_path, capsys):
+        alpha, beta = self._write_pair(tmp_path)
+        argv = ["compare", str(alpha), str(beta), "--svg", "--out"]
+        clean, out = tmp_path / "clean", tmp_path / "cmp"
+        assert run(capsys, *argv, str(clean))[0] == 0
+        assert run(capsys, *argv, str(out))[0] == 0
+        (out / "summary.csv.coocnet-old").write_bytes(b"a stale copy\n")
+        (out / "summary.csv.coocnet-new").write_bytes(b"label,N,K\nalp")
+        assert run(capsys, *argv, str(out))[0] == 0
+        assert snapshot(out) == snapshot(clean)
+
+    def test_a_copy_that_fails_partway_is_deleted_not_moved_back(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        alpha, beta = self._write_pair(tmp_path)
+        out = tmp_path / "cmp"
+        argv = ["compare", str(alpha), str(beta), "--svg", "--out", str(out)]
+        assert run(capsys, *argv)[0] == 0
+        before = snapshot(out)
+        copies = []
+
+        def copied_in_part(source, copy):  # the disk fills halfway into the third
+            copies.append(copy)
+            data = Path(source).read_bytes()
+            Path(copy).write_bytes(data[: len(data) // 2] if len(copies) == 3 else data)
+            if len(copies) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(shutil, "copy2", copied_in_part)
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "No space left on device" in err
+        assert len(copies) == 3
+        assert snapshot(out) == before
+
     def test_runs_are_byte_identical(self, tmp_path, capsys):
         alpha, beta = self._write_pair(tmp_path)
         first = tmp_path / "run1"
@@ -797,6 +914,24 @@ class TestCompare:
         assert names == sorted(p.name for p in second.iterdir())
         match, mismatch, errors = filecmp.cmpfiles(first, second, names, shallow=False)
         assert mismatch == [] and errors == []
+
+
+# `main` on the arguments after the first, which ends the process at the
+# format_value call of that number, as SIGKILL would: no handler, no
+# cleanup and no flush of the open file's buffer
+_KILLED_AT_CALL = """\
+import os, sys
+from coocnet import cli, ranking
+calls, formatted = 0, ranking.format_value
+def counted(value):
+    global calls
+    calls += 1
+    if calls == int(sys.argv[1]):
+        os._exit(9)
+    return formatted(value)
+ranking.format_value = counted
+sys.exit(cli.main(sys.argv[2:]))
+"""
 
 
 @contextlib.contextmanager

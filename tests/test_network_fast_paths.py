@@ -21,6 +21,7 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from coocnet import (
     weak_components,
     write_edge_list,
 )
-from coocnet import cli, metrics
+from coocnet import cli, metrics, network
 from coocnet.network import _adjacency
 
 import oracles
@@ -397,3 +398,27 @@ def test_weight_past_the_digit_limit_leaves_no_file(tmp_path):
     with pytest.raises(ValueError, match="digits"):
         write_edge_list(net, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["absent", "old"])
+def test_an_interrupt_between_batches_leaves_the_old_bytes_or_no_file(
+    tmp_path, monkeypatch, old
+):
+    # 3,000 one-edge sources go out in three batches of lines; Ctrl-C comes
+    # after two of them, past the file buffer, so their bytes are on disk
+    words = [f"w{i:04}" for i in range(3001)]
+    net = from_edge_list([(a, b, 1) for a, b in zip(words, words[1:])])
+    path = tmp_path / "net.edges.tsv"
+    if old is not None:
+        path.write_bytes(old)
+    sorted_edges = network._sorted_edges
+
+    def interrupted(net):
+        yield from islice(sorted_edges(net), 2_500)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(network, "_sorted_edges", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_edge_list(net, path)
+    assert (path.read_bytes() if path.exists() else None) == old
+    assert list(tmp_path.glob("*.coocnet-new")) == []

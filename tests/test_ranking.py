@@ -29,10 +29,11 @@ from coocnet import (
     render_rank_svg,
     size_mismatch,
     write_node_metrics_csv,
+    write_edge_list,
     write_summary_csv,
 )
 
-from coocnet import ranking
+from coocnet import network, ranking
 from coocnet.metrics import _node_table
 
 import oracles
@@ -582,6 +583,77 @@ class TestCsvExports:
         right = oracles.rank_series("out-degree", [("a", 1)])
         with pytest.raises(ValueError):
             export_pair_csv(left, right, tmp_path / "pair.csv")
+
+
+class _StoppingFile:
+    """A text file that writes its first `limit` characters, then raises.
+
+    The characters before the stop are flushed to disk, as a buffer that
+    fills would flush them, so the stop lands partway through the file.
+    """
+
+    def __init__(self, file, limit: int, error: type[BaseException]) -> None:
+        self._file, self._left, self._error = file, limit, error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._file.close()
+
+    def write(self, text: str) -> int:
+        if len(text) < self._left:
+            self._left -= len(text)
+            return self._file.write(text)
+        self._file.write(text[: self._left])
+        self._file.flush()
+        raise self._error
+
+
+def _writers(net):
+    """Each writer of the package, as a call that writes one file for `net`."""
+    series = network_rank_series(net, "in-strength")
+    return {
+        "edge list": lambda path: write_edge_list(net, path),
+        "rank": lambda path: export_rank_csv(series, path),
+        "pair": lambda path: export_pair_csv(series, series, path),
+        "svg": lambda path: render_rank_svg(series, series, "a", "b", path),
+        "summary": lambda path: write_summary_csv([("a", global_summary(net))], path),
+        "nodes": lambda path: write_node_metrics_csv(all_node_metrics(net), path),
+    }
+
+
+class TestWholeOrNotAtAll:
+    """A writer that fails partway leaves its name as it found it."""
+
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["absent", "old"])
+    @pytest.mark.parametrize(
+        "error", [KeyboardInterrupt, OSError], ids=["KeyboardInterrupt", "OSError"]
+    )
+    @pytest.mark.parametrize(
+        "writer", ["edge list", "rank", "pair", "svg", "summary", "nodes"]
+    )
+    def test_an_exception_partway_leaves_the_old_bytes_or_no_file(
+        self, tmp_path, monkeypatch, writer, error, old
+    ):
+        edges = [("a", "b", 3), ("b", "c", 1), ("c", "a", 2), ("a", "c", 1)]
+        write = _writers(from_edge_list(edges))[writer]
+        whole = tmp_path / "whole"
+        write(whole)
+        limit = len(whole.read_text(encoding="utf-8")) // 2
+        path = tmp_path / "out"
+        if old is not None:
+            path.write_bytes(old)
+
+        def stopping(*args, **kwargs):  # every writer opens through network
+            return _StoppingFile(open(*args, **kwargs), limit, error)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(network, "open", stopping, raising=False)
+            with pytest.raises(error):
+                write(path)
+        assert (path.read_bytes() if path.exists() else None) == old
+        assert list(tmp_path.glob("*.coocnet-new")) == []
 
 
 _POLYLINE = "{http://www.w3.org/2000/svg}polyline"
