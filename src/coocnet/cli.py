@@ -254,16 +254,15 @@ def _cmd_analyze(args: argparse.Namespace, config: PipelineConfig) -> int:
     net = _load_network(args.input, config, args.format)
     label = _label(args.label, args.input)
     _check_not_empty(net, args.input)
+    # rows first: their sampled sweep tallies per source and serves the summary
+    # too, where the summary first would sweep for totals and then again
+    rows = all_node_metrics(net, args.sample)
     metrics = global_summary(net, args.sample)
     excluded = excluded_fraction(net)
     _print_summary(label, metrics, excluded)
     with _Outputs(args.out) as out:
         out.write(f"{label}.summary.csv", write_summary_csv, [(label, metrics)])
-        out.write(
-            f"{label}.nodes.csv",
-            write_node_metrics_csv,
-            all_node_metrics(net, args.sample),
-        )
+        out.write(f"{label}.nodes.csv", write_node_metrics_csv, rows)
     return 0
 
 

@@ -33,6 +33,8 @@ For very large networks `global_summary` and `all_node_metrics` accept
 the average shortest path becomes an estimate, the diameter a lower
 bound, and a node's average distance is None unless it is a sampled
 source.  Exact computation (``sample=None``) is the default everywhere.
+Only `all_node_metrics` pays for the per-source distance tallies of a
+sampled sweep; `global_summary` reads totals, which a sweep counts alone.
 """
 
 from __future__ import annotations
@@ -288,7 +290,9 @@ class _DistanceStats(NamedTuple):
     labeling: ComponentLabeling
     n_prime: int  # size of the largest component
     n_sources: int
-    node_sum: dict[int, int]  # source id -> sum of its hop distances
+    # source id -> sum of its hop distances; None after a sampled sweep
+    # without per-source tallies
+    node_sum: dict[int, int] | None
     total: int
     max_dist: int
 
@@ -299,19 +303,28 @@ def _check_sample(sample: int | None) -> None:
         raise ValueError(f"sample must be >= 1, got {sample}")
 
 
-def _distance_stats(
-    net: CooccurrenceNetwork, sample: int | None
+def _distance_stats(net: CooccurrenceNetwork, sample: int | None) -> _DistanceStats:
+    """`_distances` without per-source tallies: the totals of `global_summary`.
+
+    A later `all_node_metrics` sweeps a sample again; the other order sweeps once.
+    """
+    return _distances(net, sample, per_source=False)
+
+
+def _distances(
+    net: CooccurrenceNetwork, sample: int | None, per_source: bool
 ) -> _DistanceStats:
     """All-pairs (or sampled) hop-distance aggregates on the largest component.
 
     The sweeps walk the cached adjacency in place, and the sources are swept
     in blocks of `_block_width`, so the sweeps' bitsets stay within
     ``_SWEEP_BYTES`` (32 MiB) plus Python's per-int overhead.  Cached on the
-    network, keyed by the sample size.
+    network, keyed by the sample size.  A sampled sweep tallies per-source
+    sums only with ``per_source``, which sweeps an entry without them again.
     """
     _check_sample(sample)
     cached = net._distance_cache.get(sample)
-    if cached is not None:
+    if cached is not None and (cached.node_sum is not None or not per_source):
         return cached
 
     labeling = weak_components(net)
@@ -327,7 +340,8 @@ def _distance_stats(
         sources = sorted(rng.sample(comp_nodes, sample))
 
     # with every component node a source, v's sum over the sources is its own
-    by_source = len(sources) < n_prime
+    sampled = len(sources) < n_prime
+    by_source = per_source and sampled
     adjacency = _adjacency(net)
     sums = [0] * net.n_nodes
     max_dist = 0
@@ -337,14 +351,14 @@ def _distance_stats(
         block_max, reached = _sweep(adjacency, comp_nodes, block, sums, by_source)
         assert reached == n_prime * len(block), "sources must reach their component"
         max_dist = max(max_dist, block_max)
-    node_sum = {source: sums[source] for source in sources}
+    node_sum = {s: sums[s] for s in sources} if per_source or not sampled else None
 
     stats = _DistanceStats(
         labeling=labeling,
         n_prime=n_prime,
         n_sources=len(sources),
         node_sum=node_sum,
-        total=sum(node_sum.values()),
+        total=sum(sums),
         max_dist=max_dist,
     )
     net._distance_cache[sample] = stats
@@ -354,9 +368,12 @@ def _distance_stats(
 def all_node_metrics(
     net: CooccurrenceNetwork, sample: int | None = None
 ) -> list[NodeMetrics]:
-    """NodeMetrics for every node, indexed by node id, built by columns."""
+    """NodeMetrics for every node, indexed by node id, built by columns.
+
+    One sampled sweep serves it and a later `global_summary`; an earlier one costs two.
+    """
     table = _node_table(net)
-    stats = _distance_stats(net, sample)
+    stats = _distances(net, sample, per_source=True)
     # 2E is 0 wherever k < 2, so a denominator of 1 gives them Fraction(0)
     clustering = _shared_ratios(table.twice_links, [k * (k - 1) or 1 for k in table.k])
     distance: list[Fraction | None] = [None] * net.n_nodes

@@ -23,8 +23,9 @@ ids per node (`_adjacency`); the node ids sorted by word, as the id
 table's own ints, which the edge-list writer and the rank series read
 (`_word_order`); the per-node table of `metrics` (degree family and
 neighbor links); and the hop-distance aggregates of `metrics` per sample
-size.  The measures and writers read the edge lists alone, so
-the in-neighbor maps are never filled unless a caller asks for them.
+size, with a sampled entry's per-source sums only once `all_node_metrics`
+has asked for them.  The measures and writers read the edge lists alone,
+so the in-neighbor maps are never filled unless a caller asks for them.
 `undirected_projection` returns the projection as fresh sets on each
 call and caches nothing; the tuples are filled from one such call, and
 hold the int objects of the network's own lists rather than fresh ones.

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coocnet import cli, ranking
+from coocnet import cli, metrics, ranking
 from coocnet.cli import main, sanitize_label
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -384,6 +384,43 @@ class TestAnalyze:
             capsys, "analyze", str(text), "--out", str(tmp_path), "--sample", "2"
         )
         assert code == 0
+
+
+class TestSampledSweeps:
+    """compare sweeps for totals only; analyze's one sweep tallies per source."""
+
+    @pytest.fixture
+    def by_source(self, monkeypatch) -> list[bool]:
+        """The ``by_source`` argument of each `metrics._sweep` call."""
+        flags: list[bool] = []
+        sweep = metrics._sweep
+
+        def recording_sweep(adjacency, members, block, sums, by_source):
+            flags.append(by_source)
+            return sweep(adjacency, members, block, sums, by_source)
+
+        monkeypatch.setattr(metrics, "_sweep", recording_sweep)
+        return flags
+
+    def test_analyze_row_is_compare_row(
+        self, tmp_path, capsys, by_source, formal_text_path, informal_text_path
+    ):
+        compared, analyzed = tmp_path / "cmp", tmp_path / "analyze"
+        texts = [str(formal_text_path), str(informal_text_path)]
+        code, _, _ = run(
+            capsys, "compare", *texts, "--sample", "4", "--out", str(compared)
+        )
+        assert code == 0
+        assert by_source == [False, False]
+        by_source.clear()
+        code, _, _ = run(
+            capsys, "analyze", texts[0], "--sample", "4", "--out", str(analyzed)
+        )
+        assert code == 0
+        assert by_source == [True]
+        row = (analyzed / "formal_excerpt.summary.csv").read_bytes().splitlines()[1]
+        assert row.startswith(b"formal_excerpt,")
+        assert row == (compared / "summary.csv").read_bytes().splitlines()[1]
 
 
 class TestRank:

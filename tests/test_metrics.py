@@ -488,9 +488,11 @@ class TestSweepBudget:
         n_prime = len(comp)
         width = data.draw(st.integers(1, n_prime), label="width")
         sample = data.draw(st.none() | st.integers(1, n_prime), label="sample")
+        fresh = CooccurrenceNetwork(words, weights)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(metrics, "_block_width", lambda n_prime: width)
-            stats = metrics._distance_stats(net, sample)
+            stats = metrics._distances(net, sample, per_source=True)
+            totals = metrics._distance_stats(fresh, sample)
         want_l, want_d, want_node = oracles.path_stats(net)
         eccentricity = oracles.eccentricities(net)
         sources = sorted(stats.node_sum)
@@ -503,6 +505,48 @@ class TestSweepBudget:
         if sample is None and n_prime >= 2:
             assert Fraction(stats.total, n_prime * (n_prime - 1)) == want_l
             assert stats.max_dist == want_d
+        # the summary's sweep counts the same totals, and tallies no source
+        # whenever it samples
+        assert (totals.n_sources, totals.total, totals.max_dist) == (
+            stats.n_sources,
+            stats.total,
+            stats.max_dist,
+        )
+        assert (totals.node_sum is None) == (sample is not None and sample < n_prime)
+        assert totals.node_sum in (None, stats.node_sum)
+
+
+class TestSweepOrder:
+    """A sampled summary sweeps for totals only; node rows tally per source."""
+
+    @pytest.mark.parametrize("rows_first", [True, False])
+    @pytest.mark.parametrize("sample", [None, 5])
+    def test_sweeps_per_call_order(self, monkeypatch, sample, rows_first):
+        flags: list[bool] = []
+        sweep = metrics._sweep
+
+        def recording_sweep(adjacency, members, block, sums, by_source):
+            flags.append(by_source)
+            return sweep(adjacency, members, block, sums, by_source)
+
+        monkeypatch.setattr(metrics, "_sweep", recording_sweep)
+        net = largest_component_without_node_0()  # N' = 11
+        if rows_first:
+            distance = distance_column(net, sample)
+            summary = global_summary(net, sample)
+        else:
+            summary = global_summary(net, sample)
+            distance = distance_column(net, sample)
+        if sample is None:  # the exact sweep's per-node sums are every source's
+            assert flags == [False]
+            assert_distances_match_oracle(net)
+        else:
+            assert flags == ([True] if rows_first else [False, True])
+            assert_sampled_distances_match_oracle(net, sample)
+        # the checks above read the cache, and sweep no more
+        assert len(flags) == (1 if sample is None or rows_first else 2)
+        assert distance == distance_column(net, sample)
+        assert summary == global_summary(net, sample)
 
 
 class TestScaleInvariance:
