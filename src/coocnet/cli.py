@@ -15,7 +15,8 @@ whole, never left part-written under its name, even by a kill; a command
 that fails moves back a copy of each file it overwrote, kept on disk, and
 deletes the files and directories it made, so ``--out`` is as it was.
 An interrupt (Ctrl-C) or SIGTERM does the same, prints one
-``error: interrupted`` line and exits 130 or 143.  Every line the command
+``error: interrupted`` line and exits 130 or 143; running out of memory
+prints ``error: out of memory`` and exits 1.  Every line the command
 prints, to stdout or stderr, goes through `_say`, so a stream closed by
 its reader stops the lines but not the command, and a line the stream
 cannot encode is printed with backslash escapes.
@@ -51,6 +52,7 @@ from .metrics import (
 from .network import (
     CooccurrenceNetwork,
     _edgeless_count,
+    _staging_name,
     build_network,
     read_edge_list,
     write_edge_list,
@@ -176,11 +178,12 @@ class _Outputs:
 
     `write` makes the directory on first use, and before a writer runs it
     records the file's name and copies a regular file already there to
-    ``NAME.coocnet-old`` (`shutil.copy2`: a kernel copy, mode and mtime
-    kept).  Leaving the ``with`` block deletes the copies; leaving it by
-    an exception moves each back, deletes the files that were not there,
-    then removes the directories `write` made, innermost first, so a
-    failed command leaves ``--out`` as it was.
+    its ``.old`` staging name (`network._staging_name`) by `shutil.copy2`,
+    a kernel copy that keeps mode and mtime.  Leaving the ``with`` block
+    deletes the copies; leaving it by an exception moves each back,
+    deletes the files that were not there, then removes the directories
+    `write` made, innermost first, so a failed command leaves ``--out`` as
+    it was.
     """
 
     def __init__(self, directory: str) -> None:
@@ -213,7 +216,7 @@ class _Outputs:
             self._dirs.extend(d for d in missing if not d.exists())
             self.directory.mkdir(parents=True, exist_ok=True)
         path = self.directory / name
-        old = path.with_name(f"{name}.coocnet-old") if path.is_file() else None
+        old = Path(_staging_name(path, "old")) if path.is_file() else None
         # until it is whole, a copy counts as made here: deleted on failure
         self._files.append((old or path, None))
         if old is not None:
@@ -445,6 +448,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, config)
     except (ValueError, OSError) as exc:  # the package's errors subclass ValueError
         _say(f"error: {exc}", sys.stderr)
+        return 1
+    except MemoryError:  # --out is already put back, as on any exception
+        _say("error: out of memory", sys.stderr)
         return 1
     except KeyboardInterrupt as exc:  # --out is already put back; no traceback
         _say("error: interrupted", sys.stderr)

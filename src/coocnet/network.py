@@ -339,7 +339,7 @@ def _network_from_records(
     return CooccurrenceNetwork._trusted(ids, out_adj)
 
 
-# edge-list lines gathered before one write
+# lines gathered before one write, by the edge-list and node CSV writers
 _LINES_PER_WRITE = 1024
 
 
@@ -364,15 +364,33 @@ def write_edge_list(net: CooccurrenceNetwork, path: str | Path) -> None:
         file.write("".join(lines))
 
 
+def _staging_name(path: str | Path, kind: str) -> str:
+    """The hidden name beside `path` for its new bytes or its old copy.
+
+    `kind` is ``new`` or ``old``.  The name is ``.coocnet-``, the 64-bit
+    FNV-1a hash of the final name's bytes as 16 hex digits, then ``.new``
+    or ``.old``: 29 bytes however long the final name, so a name up to the
+    system's limit can be staged, and the same on every run, so the next
+    run overwrites a leftover of a killed one.  Not `hashlib`: it loads
+    OpenSSL, which added 3.4–3.8 MiB to a process's peak resident set.
+    """
+    head, name = os.path.split(path)
+    digest = 0xCBF29CE484222325
+    for byte in os.fsencode(name):
+        digest = (digest ^ byte) * 0x100000001B3 & 0xFFFFFFFFFFFFFFFF
+    return os.path.join(head, f".coocnet-{digest:016x}.{kind}")
+
+
 @contextmanager
 def _new_text_file(path: str | Path) -> Iterator[TextIO]:
     """Write UTF-8 text for `path`, whole or not at all; no newline translation.
 
-    The text goes to ``NAME.coocnet-new``, which `os.replace` moves onto
-    `path` once closed; on any exception, an interrupt included, it is
-    removed, so `path` keeps its earlier bytes or stays absent.
+    The text goes to the staging name of `path` (`_staging_name`), which
+    `os.replace` moves onto `path` once closed; on any exception, an
+    interrupt included, it is removed, so `path` keeps its earlier bytes
+    or stays absent.
     """
-    new = f"{path}.coocnet-new"
+    new = _staging_name(path, "new")
     try:
         with open(new, "w", encoding="utf-8", newline="") as file:
             yield file

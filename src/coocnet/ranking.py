@@ -29,6 +29,13 @@ series keeps two references per row and no object of its own per row;
 the (rank, value, word) rows are built only when `RankSeries.entries` is
 read.
 
+Every CSV file is written by one row rule: the header and each row are
+one ``",".join`` of ready cells.  A word or label cell is the text itself
+unless it holds a comma, a double quote, CR or LF, and is then quoted as
+the csv module quotes it (`_word_cells`).  A value cell is `format_value`
+of an int, a `Fraction` or None, which holds only digits and ``.-+e``,
+so it is never quoted.
+
 Two networks built from different text categories are compared by pairing
 their global summaries and their rank series measure by measure.  Each
 side is profiled on its own (`profile_network`), so a caller drops one
@@ -50,10 +57,10 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from operator import ne
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .metrics import GlobalMetrics, NodeMetrics, _node_table, global_summary
-from .network import CooccurrenceNetwork, _new_text_file, _word_order
+from .network import _LINES_PER_WRITE, CooccurrenceNetwork, _new_text_file, _word_order
 
 MEASURES = (
     "in-degree",
@@ -270,23 +277,13 @@ def format_value(value: str | int | Fraction | None) -> str:
     return f"{exact.normalize(_SIX_DIGITS):.6g}"
 
 
-def _write_csv(
-    path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
-) -> None:
-    """Write a header and rows as UTF-8 CSV, LF endings, whole or not at all."""
-    with _new_text_file(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 # the characters that may make the csv module quote a cell; which of them
 # do depends on the Python version ("\r" alone is left bare on 3.11)
 _CSV_SPECIALS = (",", '"', "\r", "\n")
 
 
 def _csv_cell(text: str) -> str:
-    """`text` as one cell of a `_write_csv` row, quoted by the csv module."""
+    """`text` as one cell of a CSV row, quoted as the csv module quotes it."""
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow((text,))
     return buffer.getvalue()[:-1]
@@ -353,28 +350,18 @@ def export_rank_csv(series: RankSeries, path: str | Path) -> None:
 def write_summary_csv(
     rows: Sequence[tuple[str, GlobalMetrics]], path: str | Path
 ) -> None:
-    """Write labeled global summaries as one CSV table; None is an empty cell."""
-    _write_csv(
-        path,
-        SUMMARY_COLUMNS,
-        ([label, *map(format_value, metrics)] for label, metrics in rows),
-    )
+    """Write labeled global summaries as one CSV table; None is an empty cell.
+
+    A row is the label's cell and one `format_value` cell per measure.
+    """
+    with _new_text_file(path) as handle:
+        handle.write(",".join(SUMMARY_COLUMNS) + "\n")
+        for label, metrics in rows:
+            cells = (*_word_cells((label,)), *map(format_value, metrics))
+            handle.write(",".join(cells) + "\n")
 
 
 NODE_COLUMNS = NodeMetrics._fields
-
-
-class _ValueCells(dict):
-    """Measure value -> its `format_value` cell, formatted on first use.
-
-    Equal values share a key, and their cells are equal too: 1 and
-    Fraction(1) both print as ``1``.  A bool would share the key of 0 or 1,
-    so no bool may be looked up.
-    """
-
-    def __missing__(self, value: int | Fraction | None) -> str:
-        self[value] = cell = format_value(value)
-        return cell
 
 
 def write_node_metrics_csv(
@@ -382,15 +369,20 @@ def write_node_metrics_csv(
 ) -> None:
     """Write per-node measures, one row per node in node-id order.
 
-    Each distinct value is formatted once per call; the word is not a
-    value and is written as it is.
+    A row is the word's cell and one `format_value` cell per measure.  The
+    records are read once, in batches of `_LINES_PER_WRITE` rows, each
+    written at once.
     """
-    cells = _ValueCells()
-    _write_csv(
-        path,
-        NODE_COLUMNS,
-        ([rec.word, *map(cells.__getitem__, rec[1:])] for rec in records),
-    )
+    records = iter(records)
+    with _new_text_file(path) as handle:
+        handle.write(",".join(NODE_COLUMNS) + "\n")
+        while batch := tuple(itertools.islice(records, _LINES_PER_WRITE)):
+            words = _word_cells(tuple(record.word for record in batch))
+            lines = (
+                f"{word},{','.join(map(format_value, record[1:]))}\n"
+                for word, record in zip(words, batch)
+            )
+            handle.write("".join(lines))
 
 
 def export_pair_csv(

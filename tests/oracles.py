@@ -7,22 +7,25 @@ degrees and strengths from one tally per edge instead of the neighbor
 maps, clustering from exhaustive neighbor-pair enumeration instead of
 forward triangle counting, rank order from one keyed sort instead of
 grouping by value, and the rank CSV, pair CSV and SVG bytes from one row
-per entry instead of one step per run of equal values, and text cleaning
-and tokenization from per-character state machines instead of regular
-expressions over a string of character classes, the network from one
-weights dict through the validating constructor instead of the trusted
-one, the projection from one walk over the directed edges instead of
-sets of each node's stored targets, the in-edges from one transpose of
-the edge iterator instead of the network's lazily filled cache, the
-edge list from one tuple sort over every edge instead of one word rank
-per node, and the edge-list reader from two dicts keyed by (src, dst)
-pairs instead of out-maps filled directly, over lines cut by `str`
-methods instead of a regular expression, and the value cells from int
-arithmetic alone, digits in 600-digit `divmod` pieces and 6-digit
-rounding by an exact `round`, instead of `decimal`.  Agreement between
-the two routes is what the equivalence tests assert.
+per entry instead of one step per run of equal values, the summary and
+node CSV bytes from one `csv.writer` row per record instead of joins of
+ready cells, and text cleaning and tokenization from per-character state
+machines instead of regular expressions over a string of character
+classes, the network from one weights dict through the validating
+constructor instead of the trusted one, the projection from one walk
+over the directed edges instead of sets of each node's stored targets,
+the in-edges from one transpose of the edge iterator instead of the
+network's lazily filled cache, the edge list from one tuple sort over
+every edge instead of one word rank per node, and the edge-list reader
+from two dicts keyed by (src, dst) pairs instead of out-maps filled
+directly, over lines cut by `str` methods instead of a regular
+expression, and the value cells from int arithmetic alone, digits in
+600-digit `divmod` pieces and 6-digit rounding by an exact `round`,
+instead of `decimal`.  Agreement between the two routes is what the
+equivalence tests assert.
 """
 
+import csv
 import math
 import re
 import sys
@@ -35,8 +38,10 @@ from pathlib import Path
 import numpy as np
 
 from coocnet import CooccurrenceNetwork, EdgeListFormatError, EdgeRecord, RankSeries
+from coocnet.metrics import NodeMetrics
 from coocnet.pipeline import DEFAULT_CONFIG, PipelineConfig, segment_sentences
 from coocnet.ranking import (
+    SUMMARY_COLUMNS,
     _COLOR_A,
     _COLOR_B,
     _MARGIN_LEFT,
@@ -46,7 +51,6 @@ from coocnet.ranking import (
     _SVG_HEIGHT,
     _SVG_WIDTH,
     _svg_escape,
-    _write_csv,
 )
 
 
@@ -401,6 +405,32 @@ def six_digits(value: Fraction) -> str:
 
 
 # -- reference writers: one row (or point) per entry, as before runs --------
+
+
+def _write_csv(path, header, rows) -> None:
+    """A header and rows through one `csv.writer`, UTF-8 with LF endings."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def summary_csv(rows, path) -> None:
+    """``write_summary_csv`` bytes, one `csv.writer` row per labeled summary."""
+    _write_csv(
+        path,
+        SUMMARY_COLUMNS,
+        ((label, *map(format_value, metrics)) for label, metrics in rows),
+    )
+
+
+def node_metrics_csv(records, path) -> None:
+    """``write_node_metrics_csv`` bytes, one `csv.writer` row per record."""
+    _write_csv(
+        path,
+        NodeMetrics._fields,
+        ((record.word, *map(format_value, record[1:])) for record in records),
+    )
 
 
 def rank_csv(series, path) -> None:

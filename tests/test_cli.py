@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from coocnet import cli, metrics, ranking
 from coocnet.cli import main, sanitize_label
+from coocnet.network import _staging_name
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -822,6 +823,27 @@ class TestCompare:
         assert err == "error: interrupted\n"
         assert snapshot(out) == before
 
+    def test_running_out_of_memory_is_one_line_and_leaves_out_as_it_was(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        alpha, _ = self._write_pair(tmp_path)
+        out = tmp_path / "analyzed"
+        argv = ["analyze", str(alpha), "--out", str(out)]
+        assert run(capsys, *argv)[0] == 0
+        before = snapshot(out)
+
+        def exhausted(*args):  # after summary.csv was overwritten
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "write_node_metrics_csv", exhausted)
+        try:
+            code, _, err = run(capsys, *argv)
+        except MemoryError:
+            pytest.fail("the MemoryError escaped main")
+        assert code == 1
+        assert err == "error: out of memory\n"
+        assert snapshot(out) == before
+
     def test_a_kill_leaves_old_or_whole_new_bytes_under_each_name(
         self, tmp_path, capsys, monkeypatch, formal_text_path, informal_text_path,
         zipf_sentences,
@@ -867,17 +889,24 @@ class TestCompare:
         )
         assert child.returncode == 9, child.stderr
         after = snapshot(out)
-        kept = {n for n in after if n.endswith((".coocnet-new", ".coocnet-old"))}
+        # each staging name left behind, and the final name and kind it is for
+        staged = {
+            _staging_name(name, kind): (name, kind)
+            for name in {*before, *new}
+            for kind in ("new", "old")
+        }
+        kept = set(after) & set(staged)
         assert set(before) <= set(after) and set(after) - kept <= set(new)
         for name in set(after) - kept:
             assert after[name] in (before[name], new[name]), name
         assert after[killed] == before[killed]
         # the kill landed inside the rank CSV, after a buffer was flushed
-        partial = after[f"{killed}.coocnet-new"]
+        partial = after[_staging_name(killed, "new")]
         assert partial and new[killed].startswith(partial) and partial != new[killed]
-        for name in kept - {f"{killed}.coocnet-new"}:
-            assert name.endswith(".coocnet-old")
-            assert after[name] == before[name.removesuffix(".coocnet-old")]
+        for name in kept - {_staging_name(killed, "new")}:
+            original, kind = staged[name]
+            assert kind == "old"
+            assert after[name] == before[original]
 
     def test_overwritten_outputs_are_copied_on_disk_not_read(
         self, tmp_path, capsys, monkeypatch
@@ -910,8 +939,8 @@ class TestCompare:
         clean, out = tmp_path / "clean", tmp_path / "cmp"
         assert run(capsys, *argv, str(clean))[0] == 0
         assert run(capsys, *argv, str(out))[0] == 0
-        (out / "summary.csv.coocnet-old").write_bytes(b"a stale copy\n")
-        (out / "summary.csv.coocnet-new").write_bytes(b"label,N,K\nalp")
+        (out / _staging_name("summary.csv", "old")).write_bytes(b"a stale copy\n")
+        (out / _staging_name("summary.csv", "new")).write_bytes(b"label,N,K\nalp")
         assert run(capsys, *argv, str(out))[0] == 0
         assert snapshot(out) == snapshot(clean)
 
@@ -951,6 +980,45 @@ class TestCompare:
         assert names == sorted(p.name for p in second.iterdir())
         match, mismatch, errors = filecmp.cmpfiles(first, second, names, shallow=False)
         assert mismatch == [] and errors == []
+
+
+class TestNamesOf255Bytes:
+    """An output name may be as long as the system allows, 255 bytes on most.
+
+    Each command's longest name is made 255 bytes long; its staging names
+    are 29 bytes long whatever the final name.
+    """
+
+    @pytest.mark.parametrize(
+        "command, longest, count",
+        [
+            ("build", "{}.edges.tsv", 1),
+            ("analyze", "{}.summary.csv", 2),
+            ("rank", "{}.out-selectivity.rank.csv", 6),
+            ("compare", "{}_vs_b.out-selectivity.pair.csv", 27),
+        ],
+    )
+    def test_every_output_is_written_and_overwritten(
+        self, tmp_path, capsys, command, longest, count
+    ):
+        label = "w" * (255 - len(longest.format("")))
+        text = write_text(tmp_path, f"{label}.txt", "a b c. c b a. a d. d c b.")
+        other = write_text(tmp_path, "b.txt", "p q r. r q p. q s. s p r.")
+        argv = {
+            "build": ["build", str(text)],
+            "analyze": ["analyze", str(text)],
+            "rank": ["rank", str(text)],
+            "compare": ["compare", str(text), str(other), "--svg"],
+        }[command]
+        out = tmp_path / "out"
+        # the second run copies each file it overwrites to a staging name
+        for _ in range(2):
+            code, _, err = run(capsys, *argv, "--out", str(out))
+            assert (code, err) == (0, "")
+        names = {path.name for path in out.iterdir()}
+        assert len(names) == count and longest.format(label) in names
+        assert len(os.fsencode(longest.format(label))) == 255
+        assert not any(name.startswith(".coocnet-") for name in names)
 
 
 # `main` on the arguments after the first, which ends the process at the

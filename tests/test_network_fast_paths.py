@@ -421,4 +421,4 @@ def test_an_interrupt_between_batches_leaves_the_old_bytes_or_no_file(
     with pytest.raises(KeyboardInterrupt):
         write_edge_list(net, path)
     assert (path.read_bytes() if path.exists() else None) == old
-    assert list(tmp_path.glob("*.coocnet-new")) == []
+    assert list(tmp_path.glob(".coocnet-*.new")) == []

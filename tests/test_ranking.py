@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from coocnet import (
     MEASURES,
+    GlobalMetrics,
+    NodeMetrics,
     all_node_metrics,
     all_rank_series,
     build_network,
@@ -103,6 +105,42 @@ _SVG_PAIRS = st.lists(
     max_size=40,
 )
 
+# labels and words holding what the csv module quotes (or leaves bare, as
+# "\r" on 3.11), the empty one included
+_CELL_TEXTS = st.text(alphabet=["a", "é", " ", ",", '"', "\r", "\n"], max_size=4)
+# measure values: ints past `str`'s 4,300-digit limit, Fractions past float
+# range at both ends, and None
+_MEASURE_VALUES = st.one_of(
+    st.none(),
+    st.integers(min_value=-3, max_value=6),
+    st.fractions(min_value=-3, max_value=6, max_denominator=4),
+    st.builds(
+        lambda digits, exponent: digits * 10**exponent,
+        st.integers(-999, 999),
+        st.integers(4_300, 4_400),
+    ),
+    st.builds(
+        lambda digits, exponent: Fraction(digits, 7) * Fraction(10) ** exponent,
+        st.integers(-999, 999).filter(bool),
+        st.one_of(st.integers(-500, -310), st.integers(310, 500)),
+    ),
+)
+_SUMMARY_ROWS = st.lists(
+    st.tuples(
+        _CELL_TEXTS,
+        st.builds(GlobalMetrics, *[_MEASURE_VALUES] * 9),
+    ),
+    max_size=3,
+)
+_NODE_RECORDS = st.lists(
+    st.builds(NodeMetrics, _CELL_TEXTS, *[_MEASURE_VALUES] * 8), max_size=20
+)
+# two batches of lines and one more row, whose word is quoted
+_MANY_RECORDS = [
+    NodeMetrics(f"w{i}", i, 1, i, 1, Fraction(i, 3), None, 0, None)
+    for i in range(2 * network._LINES_PER_WRITE)
+] + [NodeMetrics('a,"b"', 1, 1, 1, 1, None, None, 0, None)]
+
 
 class TestWritersMatchOracles:
     """The run-based writers write the per-entry reference writers' bytes."""
@@ -146,6 +184,20 @@ class TestWritersMatchOracles:
             )
             args = (series, series, "a", "b")
             assert written(render_rank_svg, *args) == written(oracles.rank_svg, *args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_SUMMARY_ROWS)
+    @example([("", GlobalMetrics(*range(9))), ('a,"b"', GlobalMetrics(*[None] * 9))])
+    def test_summary_csv(self, rows):
+        assert written(write_summary_csv, rows) == written(oracles.summary_csv, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_NODE_RECORDS)
+    @example(_MANY_RECORDS)
+    def test_node_metrics_csv(self, records):
+        assert written(write_node_metrics_csv, records) == written(
+            oracles.node_metrics_csv, records
+        )
 
 
 def _stepped_series(measure: str, length: int, step: int):
@@ -653,7 +705,24 @@ class TestWholeOrNotAtAll:
             with pytest.raises(error):
                 write(path)
         assert (path.read_bytes() if path.exists() else None) == old
-        assert list(tmp_path.glob("*.coocnet-new")) == []
+        assert list(tmp_path.glob(".coocnet-*.new")) == []
+
+
+@pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["absent", "old"])
+@pytest.mark.parametrize(
+    "writer", ["edge list", "rank", "pair", "svg", "summary", "nodes"]
+)
+def test_every_writer_writes_a_name_of_255_bytes(tmp_path, writer, old):
+    # the system's limit on most; the staging name stays 29 bytes long
+    edges = [("a", "b", 3), ("b", "c", 1), ("c", "a", 2), ("a", "c", 1)]
+    write = _writers(from_edge_list(edges))[writer]
+    whole, path = tmp_path / "whole", tmp_path / ("n" * 255)
+    write(whole)
+    if old is not None:
+        path.write_bytes(old)
+    write(path)
+    assert path.read_bytes() == whole.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, "whole"]
 
 
 _POLYLINE = "{http://www.w3.org/2000/svg}polyline"
