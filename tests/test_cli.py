@@ -317,6 +317,21 @@ class TestAnalyze:
         assert code == 1
         assert "line 3" in err
 
+    def test_duplicate_edge_cites_both_lines_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        edges = write_text(tmp_path, "dup.tsv", "a\tb\t1\nb\tc\t1\na\tb\t2\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, err = run(capsys, "analyze", str(edges), "--out", str(out))
+        assert code == 1
+        assert re.fullmatch(
+            rf"error: {re.escape(str(edges))}: line 3: duplicate edge .* "
+            r"first seen on line 1\n",
+            err,
+        )
+        assert list(out.iterdir()) == []
+
     def test_crlf_weight_reported_without_traceback(self, tmp_path, capsys):
         edges = tmp_path / "crlf.tsv"
         edges.write_bytes(b"a\tb\t1\r\nb\ta\t1\r\n")
@@ -459,6 +474,44 @@ class TestRank:
         lines = (tmp_path / "big.out-selectivity.rank.csv").read_text().splitlines()
         assert lines[1] == "1,5e+399,a"
 
+    @pytest.mark.parametrize(
+        "name, content", [("empty.tsv", ""), ("wordless.txt", "... !\n")],
+        ids=["empty-edge-list", "punctuation-only-text"],
+    )
+    def test_an_input_with_no_words_gives_header_only_csvs(
+        self, tmp_path, capsys, name, content
+    ):
+        # analyze and compare refuse such an input: its summary is undefined
+        source = write_text(tmp_path, name, content)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "rank", str(source), "--out", str(out))
+        assert (code, err) == (0, "")
+        written = snapshot(out)
+        assert len(written) == 6
+        assert set(written.values()) == {b"rank,value,word\n"}
+
+    def test_the_edge_lists_compare_wrote_give_its_rank_csvs(
+        self, tmp_path, capsys, formal_text_path, informal_text_path
+    ):
+        """`rank` on an edge list reaches the series `compare` has for the text.
+
+        The 12 rank CSVs are equal byte for byte.  The three edgeless words
+        of the informal fixture are not in its edge list, and no series
+        holds them, since their degree is 0.
+        """
+        compared, ranked = tmp_path / "cmp", tmp_path / "rank"
+        texts = [str(formal_text_path), str(informal_text_path)]
+        assert run(capsys, "compare", *texts, "--out", str(compared))[0] == 0
+        for label in ("formal_excerpt", "informal_excerpt"):
+            edges = compared / f"{label}.edges.tsv"
+            code, _, err = run(
+                capsys, "rank", str(edges), "--label", label, "--out", str(ranked)
+            )
+            assert (code, err) == (0, "")
+        written = snapshot(ranked)
+        assert len(written) == 12
+        assert written == {name: (compared / name).read_bytes() for name in written}
+
 
 class TestValuesPastTheDigitLimit:
     # twelve weights of 4,300 nines, the most digits the reader accepts,
@@ -484,6 +537,28 @@ class TestValuesPastTheDigitLimit:
         rows = (tmp_path / written).read_text(encoding="utf-8").splitlines()
         row = {"analyze": "a,0,12,0,", "rank": "1,"}[command] + self.STRENGTH + ","
         assert any(line.startswith(row) for line in rows)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit"
+    )
+    def test_printed_in_full_under_the_lowest_limit(self, tmp_path, capsys):
+        """Under a digit limit of 640, the lowest the interpreter allows
+        (``PYTHONINTMAXSTRDIGITS=640``), twelve weights of 640 nines give an
+        out-strength of 642 digits, and `analyze` prints every one."""
+        edges = tmp_path / "limit.tsv"
+        edges.write_text(
+            "".join(f"a\tb{i}\t{'9' * 640}\n" for i in range(12)), encoding="utf-8"
+        )
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, _, err = run(capsys, "analyze", str(edges), "--out", str(tmp_path))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (0, "")
+        rows = (tmp_path / "limit.nodes.csv").read_text(encoding="utf-8").splitlines()
+        strength = "11" + "9" * 638 + "88"  # 12 * (10**640 - 1)
+        assert any(line.startswith(f"a,0,12,0,{strength},") for line in rows)
 
 
 class TestCompare:

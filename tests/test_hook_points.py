@@ -7,7 +7,9 @@ silently drop a span, so this test wraps the same attributes and checks that
 the CLI still calls every one of them.
 """
 
+import ast
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +22,10 @@ from coocnet import (
     write_edge_list,
 )
 
-# (module, attribute) pairs copied from perfbench/spans.py::_WRAPPED
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+# (module, attribute) pairs copied from perfbench/spans.py::_WRAPPED;
+# test_hook_points_are_the_wrapped_attributes checks the copy
 HOOK_POINTS = (
     (cli, "load_document"),
     (cli, "extract_sentences"),
@@ -46,6 +51,39 @@ HOOK_POINTS = (
     (cli, "write_summary_csv"),
     (cli, "write_node_metrics_csv"),
 )
+
+
+def _wrapped_pairs() -> tuple[tuple[str, str], ...] | None:
+    """The (module, attribute) pairs of ``_WRAPPED`` in perfbench/spans.py.
+
+    Read with `ast`, so the benchmark is not imported; None when the file
+    or the name is gone.
+    """
+    try:
+        tree = ast.parse(SPANS.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return None
+    for statement in tree.body:
+        if isinstance(statement, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "_WRAPPED"
+            for target in statement.targets
+        ):
+            return tuple(
+                (entry.elts[0].id, entry.elts[1].value)
+                for entry in statement.value.elts
+            )
+    return None
+
+
+def test_hook_points_are_the_wrapped_attributes():
+    wrapped = _wrapped_pairs()
+    if wrapped is None:
+        pytest.skip("perfbench/spans.py defines no _WRAPPED")
+    copied = tuple(
+        (module.__name__.removeprefix("coocnet."), attribute)
+        for module, attribute in HOOK_POINTS
+    )
+    assert wrapped == copied
 
 
 def _counting(calls: Counter, key: tuple[str, str], original):
