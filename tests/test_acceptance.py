@@ -244,8 +244,12 @@ def test_fixture_rank_series_are_monotone_with_selectivity_at_least_one(
                     assert all(v >= 1 for v in values)
 
 
-# sha256 of the fixture ``compare --svg`` output tree; a refactor must keep it
+# sha256 of the fixture ``compare --svg`` output tree, of its stdout with the
+# output directory printed as ``<out>``, and of its stderr; a refactor must
+# keep all three
 FIXTURE_TREE_DIGEST = "a86e4a6e3690633f0b0705a7a364a47494d47837a2f09130f960202cb0b39470"
+FIXTURE_STDOUT_DIGEST = "2c2f9b273f6425825edd4fe8ea2075fd6a81e1b0d3865ef3cad691e7c96c9c5e"
+FIXTURE_STDERR_DIGEST = "8cd0056a9899b5db29ff1bf88eb27580e40c33eef51e07d5f8bb8097b154c78e"
 
 
 def _tree_digest(root: Path) -> str:
@@ -257,24 +261,35 @@ def _tree_digest(root: Path) -> str:
     return digest.hexdigest()
 
 
+def _fixture_compare(out: Path, capsys, formal: Path, informal: Path):
+    """Run the fixture ``compare --svg`` into ``out``; return (stdout, stderr).
+
+    The output directory in stdout is printed as ``<out>``.
+    """
+    code = main(["compare", str(formal), str(informal), "--svg", "--out", str(out)])
+    printed = capsys.readouterr()
+    assert code == 0
+    return printed.out.replace(str(out), "<out>"), printed.err
+
+
 def test_fixture_compare_output_tree_matches_golden_digest(
     tmp_path, capsys, formal_text_path, informal_text_path
 ):
     with criterion("fixture compare --svg output bytes unchanged", 30.0):
         out = tmp_path / "out"
-        code = main(
-            [
-                "compare",
-                str(formal_text_path),
-                str(informal_text_path),
-                "--svg",
-                "--out",
-                str(out),
-            ]
-        )
-        capsys.readouterr()
-        assert code == 0
+        _fixture_compare(out, capsys, formal_text_path, informal_text_path)
         assert _tree_digest(out) == FIXTURE_TREE_DIGEST
+
+
+def test_fixture_compare_stdout_and_stderr_match_golden_digests(
+    tmp_path, capsys, formal_text_path, informal_text_path
+):
+    with criterion("fixture compare --svg printed bytes unchanged", 30.0):
+        stdout, stderr = _fixture_compare(
+            tmp_path / "out", capsys, formal_text_path, informal_text_path
+        )
+        assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == FIXTURE_STDOUT_DIGEST
+        assert hashlib.sha256(stderr.encode("utf-8")).hexdigest() == FIXTURE_STDERR_DIGEST
 
 
 # Fixture ``analyze`` and ``rank`` runs: (argv, where "formal" and "informal"

@@ -1,19 +1,20 @@
 """The module attributes the traced benchmark wraps must exist and be called.
 
 The traced benchmark (``perfbench/spans.py``, ``_WRAPPED``) times each layer
-by replacing these module attributes for the duration of one ``cli.main``
-call.  A refactor that renames one, or stops calling through it, would
-silently drop a span, so this test wraps the same attributes and checks that
-the CLI still calls every one of them.
+by replacing module attributes for the duration of one ``cli.main`` call.
+A refactor that renames one, or stops calling through it, would silently
+drop a span, so this test wraps the same attributes, read from ``_WRAPPED``
+itself, and checks that the CLI still calls every one of them.  It skips
+once ``perfbench/spans.py`` or its ``_WRAPPED`` is gone.
 """
 
 import ast
-from collections import Counter
+import importlib
 from pathlib import Path
 
 import pytest
 
-from coocnet import cli, metrics, network, pipeline, ranking
+from coocnet import cli
 from coocnet import (
     build_network,
     extract_sentences,
@@ -23,34 +24,6 @@ from coocnet import (
 )
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-
-# (module, attribute) pairs copied from perfbench/spans.py::_WRAPPED;
-# test_hook_points_are_the_wrapped_attributes checks the copy
-HOOK_POINTS = (
-    (cli, "load_document"),
-    (cli, "extract_sentences"),
-    (pipeline, "normalize"),
-    (pipeline, "segment_sentences"),
-    (pipeline, "tokenize"),
-    (cli, "build_network"),
-    (cli, "read_edge_list"),
-    (cli, "write_edge_list"),
-    (metrics, "weak_components"),
-    (network, "undirected_projection"),
-    (cli, "global_summary"),
-    (ranking, "global_summary"),
-    (metrics, "_distance_stats"),
-    (metrics, "average_clustering"),
-    (cli, "all_node_metrics"),
-    (ranking, "all_rank_series"),
-    (cli, "excluded_fraction"),
-    (ranking, "excluded_fraction"),
-    (cli, "export_rank_csv"),
-    (cli, "export_pair_csv"),
-    (cli, "render_rank_svg"),
-    (cli, "write_summary_csv"),
-    (cli, "write_node_metrics_csv"),
-)
 
 
 def _wrapped_pairs() -> tuple[tuple[str, str], ...] | None:
@@ -75,18 +48,7 @@ def _wrapped_pairs() -> tuple[tuple[str, str], ...] | None:
     return None
 
 
-def test_hook_points_are_the_wrapped_attributes():
-    wrapped = _wrapped_pairs()
-    if wrapped is None:
-        pytest.skip("perfbench/spans.py defines no _WRAPPED")
-    copied = tuple(
-        (module.__name__.removeprefix("coocnet."), attribute)
-        for module, attribute in HOOK_POINTS
-    )
-    assert wrapped == copied
-
-
-def _counting(calls: Counter, key: tuple[str, str], original):
+def _counting(calls: dict, key: tuple[str, str], original):
     def counted(*args, **kwargs):
         calls[key] += 1
         return original(*args, **kwargs)
@@ -95,13 +57,17 @@ def _counting(calls: Counter, key: tuple[str, str], original):
 
 
 @pytest.fixture
-def calls(monkeypatch) -> Counter:
-    counter: Counter = Counter()
-    for module, attribute in HOOK_POINTS:
-        key = (module.__name__, attribute)
+def calls(monkeypatch) -> dict:
+    wrapped = _wrapped_pairs()
+    if wrapped is None:
+        pytest.skip("perfbench/spans.py defines no _WRAPPED")
+    counts = dict.fromkeys(wrapped, 0)
+    for name, attribute in wrapped:
+        module = importlib.import_module("coocnet." + name)
         original = getattr(module, attribute)
-        monkeypatch.setattr(module, attribute, _counting(counter, key, original))
-    return counter
+        key = (name, attribute)
+        monkeypatch.setattr(module, attribute, _counting(counts, key, original))
+    return counts
 
 
 def test_cli_calls_every_hook_point(
@@ -110,7 +76,8 @@ def test_cli_calls_every_hook_point(
     edges = tmp_path / "formal.edges.tsv"
     sentences = extract_sentences(load_document(formal_text_path))
     write_edge_list(build_network(sentences), edges)
-    calls.clear()  # count only what the CLI calls
+    for key in calls:
+        calls[key] = 0  # count only what the CLI calls
 
     compare_argv = [
         "compare", str(formal_text_path), str(informal_text_path),
@@ -123,9 +90,7 @@ def test_cli_calls_every_hook_point(
     assert cli.main(analyze_argv) == 0
     capsys.readouterr()
 
-    never_called = [
-        key for key in ((m.__name__, a) for m, a in HOOK_POINTS) if calls[key] == 0
-    ]
+    never_called = [key for key, count in calls.items() if count == 0]
     assert never_called == []
 
 
