@@ -289,13 +289,15 @@ def _profile_text(
 ) -> NetworkProfile:
     """Build one input's network, write its edge list and profile it.
 
-    The writer's transients are freed before the profile's projection and
+    An input with no words is refused before its edge list is written, so
+    no ``wrote`` line names a file that the rollback deletes.  The
+    writer's transients are freed before the profile's projection and
     per-node table are built.  The network is dropped on return, so
     ``compare`` holds one at a time.
     """
     net = _build_from_text(path, config)
-    _write_edges(out, label, net)
     _check_not_empty(net, path)
+    _write_edges(out, label, net)
     return profile_network(net, sample)
 
 

@@ -24,17 +24,16 @@ deterministic steps:
 All three functions are pure and total over their documented inputs.
 ``normalize`` and ``tokenize`` clean by table translation, with no step
 per token, each through one call of `_kept`.  It translates by the
-config's table, which maps each character to itself when its class can
-survive (letter, digit, mark, joiner, terminator) and to a space
-otherwise and records the class in a map beside it.  Then it blanks each
-combining mark that follows no letter or digit, which depends on a
-neighbor and so no table can see, found on the string of classes (built
-only for a non-ASCII text once a mark has been seen).  ``tokenize`` also
-blanks a joiner not between word characters.  ``normalize`` then
-collapses spaces and ``tokenize`` splits on them.  A table is shared by
-every call with its config and filled on the first sight of each code
-point; a concurrent fill writes the same values, each class before its
-kept entry, so threads may share it.
+config's table, which maps each character to itself when it can survive
+(letter, digit, mark, joiner, terminator) and to a space otherwise.
+Then it blanks each combining mark that follows no letter or digit,
+which depends on a neighbor and so no table can see, by one regex
+search of the kept text (run only on a non-ASCII text once a mark has
+been seen).  ``tokenize`` also blanks a joiner not between word
+characters.  ``normalize`` then collapses spaces and ``tokenize`` splits
+on them.  A table is shared by every call with its config and filled on
+the first sight of each code point; a concurrent fill writes the same
+value, so threads may share it.
 
 `load_document` is the one reader of input files, texts, configs and
 edge lists; it skips a leading byte order mark, and a file that is not
@@ -72,8 +71,9 @@ class _PipelineConfigFields(NamedTuple):
 class PipelineConfig(_PipelineConfigFields):
     """Cleaning knobs; the defaults are used everywhere unless overridden.
 
-    A terminator that `_terminator_problem` refuses raises ValueError.  A
-    subclass, as `typing.NamedTuple` allows no `__new__` in its own body."""
+    A terminator that `_terminator_problem` refuses, or a `keep_digits`
+    that is not a bool (a string ``"false"`` is truthy), raises ValueError.
+    A subclass, as `typing.NamedTuple` allows no `__new__` in its own body."""
 
     __slots__ = ()
 
@@ -81,6 +81,8 @@ class PipelineConfig(_PipelineConfigFields):
         problem = next(filter(None, map(_terminator_problem, terminators)), None)
         if problem:
             raise ValueError(problem)
+        if type(keep_digits) is not bool:
+            raise ValueError(f"keep_digits must be a bool, got {keep_digits!r}")
         return super().__new__(cls, terminators, keep_digits)
 
     @classmethod
@@ -138,49 +140,39 @@ def load_config(path: str | Path) -> PipelineConfig:
 class _CleaningTable(dict):
     """A ``str.translate`` table from code point to what cleaning keeps of
     it, each entry filled the first time its code point is seen: the
-    character itself when its class can survive (``w m - ' t``), a space
-    otherwise.
+    character itself when it is a letter, a kept digit, a combining mark, a
+    joiner (``-``, ``'``) or a terminator, a space otherwise.
 
-    Each fill records the class in `classes`, a plain dict: ``w`` letter or
-    kept digit, ``m`` combining mark, ``t`` terminator, a joiner (``-``,
-    ``'``) itself, ``" "`` whitespace and everything else.  A fill sets
-    `marks_seen` on a mark, then writes the class, then the kept entry, so
-    a reader that has translated a text finds every class of it and, if it
-    holds a mark, `marks_seen` set.
+    A fill sets `marks_seen` on a mark before it stores the entry, so a
+    reader that has translated a text holding a mark finds it set.
     """
 
     def __init__(self, terminators: str = "", keep_digits: bool = True) -> None:
         super().__init__()
         self._terminators = terminators
         self._keep_digits = keep_digits
-        self.classes: dict[int, str] = {}
         self.marks_seen = False
 
     def __missing__(self, code_point: int) -> str:
         ch = chr(code_point)
         cat = unicodedata.category(ch)
-        if ch in self._terminators:
-            cls = "t"
-        elif ch in "-'":
-            cls = ch
-        elif cat[0] == "L" or (cat == "Nd" and self._keep_digits):
-            cls = "w"
-        elif cat[0] == "M":
+        if cat[0] == "M":
             # combining marks ride along with the letter they modify
-            cls = "m"
             self.marks_seen = True
-        else:
-            cls = " "
-        self.classes[code_point] = cls
-        kept = self[code_point] = ch if cls != " " else " "
-        return kept
+        elif not (
+            ch in self._terminators
+            or ch in "-'"
+            or cat[0] == "L"
+            or (cat == "Nd" and self._keep_digits)
+        ):
+            ch = " "
+        self[code_point] = ch
+        return ch
 
 
 # one shared table per recent (terminators, keep_digits); an evicted one is
 # only filled again
 _cleaning_table = lru_cache(maxsize=16)(_CleaningTable)
-# in a class string: a run of marks that follows no word character or mark
-_ORPHAN_MARKS = re.compile("(?<![wm])m+")
 # in a kept string, where every mark left follows a word character: a
 # joiner that has a space, a joiner or an end of the string on either side
 _LOOSE_JOINER = re.compile(r"(?<![^ '-])[-']|[-'](?![^ '-])")
@@ -190,19 +182,19 @@ def _kept(text: str, table: _CleaningTable) -> str:
     """`text` translated by `table`, with a space for each run of marks
     that follows no word character or mark.
 
-    The class string is built only when `table` has seen a mark and `text`
-    is not ASCII, which no mark is.
+    A kept character is a space, a joiner, a terminator, a mark or a
+    ``\\w`` character (a letter or a kept digit, as the table blanks every
+    other ``\\w`` character that is not a terminator), and no mark is
+    ``\\w``.  So a run of the characters that are none of the others is a
+    run of marks, and one after a space, a joiner, a terminator or the
+    start is an orphan.  The search runs only when `table` has seen a
+    mark and `text` is not ASCII, which no mark is.
     """
     kept = text.translate(table)
     if not table.marks_seen or text.isascii():
         return kept
-    pieces = []
-    last = 0
-    for match in _ORPHAN_MARKS.finditer(text.translate(table.classes)):
-        pieces.append(kept[last : match.start()])
-        last = match.end()
-    pieces.append(kept[last:])
-    return " ".join(pieces)
+    other = r" '\-" + re.escape(table._terminators)
+    return re.sub(rf"(?<![^{other}])[^\w{other}]+", " ", kept)
 
 
 def _fold(text: str) -> str:

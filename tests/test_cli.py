@@ -683,6 +683,20 @@ class TestCompare:
             f"error: {wordless}: global summary of an empty network is undefined\n"
         )
 
+    def test_an_empty_first_input_is_named_before_any_write(self, tmp_path, capsys):
+        wordless = write_text(tmp_path, "wordless.txt", "... !")
+        beta = write_text(tmp_path, "beta.txt", "p q r. r q p.")
+        out = tmp_path / "cmp"
+        code, stdout, err = run(
+            capsys, "compare", str(wordless), str(beta), "--out", str(out)
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err == (
+            f"error: {wordless}: global summary of an empty network is undefined\n"
+        )
+        assert not out.exists()
+
     def test_failure_removes_the_out_directory_it_made(self, tmp_path, capsys):
         alpha = write_text(tmp_path, "alpha.txt", "a b c. c b a.")
         beta = write_text(tmp_path, "beta.txt", "... !")

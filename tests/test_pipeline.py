@@ -286,6 +286,16 @@ class TestLoadConfig:
         assert PipelineConfig(terminators=".!?…'").terminators == ".!?…'"
 
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_keep_digits_that_is_not_a_bool_is_refused(self, value):
+        # a string "false" is truthy and would keep the digits
+        problem = f"^keep_digits must be a bool, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=problem):
+            PipelineConfig(keep_digits=value)
+        with pytest.raises(ValueError, match=problem):
+            PipelineConfig()._replace(keep_digits=value)
+
+
 def _collapse(text: str) -> str:
     return re.sub(" {2,}", " ", text).strip()
 
@@ -413,12 +423,16 @@ class TestTerminatorRule:
 
 
 # the neighbor-dependent blanking paths, so each runs on every test run:
-# an orphan mark at the start, after a space terminator and after "-"; a
+# an orphan mark at the start, after a space terminator, after "-" and
+# after a letter, a dropped digit and a joiner that are terminators; a
 # joiner next to a joiner, before a mark, at the start and at the end
 _ORPHAN_MARK_CASES = (
     ("\u0301ab c", PipelineConfig()),
     ("ab \u0301c. d", PipelineConfig(terminators=" .")),
     ("ab-\u0301c", PipelineConfig()),
+    ("ax\u0301b", PipelineConfig(terminators="x")),
+    ("a7\u0301b", PipelineConfig(terminators="7", keep_digits=False)),
+    ("a'\u0301b", PipelineConfig(terminators="'")),
 )
 _LOOSE_JOINER_CASES = ("a--b", "a-\u0301b", "'a'", "a'")
 
@@ -515,3 +529,18 @@ class TestUnicodeVersion:
             if unicodedata.category(ch) != unicodedata.ucd_3_2_0.category(ch)
         }
         assert not moved
+
+    def test_no_mark_is_a_regex_word_character(self):
+        # `pipeline._kept` finds marks as the kept characters that are not
+        # ``\w``, so every letter and decimal digit must be ``\w`` and no
+        # mark may be, in each Unicode version the interpreter carries
+        word = re.compile(r"\w").match
+        wrong = []
+        for code_point in range(sys.maxunicode + 1):
+            ch = chr(code_point)
+            category = unicodedata.category(ch)
+            if category[0] == "M" and word(ch):
+                wrong.append(f"U+{code_point:04X} {category} is \\w")
+            elif (category[0] == "L" or category == "Nd") and not word(ch):
+                wrong.append(f"U+{code_point:04X} {category} is not \\w")
+        assert not wrong, (unicodedata.unidata_version, wrong[:10])
