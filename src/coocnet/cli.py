@@ -153,20 +153,26 @@ def _say(line: str, stream=None) -> None:
         os.close(devnull)
 
 
+# the report name of each GlobalMetrics field, in field order
+_REPORT_NAMES = (
+    "nodes (N)",
+    "directed edges (K)",
+    "average degree",
+    "avg shortest path",
+    "diameter",
+    "average clustering",
+    "density",
+    "weak components",
+    "largest component",
+)
+
+
 def _print_summary(label: str, metrics: GlobalMetrics, excluded) -> None:
-    undef = "undefined"
     rows = [
-        ("nodes (N)", str(metrics.n_nodes)),
-        ("directed edges (K)", str(metrics.n_edges)),
-        ("average degree", format_value(metrics.avg_degree) or undef),
-        ("avg shortest path", format_value(metrics.avg_shortest_path) or undef),
-        ("diameter", format_value(metrics.diameter) or undef),
-        ("average clustering", format_value(metrics.avg_clustering) or undef),
-        ("density", format_value(metrics.density) or undef),
-        ("weak components", str(metrics.n_components)),
-        ("largest component", str(metrics.largest_component_size)),
-        ("rank-excluded nodes", f"{float(excluded):.1%}"),
+        (name, format_value(value) or "undefined")
+        for name, value in zip(_REPORT_NAMES, metrics)
     ]
+    rows.append(("rank-excluded nodes", f"{float(excluded):.1%}"))
     _say(f"network: {label}")
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
@@ -292,7 +298,7 @@ def _profile_text(
     An input with no words is refused before its edge list is written, so
     no ``wrote`` line names a file that the rollback deletes.  The
     writer's transients are freed before the profile's projection and
-    per-node table are built.  The network is dropped on return, so
+    per-node columns are built.  The network is dropped on return, so
     ``compare`` holds one at a time.
     """
     net = _build_from_text(path, config)
@@ -350,6 +356,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_sample(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--sample",
+        type=int,
+        default=None,
+        help="estimate path measures from this many source nodes",
+    )
+
+
 def _add_input_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("input", help="text file or TSV edge list")
     parser.add_argument(
@@ -381,12 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_input_options(p_analyze)
     _add_common(p_analyze)
-    p_analyze.add_argument(
-        "--sample",
-        type=int,
-        default=None,
-        help="estimate path measures from this many source nodes",
-    )
+    _add_sample(p_analyze)
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_rank = sub.add_parser("rank", help="write rank-series CSVs")
@@ -415,12 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument(
         "--svg", action="store_true", help="also render SVG rank plots"
     )
-    p_compare.add_argument(
-        "--sample",
-        type=int,
-        default=None,
-        help="estimate path measures from this many source nodes",
-    )
+    _add_sample(p_compare)
     _add_common(p_compare)
     p_compare.set_defaults(func=_cmd_compare)
 

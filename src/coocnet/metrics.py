@@ -8,10 +8,11 @@ the distance family (a node's mean hop distance to the largest weak
 component, itself included; average shortest path; diameter) ignore
 direction and weights: they are computed on the simple undirected
 projection, paths in unweighted hops within the largest weak component.
-Every per-node measure but distances comes from one cached table,
-`_node_table`, built in one pass over the nodes; the forward algorithm
-(Schank & Wagner, WEA 2005; Latapy, TCS 407, 2008) counts its triangles
-once each.
+Each per-node view is cached on the network and built from the one input
+it reads: the degree family from the edge lists alone (`_side_table`),
+so a rank series never builds the projection, and clustering's triangle
+counts from the projection (`_twice_links`), where the forward algorithm
+(Schank & Wagner, WEA 2005; Latapy, TCS 407, 2008) finds each one once.
 
 All ratios are exact `fractions.Fraction` values; a measure that has no
 defined value (selectivity of an isolated direction, path lengths of a
@@ -103,43 +104,35 @@ class GlobalMetrics(NamedTuple):
     largest_component_size: int
 
 
-class _NodeTable(NamedTuple):
-    """Per-node columns, lists indexed by node id.
+def _side_table(net: CooccurrenceNetwork) -> tuple[list, ...]:
+    """The degree-family columns of `NodeMetrics`, in its field order; cached.
 
-    The degree-family fields of `NodeMetrics` in field order, then the
-    projection degree k and 2E, twice the number of projection links among
-    the node's neighbors, that is twice the triangles through the node.
+    Lists indexed by node id, from the edge lists alone: `_side_totals`
+    tallies the in-side edge by edge, so neither the network's in-edge
+    cache nor its projection is filled.
     """
-
-    in_degree: list[int]
-    out_degree: list[int]
-    in_strength: list[int]
-    out_strength: list[int]
-    in_selectivity: list[Fraction | None]
-    out_selectivity: list[Fraction | None]
-    k: list[int]
-    twice_links: list[int]
-
-
-def _node_table(net: CooccurrenceNetwork) -> _NodeTable:
-    """Every per-node measure but distances, in one pass; cached on the network.
-
-    The in-side degrees and strengths are tallied edge by edge from the
-    out-edges, so the table never fills the network's in-edge cache.
-    Triangles are counted with the forward algorithm (Schank & Wagner,
-    "Finding, counting and listing all triangles in large graphs", WEA
-    2005; Latapy, "Main-memory triangle computations for very large
-    (sparse (power-law)) graphs", TCS 407, 2008).  Each projection edge is
-    oriented from the endpoint lower in (k, id) order to the higher one,
-    and a triangle u < v < w is found once, as w in the intersection of
-    the higher-neighbor sets of u and v; it adds 2 to each corner's
-    ``twice_links``.
-    """
-    if net._node_cache is None:
+    if net._side_cache is None:
         degrees, strengths = _side_totals(net)
         selectivities = [
             _shared_ratios(side_s, side_k) for side_s, side_k in zip(strengths, degrees)
         ]
+        net._side_cache = (*degrees, *strengths, *selectivities)
+    return net._side_cache
+
+
+def _twice_links(net: CooccurrenceNetwork) -> list[int]:
+    """2E per node, twice the projection links among its neighbors; cached.
+
+    That is twice the triangles through the node, counted with the forward
+    algorithm (Schank & Wagner, "Finding, counting and listing all
+    triangles in large graphs", WEA 2005; Latapy, "Main-memory triangle
+    computations for very large (sparse (power-law)) graphs", TCS 407,
+    2008).  Each projection edge is oriented from the endpoint lower in
+    (k, id) order to the higher one, k the projection degree, and a
+    triangle u < v < w is found once, as w in the intersection of the
+    higher-neighbor sets of u and v; it adds 2 to each corner.
+    """
+    if net._node_cache is None:
         adjacency = _adjacency(net)
         k = list(map(len, adjacency))
         position = [0] * net.n_nodes  # place in (k, id) order; sorted is stable
@@ -158,9 +151,7 @@ def _node_table(net: CooccurrenceNetwork) -> _NodeTable:
                     twice_links[v] += 2 * len(common)
                     for w in common:
                         twice_links[w] += 2
-        net._node_cache = _NodeTable(
-            *degrees, *strengths, *selectivities, k=k, twice_links=twice_links
-        )
+        net._node_cache = twice_links
     return net._node_cache
 
 
@@ -184,9 +175,9 @@ def average_clustering(net: CooccurrenceNetwork) -> Fraction:
     pins that call; once the benchmark reads an in-package stage recorder
     (ROADMAP item 1b), item 1c folds it into `global_summary`.
     """
-    table = _node_table(net)
     links_by_k: dict[int, int] = {}
-    for k, twice_links in zip(table.k, table.twice_links):
+    for neighbors, twice_links in zip(_adjacency(net), _twice_links(net)):
+        k = len(neighbors)
         links_by_k[k] = links_by_k.get(k, 0) + twice_links
     return Fraction(
         sum(Fraction(links, k * (k - 1)) for k, links in links_by_k.items() if k > 1),
@@ -372,14 +363,16 @@ def all_node_metrics(
 
     One sampled sweep serves it and a later `global_summary`; an earlier one costs two.
     """
-    table = _node_table(net)
+    side = _side_table(net)
+    twice_links = _twice_links(net)
     stats = _distances(net, sample, per_source=True)
     # 2E is 0 wherever k < 2, so a denominator of 1 gives them Fraction(0)
-    clustering = _shared_ratios(table.twice_links, [k * (k - 1) or 1 for k in table.k])
+    denominators = [k * (k - 1) or 1 for k in map(len, _adjacency(net))]
+    clustering = _shared_ratios(twice_links, denominators)
     distance: list[Fraction | None] = [None] * net.n_nodes
     for source, dist_sum in stats.node_sum.items():
         distance[source] = Fraction(dist_sum, stats.n_prime)
-    return list(map(NodeMetrics, net.words, *table[:6], clustering, distance))
+    return list(map(NodeMetrics, net.words, *side, clustering, distance))
 
 
 def global_summary(

@@ -15,17 +15,19 @@ the int objects of the id table, and the offsets 8-byte machine ints; on
 a 40,000-token text the network retains ~36 bytes per edge, its words
 not counted (one dict of out-edges per node took ~100).  `out_weights`
 and `in_weights` return a new dict on each call, which the caller owns.
-A network is treated as immutable and caches five derived views on the
+A network is treated as immutable and caches six derived views on the
 instance, each filled on first use and safe for concurrent readers: the
 in-neighbor maps, a transpose of the out-edges that only `in_weights`
 reads (`_in_edges`); the undirected projection as one tuple of neighbor
 ids per node (`_adjacency`); the node ids sorted by word, as the id
 table's own ints, which the edge-list writer and the rank series read
-(`_word_order`); the per-node table of `metrics` (degree family and
-neighbor links); and the hop-distance aggregates of `metrics` per sample
-size, with a sampled entry's per-source sums only once `all_node_metrics`
-has asked for them.  The measures and writers read the edge lists alone,
-so the in-neighbor maps are never filled unless a caller asks for them.
+(`_word_order`); two per-node caches of `metrics`, the degree-family
+columns from the edge lists alone and twice the links among each node's
+neighbors from the projection; and the hop-distance aggregates of
+`metrics` per sample size, with a sampled entry's per-source sums only
+once `all_node_metrics` has asked for them.
+The measures and writers read the edge lists alone, so the in-neighbor
+maps are never filled unless a caller asks for them.
 `undirected_projection` returns the projection as fresh sets on each
 call and caches nothing; the tuples are filled from one such call, and
 hold the int objects of the network's own lists rather than fresh ones.
@@ -173,8 +175,9 @@ class CooccurrenceNetwork:
         self._in_cache: list[dict[int, int]] | None = None
         self._adjacency_cache: list[tuple[int, ...]] | None = None
         self._word_order_cache: list[int] | None = None
-        self._node_cache = None  # metrics._node_table
-        self._distance_cache: dict = {}
+        self._side_cache = None  # metrics._side_table
+        self._node_cache = None  # metrics._twice_links
+        self._distance_cache: dict = {}  # metrics._distances
 
     # -- basic accessors ---------------------------------------------------
 
@@ -505,8 +508,8 @@ def _in_edges(net: CooccurrenceNetwork) -> list[dict[int, int]]:
 def _adjacency(net: CooccurrenceNetwork) -> list[tuple[int, ...]]:
     """The projection's neighbors of each node as a tuple; cached on the network.
 
-    The one cached form of the projection, which components, the per-node
-    table and the distance sweeps read.  Tuples take under a fifth of the
+    The one cached form of the projection, which components, the triangle
+    counts and the distance sweeps read.  Tuples take under a fifth of the
     memory of the sets they are filled from.
     """
     if net._adjacency_cache is None:

@@ -59,17 +59,11 @@ from operator import ne
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
-from .metrics import GlobalMetrics, NodeMetrics, _node_table, global_summary
+from .metrics import GlobalMetrics, NodeMetrics, _side_table, global_summary
 from .network import _LINES_PER_WRITE, CooccurrenceNetwork, _new_text_file, _word_order
 
-MEASURES = (
-    "in-degree",
-    "out-degree",
-    "in-strength",
-    "out-strength",
-    "in-selectivity",
-    "out-selectivity",
-)
+# the degree-family fields of NodeMetrics, the columns of `_side_table`
+MEASURES = tuple(name.replace("_", "-") for name in NodeMetrics._fields[1:7])
 
 # "label", then one column per GlobalMetrics field in field order
 SUMMARY_COLUMNS = (
@@ -147,25 +141,27 @@ def _runs(series: RankSeries) -> Iterator[tuple[int, int]]:
 def network_rank_series(net: CooccurrenceNetwork, measure: str) -> RankSeries:
     """Rank series of one measure over a network's nodes.
 
-    A node is in a series exactly when its degree on the measure's side
-    is nonzero, so the in-degree, in-strength, and in-selectivity series
-    of one network hold the same nodes (likewise for the out side).  The
-    degree column decides for all three, as weights are at least 1: a
-    strength is zero, and a selectivity None, exactly where the degree is
-    zero.  So zeros are dropped like None, and no `Fraction` is asked for
-    its truth.  The nodes come in the network's
-    cached word order.  A degree or strength is its own key; a
-    selectivity is keyed by the rank of its value among the column's
-    distinct values, found over its shared objects (one per distinct
-    (strength, degree) pair), not per node.  One stable sort by
+    The measure's column is the one at its place in `MEASURES` of the
+    network's degree-family columns (`metrics._side_table`), which come
+    from the edge lists alone, so no projection is built.  A node is in a
+    series exactly when its degree on the measure's side is nonzero, so
+    the in-degree, in-strength, and in-selectivity series of one network
+    hold the same nodes (likewise for the out side).  The degree column
+    decides for all three, as weights are at least 1: a strength is zero,
+    and a selectivity None, exactly where the degree is zero.  So zeros
+    are dropped like None, and no `Fraction` is asked for its truth.  The
+    nodes come in the network's cached word order.  A degree or strength
+    is its own key; a selectivity is keyed by the rank of its value among
+    the column's distinct values, found over its shared objects (one per
+    distinct (strength, degree) pair), not per node.  One stable sort by
     descending key keeps word order within each run of equal values, and
     a run ends wherever the sorted keys change.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
-    table = _node_table(net)
-    column = getattr(table, measure.replace("-", "_"))
-    degrees = getattr(table, measure.partition("-")[0] + "_degree")
+    table = _side_table(net)
+    place = MEASURES.index(measure)
+    column, degrees = table[place], table[place % 2]  # in-side columns are even
     order = _word_order(net)
     active = itertools.compress(order, map(degrees.__getitem__, order))
     keys = column
@@ -201,8 +197,7 @@ def excluded_fraction(net: CooccurrenceNetwork) -> Fraction:
     """
     if net.n_nodes == 0:
         raise ValueError("excluded fraction of an empty network is undefined")
-    table = _node_table(net)
-    sides = zip(table.in_degree, table.out_degree)
+    sides = zip(*_side_table(net)[:2])  # in- and out-degrees
     excluded = sum(1 for k_in, k_out in sides if k_in == 0 or k_out == 0)
     return Fraction(excluded, net.n_nodes)
 

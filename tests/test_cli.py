@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coocnet import cli, metrics, ranking
+from coocnet import cli, metrics, network, ranking
 from coocnet.cli import main, sanitize_label
 from coocnet.network import _staging_name
 
@@ -439,7 +439,66 @@ class TestSampledSweeps:
         assert row == (compared / "summary.csv").read_bytes().splitlines()[1]
 
 
+class TestPerNodeViews:
+    """A per-node view is built once per network, from the one input it reads.
+
+    The rank series read the degree family, which comes from the edge
+    lists alone; only clustering and distances need the projection.
+    """
+
+    @pytest.fixture
+    def builds(self, monkeypatch) -> dict[str, int]:
+        """The calls of the projection and of the side totals so far."""
+        counts = {"projection": 0, "side totals": 0}
+
+        def counting(key, original):
+            def counted(net):
+                counts[key] += 1
+                return original(net)
+
+            return counted
+
+        projection = counting("projection", network.undirected_projection)
+        monkeypatch.setattr(network, "undirected_projection", projection)
+        side_totals = counting("side totals", metrics._side_totals)
+        monkeypatch.setattr(metrics, "_side_totals", side_totals)
+        return counts
+
+    def test_rank_builds_no_projection(
+        self, tmp_path, capsys, builds, formal_text_path
+    ):
+        code, _, _ = run(capsys, "build", str(formal_text_path), "--out", str(tmp_path))
+        assert code == 0
+        edges = tmp_path / "formal_excerpt.edges.tsv"
+        for source in (formal_text_path, edges):
+            code, _, err = run(capsys, "rank", str(source), "--out", str(tmp_path))
+            assert (code, err) == (0, "")
+        assert builds == {"projection": 0, "side totals": 2}
+
+    @pytest.mark.parametrize("command, networks", [("compare", 2), ("analyze", 1)])
+    def test_one_build_per_network(
+        self, tmp_path, capsys, builds, formal_text_path, informal_text_path,
+        command, networks,
+    ):
+        texts = [str(formal_text_path), str(informal_text_path)][:networks]
+        code, _, _ = run(
+            capsys, command, *texts, "--sample", "4", "--out", str(tmp_path)
+        )
+        assert code == 0
+        assert builds == {"projection": networks, "side totals": networks}
+
+
 class TestRank:
+    def test_measures_are_the_degree_family(self):
+        assert ranking.MEASURES == (
+            "in-degree",
+            "out-degree",
+            "in-strength",
+            "out-strength",
+            "in-selectivity",
+            "out-selectivity",
+        )
+
     def test_all_measures(self, tmp_path, capsys):
         text = write_text(tmp_path, "r.txt", "a b. b a. a c.")
         code, _, _ = run(capsys, "rank", str(text), "--out", str(tmp_path))

@@ -133,8 +133,8 @@ class TestClustering:
         nets.append(build_network([["a", "b", "c", "a"], ["loner"], ["x", "y"]]))
         for net in nets:
             clustering = clustering_column(net)
-            table = metrics._node_table(net)
-            pairs = set(zip(table.twice_links, [k * (k - 1) for k in table.k]))
+            degrees = map(len, metrics._adjacency(net))  # projection k
+            pairs = set(zip(metrics._twice_links(net), [k * (k - 1) for k in degrees]))
             assert len(set(map(id, clustering))) <= len(pairs)
             assert all(type(value) is Fraction for value in clustering)
             for node in range(net.n_nodes):

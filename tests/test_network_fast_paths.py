@@ -118,7 +118,7 @@ def test_in_edges_are_derived_on_demand(tmp_path_factory, route, sentences):
         net = read_edge_list(path)
     incoming = oracles.in_edges(net)
 
-    table = metrics._node_table(net)
+    table = metrics.NodeMetrics(None, *metrics._side_table(net), None, None)
     assert net._in_cache is None  # the table tallies the in-side itself
     assert table.in_degree == list(map(len, incoming))
     assert table.in_strength == [sum(weights.values()) for weights in incoming]

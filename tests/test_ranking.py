@@ -36,7 +36,7 @@ from coocnet import (
 )
 
 from coocnet import network, ranking
-from coocnet.metrics import _node_table
+from coocnet.metrics import NodeMetrics, _side_table
 
 import oracles
 
@@ -267,7 +267,7 @@ class TestRankCells:
 def assert_network_series_match_rank_order(net):
     """Each measure's series is the oracle's order of the table's column,
     zeros dropped, with the same value objects and one run per value."""
-    table = _node_table(net)
+    table = NodeMetrics(None, *_side_table(net), None, None)
     for measure in MEASURES:
         column = getattr(table, measure.replace("-", "_"))
         pairs = [(word, value or None) for word, value in zip(net.words, column)]
@@ -375,7 +375,7 @@ class TestNetworkSeries:
 
     def test_series_keep_no_object_per_entry(self, zipf_sentences):
         net = build_network(zipf_sentences)
-        _node_table(net)  # the values the series share, not measured
+        _side_table(net)  # the values the series share, not measured
         gc.collect()
         tracemalloc.start()
         try:
