@@ -55,7 +55,6 @@ from .pipeline import (
 from .ranking import (
     MEASURES,
     NetworkProfile,
-    RankEntry,
     RankSeries,
     all_rank_series,
     excluded_fraction,
@@ -84,7 +83,6 @@ __all__ = [
     "NetworkProfile",
     "NodeMetrics",
     "PipelineConfig",
-    "RankEntry",
     "RankSeries",
     "all_node_metrics",
     "all_rank_series",

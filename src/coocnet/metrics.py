@@ -132,7 +132,7 @@ def _twice_links(net: CooccurrenceNetwork) -> list[int]:
     triangle u < v < w is found once, as w in the intersection of the
     higher-neighbor sets of u and v; it adds 2 to each corner.
     """
-    if net._node_cache is None:
+    if net._twice_links_cache is None:
         adjacency = _adjacency(net)
         k = list(map(len, adjacency))
         position = [0] * net.n_nodes  # place in (k, id) order; sorted is stable
@@ -151,8 +151,8 @@ def _twice_links(net: CooccurrenceNetwork) -> list[int]:
                     twice_links[v] += 2 * len(common)
                     for w in common:
                         twice_links[w] += 2
-        net._node_cache = twice_links
-    return net._node_cache
+        net._twice_links_cache = twice_links
+    return net._twice_links_cache
 
 
 def _shared_ratios(numerators: list[int], denominators: list[int]) -> list:
@@ -289,8 +289,13 @@ class _DistanceStats(NamedTuple):
 
 
 def _check_sample(sample: int | None) -> None:
-    """Refuse a sample size below 1; None is the exact computation."""
-    if sample is not None and sample < 1:
+    """Refuse a sample that is not an int, a bool included, or is below 1;
+    None is the exact computation."""
+    if sample is None:
+        return
+    if type(sample) is not int:
+        raise ValueError(f"sample must be an int, got {sample!r}")
+    if sample < 1:
         raise ValueError(f"sample must be >= 1, got {sample}")
 
 

@@ -13,8 +13,8 @@ flat sequences in compressed sparse row order: the lists ``targets`` and
 entries from ``offsets[i]`` up to ``offsets[i + 1]``.  The targets are
 the int objects of the id table, and the offsets 8-byte machine ints; on
 a 40,000-token text the network retains ~36 bytes per edge, its words
-not counted (one dict of out-edges per node took ~100).  `out_weights`
-and `in_weights` return a new dict on each call, which the caller owns.
+not counted.  `out_weights` and `in_weights` return a new dict on each
+call, which the caller owns.
 A network is treated as immutable and caches six derived views on the
 instance, each filled on first use and safe for concurrent readers: the
 in-neighbor maps, a transpose of the out-edges that only `in_weights`
@@ -176,7 +176,7 @@ class CooccurrenceNetwork:
         self._adjacency_cache: list[tuple[int, ...]] | None = None
         self._word_order_cache: list[int] | None = None
         self._side_cache = None  # metrics._side_table
-        self._node_cache = None  # metrics._twice_links
+        self._twice_links_cache = None  # metrics._twice_links
         self._distance_cache: dict = {}  # metrics._distances
 
     # -- basic accessors ---------------------------------------------------

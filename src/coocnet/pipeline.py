@@ -71,13 +71,16 @@ class _PipelineConfigFields(NamedTuple):
 class PipelineConfig(_PipelineConfigFields):
     """Cleaning knobs; the defaults are used everywhere unless overridden.
 
-    A terminator that `_terminator_problem` refuses, or a `keep_digits`
-    that is not a bool (a string ``"false"`` is truthy), raises ValueError.
+    `terminators` that is not a str, a terminator that `_terminator_problem`
+    refuses, or a `keep_digits` that is not a bool (a string ``"false"`` is
+    truthy) raises ValueError.
     A subclass, as `typing.NamedTuple` allows no `__new__` in its own body."""
 
     __slots__ = ()
 
     def __new__(cls, terminators: str = DEFAULT_TERMINATORS, keep_digits: bool = True):
+        if not isinstance(terminators, str):
+            raise ValueError(f"terminators must be a str, got {terminators!r}")
         problem = next(filter(None, map(_terminator_problem, terminators)), None)
         if problem:
             raise ValueError(problem)

@@ -57,7 +57,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from operator import ne
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .metrics import GlobalMetrics, NodeMetrics, _side_table, global_summary
 from .network import _LINES_PER_WRITE, CooccurrenceNetwork, _new_text_file, _word_order
@@ -349,14 +349,7 @@ def write_summary_csv(
 
     A row is the label's cell and one `format_value` cell per measure.
     """
-    with _new_text_file(path) as handle:
-        handle.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for label, metrics in rows:
-            cells = (*_word_cells((label,)), *map(format_value, metrics))
-            handle.write(",".join(cells) + "\n")
-
-
-NODE_COLUMNS = NodeMetrics._fields
+    _write_table(SUMMARY_COLUMNS, ((label, *summary) for label, summary in rows), path)
 
 
 def write_node_metrics_csv(
@@ -368,14 +361,19 @@ def write_node_metrics_csv(
     records are read once, in batches of `_LINES_PER_WRITE` rows, each
     written at once.
     """
-    records = iter(records)
+    _write_table(NodeMetrics._fields, records, path)
+
+
+def _write_table(header: Sequence[str], rows: Iterable, path: str | Path) -> None:
+    """Write a CSV table by the row rule, `_LINES_PER_WRITE` rows at a time."""
+    rows = iter(rows)
     with _new_text_file(path) as handle:
-        handle.write(",".join(NODE_COLUMNS) + "\n")
-        while batch := tuple(itertools.islice(records, _LINES_PER_WRITE)):
-            words = _word_cells(tuple(record.word for record in batch))
+        handle.write(",".join(header) + "\n")
+        while batch := tuple(itertools.islice(rows, _LINES_PER_WRITE)):
+            words = _word_cells(tuple(row[0] for row in batch))
             lines = (
-                f"{word},{','.join(map(format_value, record[1:]))}\n"
-                for word, record in zip(words, batch)
+                f"{word},{','.join(map(format_value, row[1:]))}\n"
+                for word, row in zip(words, batch)
             )
             handle.write("".join(lines))
 

@@ -10,6 +10,9 @@ the verdict lines:
 import csv
 import filecmp
 import hashlib
+import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -278,6 +281,26 @@ def test_fixture_compare_output_tree_matches_golden_digest(
     with criterion("fixture compare --svg output bytes unchanged", 30.0):
         out = tmp_path / "out"
         _fixture_compare(out, capsys, formal_text_path, informal_text_path)
+        assert _tree_digest(out) == FIXTURE_TREE_DIGEST
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_fixture_compare_output_tree_is_the_same_under_any_hash_seed(
+    seed, tmp_path, formal_text_path, informal_text_path
+):
+    # a fresh interpreter per seed, since str hashes, and with them the order
+    # of every set and dict of words, are fixed when the interpreter starts
+    with criterion(f"fixture compare --svg bytes under PYTHONHASHSEED={seed}", 60.0):
+        out = tmp_path / "out"
+        src = Path(__file__).resolve().parent.parent / "src"
+        run = subprocess.run(
+            [sys.executable, "-m", "coocnet.cli", "compare", str(formal_text_path),
+             str(informal_text_path), "--svg", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+            capture_output=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
         assert _tree_digest(out) == FIXTURE_TREE_DIGEST
 
 

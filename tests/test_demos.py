@@ -2,7 +2,8 @@
 
 Each demo is copied into a temporary tree (with the fixtures linked beside
 it) so the files it writes under ``demos/output/`` stay out of the
-repository.  The README's Python examples write nothing and run in place.
+repository.  The README's Python examples write nothing and run in place,
+and print the values that their comments give.
 ``coocnet.__all__`` names exactly the package's public objects.
 """
 
@@ -51,8 +52,13 @@ EXAMPLES = re.findall(
 )
 
 
+# the value that a README example's ``print(...)  # value`` line prints
+PRINTED = re.compile(r"^print\(.*\)  # (.*)$", re.M)
+
+
 def test_readme_examples_found():
     assert len(EXAMPLES) >= 2
+    assert all(PRINTED.search(example) for example in EXAMPLES)
 
 
 @pytest.mark.parametrize(
@@ -63,7 +69,12 @@ def test_readme_example_runs(example, monkeypatch, capsys):
     # file left open warns, and the suite turns warnings into errors
     monkeypatch.chdir(REPO)
     exec(compile(example, str(README), "exec"), {"__name__": "__main__"})
-    assert capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert printed
+    # each commented value is a line of the output, in the README's order
+    lines = iter(printed.splitlines())
+    for value in PRINTED.findall(example):
+        assert value in lines, value
 
 
 def test_all_lists_every_public_name_once_in_order():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from coocnet import (
     from_edge_list,
     global_summary,
     load_document,
+    profile_network,
     undirected_projection,
 )
 from coocnet import metrics
@@ -679,6 +681,16 @@ class TestSampledEstimates:
         message = "sample must be >= 1" if net.n_nodes else "empty network"
         with pytest.raises(ValueError, match=message):
             global_summary(net, sample=sample)
+
+    @pytest.mark.parametrize("sample", [True, False, 2.5, "3"])
+    @pytest.mark.parametrize(
+        "measure", [global_summary, all_node_metrics, profile_network]
+    )
+    def test_sample_that_is_not_an_int_is_refused(self, path4, measure, sample):
+        # True == 1 would sweep from one source; 2.5 and "3" fail deep inside
+        problem = f"^sample must be an int, got {re.escape(repr(sample))}$"
+        with pytest.raises(ValueError, match=problem):
+            measure(path4, sample)
 
 
 class TestNetworkxCrossCheck:

@@ -295,6 +295,15 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=problem):
             PipelineConfig()._replace(keep_digits=value)
 
+    @pytest.mark.parametrize("value", [["."], (".",), b".", 5, None])
+    def test_terminators_that_are_not_a_str_are_refused(self, value):
+        # a list or bytes would fail later, inside extract_sentences
+        problem = f"^terminators must be a str, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=problem):
+            PipelineConfig(terminators=value)
+        with pytest.raises(ValueError, match=problem):
+            PipelineConfig()._replace(terminators=value)
+
 
 def _collapse(text: str) -> str:
     return re.sub(" {2,}", " ", text).strip()
