@@ -21,10 +21,11 @@ prints, to stdout or stderr, goes through `_say`, so a stream closed by
 its reader stops the lines but not the command, and a line the stream
 cannot encode is printed with backslash escapes.
 
-``build`` and ``compare`` check that their labels differ before they read
-an input, then hold one network at a time: each input in turn is read and
-built, and its edge list is written before the next input is read.  Both
-warn on stderr of the words that have no edge, which the edge list drops.
+``build`` and ``compare`` check that their labels differ, in more than
+letter case, before they read an input, then hold one network at a time:
+each input in turn is read and built, and its edge list is written before
+the next input is read.  Both warn on stderr of the words that have no
+edge, which the edge list drops.
 ``compare`` also takes each network's summary, rank series and excluded
 fraction (`ranking.profile_network`) before it drops the network.  The
 size warning, ``summary.csv``, the rank, pair and SVG files and the
@@ -96,11 +97,19 @@ def _label(given: str | None, path: str | Path) -> str:
 
 
 def _labels(given: Sequence[str | None], paths: Sequence[str]) -> list[str]:
-    """The inputs' labels, checked to differ: equal ones name the same files."""
+    """The inputs' labels, checked to differ in more than letter case: equal
+    ones name the same files, and so do ones that differ only in case on a
+    case-insensitive file system (the default on macOS and Windows)."""
     labels = list(map(_label, given, paths))
     for place, label in enumerate(labels):
-        if label in labels[:place]:
-            raise ValueError(f"labels must differ, two inputs are {label!r}")
+        for first in labels[:place]:
+            if first == label:
+                raise ValueError(f"labels must differ, two inputs are {label!r}")
+            if first.casefold() == label.casefold():
+                raise ValueError(
+                    f"labels must differ in more than letter case, "
+                    f"two inputs are {first!r} and {label!r}"
+                )
     return labels
 
 
@@ -278,9 +287,8 @@ def _cmd_analyze(args: argparse.Namespace, config: PipelineConfig) -> int:
 def _cmd_rank(args: argparse.Namespace, config: PipelineConfig) -> int:
     net = _load_network(args.input, config, args.format)
     label = _label(args.label, args.input)
-    measures = MEASURES if args.measure == "all" else (args.measure,)
     with _Outputs(args.out) as out:
-        for measure in measures:
+        for measure in MEASURES:
             series = network_rank_series(net, measure)
             out.write(f"{label}.{measure}.rank.csv", export_rank_csv, series)
     return 0
@@ -399,15 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sample(p_analyze)
     p_analyze.set_defaults(func=_cmd_analyze)
 
-    p_rank = sub.add_parser("rank", help="write rank-series CSVs")
+    p_rank = sub.add_parser("rank", help="write the six rank-series CSVs")
     _add_input_options(p_rank)
     _add_common(p_rank)
-    p_rank.add_argument(
-        "--measure",
-        choices=MEASURES + ("all",),
-        default="all",
-        help="which series to export (default: all six)",
-    )
     p_rank.set_defaults(func=_cmd_rank)
 
     p_compare = sub.add_parser(

@@ -220,12 +220,17 @@ def _terminator_problem(ch: str) -> str | None:
     changes (an upper-case letter, a typographic apostrophe) never splits.
     NFC composes a mark (category M) or a Hangul vowel or final jamo into
     the character before it where a composed form exists, so such a
-    terminator would split after some letters and not after others."""
+    terminator would split after some letters and not after others.
+    Cleaning makes every word boundary a space, so a space terminator
+    would make each word a sentence of its own and every network edgeless;
+    other whitespace is kept as it is, and ``"\\n"`` splits at line ends."""
     folded = _fold(ch)
     if folded != ch:
         why = f"becomes {folded!r} in text cleaning, so it never splits"
     elif unicodedata.category(ch)[0] == "M" or ch in _COMPOSING_JAMO:
         why = "can compose with the character before it, so it may not split"
+    elif ch == " ":
+        why = "is every word boundary after text cleaning, so each word is a sentence"
     else:
         return None
     return f"terminator {ch!r} {why}"

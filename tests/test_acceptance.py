@@ -11,6 +11,7 @@ import csv
 import filecmp
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import time
@@ -302,6 +303,68 @@ def test_fixture_compare_output_tree_is_the_same_under_any_hash_seed(
         )
         assert run.returncode == 0, run.stderr
         assert _tree_digest(out) == FIXTURE_TREE_DIGEST
+
+
+# the special words of the generated hash-seed example: NFC and NFD accents,
+# ASCII and typographic apostrophes, joiners at word edges, digits, a
+# combining mark after a space, Croatian letters and every default terminator
+_GENERATED_POOL = (
+    "Café", "cafe\u0301", "Résumé", "re\u0301sume\u0301",
+    "don't", "don\u2019t", "o\u02bcclock", "rock'n'roll",
+    "-pre", "post-", "'tis", "dogs'", "e-mail", "a--b",
+    "1405", "2702", "x2", "3d",
+    " \u0301", " \u0301a",
+    "Đurđa", "ŠUMA", "žaba", "čekić", "ljubav", "Dž",
+    ".", "!", "?", "…",
+)
+# the letters of the plain words, so a text has a few hundred word types
+_GENERATED_LETTERS = "aeioučćđšžnrt"
+
+
+def _generated_text(rng: random.Random, tokens: int) -> str:
+    words = []
+    for _ in range(tokens):
+        if rng.random() < 0.3:
+            words.append(rng.choice(_GENERATED_POOL))
+        else:
+            words.append("".join(rng.choices(_GENERATED_LETTERS, k=rng.randint(1, 3))))
+    return " ".join(words)
+
+
+def test_generated_outputs_are_the_same_under_any_hash_seed(tmp_path):
+    # compare --svg of two generated texts, then analyze of the first edge
+    # list it wrote, each in a fresh interpreter per PYTHONHASHSEED
+    rng = random.Random(2014)
+    texts = [tmp_path / "lit.txt", tmp_path / "blog.txt"]
+    for path in texts:
+        path.write_text(_generated_text(rng, 3000), encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    results = []
+    with criterion("generated compare and analyze bytes under two hash seeds", 10.0):
+        for seed in ("0", "1"):
+            out = tmp_path / f"out{seed}"
+            printed = []
+            for argv in (
+                ["compare", *map(str, texts), "--svg", "--sample", "3"],
+                ["analyze", str(out / "lit.edges.tsv"), "--sample", "3"],
+            ):
+                run = subprocess.run(
+                    [sys.executable, "-m", "coocnet.cli", *argv, "--out", str(out)],
+                    env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+                    capture_output=True,
+                    timeout=120,
+                )
+                assert run.returncode == 0, run.stderr
+                for stream in (run.stdout, run.stderr):
+                    printed.append(stream.replace(os.fsencode(out), b"<out>"))
+            tree = {
+                path.relative_to(out).as_posix(): path.read_bytes()
+                for path in out.rglob("*")
+                if path.is_file()
+            }
+            results.append((tree, printed))
+    assert len(results[0][0]) == 27 + 2  # compare --svg, then analyze
+    assert results[0] == results[1]
 
 
 def test_fixture_compare_stdout_and_stderr_match_golden_digests(

@@ -144,6 +144,25 @@ class TestBuild:
         assert stdout == ""
         assert list(out.iterdir()) == []
 
+    def test_labels_that_differ_only_in_case_rejected(self, tmp_path, capsys):
+        # on a case-insensitive file system both name one Blog.edges.tsv
+        first = write_text(tmp_path, "Blog.txt", "a b.")
+        (tmp_path / "b").mkdir()
+        second = write_text(tmp_path / "b", "blog.txt", "c d.")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "Blog.edges.tsv").write_bytes(b"x\ty\t1\n")
+        code, stdout, err = run(
+            capsys, "build", str(first), str(second), "--out", str(out)
+        )
+        assert code == 1
+        assert err == (
+            "error: labels must differ in more than letter case, "
+            "two inputs are 'Blog' and 'blog'\n"
+        )
+        assert stdout == ""
+        assert snapshot(out) == {"Blog.edges.tsv": b"x\ty\t1\n"}
+
     def test_empty_config_path_named(self, tmp_path, capsys):
         text = write_text(tmp_path, "t.txt", "a b.")
         code, _, err = run(
@@ -512,18 +531,22 @@ class TestRank:
             "r.out-selectivity.rank.csv",
             "r.out-strength.rank.csv",
         ]
-
-    def test_single_measure(self, tmp_path, capsys):
-        text = write_text(tmp_path, "r.txt", "a b. b a. a c.")
-        code, _, _ = run(
-            capsys,
-            "rank", str(text), "--measure", "out-degree", "--out", str(tmp_path),
-        )
-        assert code == 0
         lines = (tmp_path / "r.out-degree.rank.csv").read_text().splitlines()
         assert lines[0] == "rank,value,word"
         assert lines[1] == "1,2,a"
 
+    def test_measure_option_is_gone(self, tmp_path, capsys):
+        # argparse refuses it before the input is read or --out is made
+        out = tmp_path / "out"
+        argv = ["rank", str(tmp_path / "gone.txt"), "--measure", "out-degree"]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out", str(out)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --measure" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(SystemExit):
+            main(["rank", "--help"])
+        assert "--measure" not in capsys.readouterr().out
 
     def test_value_beyond_float_range(self, tmp_path, capsys):
         edges = tmp_path / "big.tsv"
@@ -776,6 +799,22 @@ class TestCompare:
         )
         assert code == 1
         assert err == "error: labels must differ, two inputs are 'same'\n"
+        assert list(out.iterdir()) == []
+
+    def test_labels_that_differ_only_in_case_write_nothing(self, tmp_path, capsys):
+        alpha, beta = self._write_pair(tmp_path)
+        out = tmp_path / "cmp"
+        out.mkdir()
+        code, stdout, err = run(
+            capsys, "compare", str(alpha), str(beta),
+            "--labels", "Blog", "blog", "--out", str(out),
+        )
+        assert code == 1
+        assert err == (
+            "error: labels must differ in more than letter case, "
+            "two inputs are 'Blog' and 'blog'\n"
+        )
+        assert stdout == ""
         assert list(out.iterdir()) == []
 
     def test_missing_second_input_restores_earlier_outputs(self, tmp_path, capsys):

@@ -278,6 +278,24 @@ class TestLoadConfig:
             load_config(path)
         assert str(info.value) == f"{path}: line 1: {problem}"
 
+    def test_space_terminator_is_refused(self, tmp_path):
+        # cleaning makes every word boundary a space, so each word would be
+        # a sentence of its own; a value's ends are stripped, its inside kept
+        problem = (
+            "terminator ' ' is every word boundary after text cleaning, "
+            "so each word is a sentence"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            PipelineConfig(terminators=" ")
+        path = tmp_path / "pipeline.conf"
+        path.write_text("terminators = . ! ?\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: line 1: {problem}"
+        # other whitespace stays a terminator: a line feed splits at line ends
+        config = PipelineConfig(terminators="\n")
+        assert extract_sentences("a b\nc d", config) == [["a", "b"], ["c", "d"]]
+
     def test_terminators_that_cleaning_keeps_are_accepted(self, tmp_path):
         path = tmp_path / "pipeline.conf"
         # an ASCII apostrophe among the defaults
@@ -371,11 +389,13 @@ _JAMO_EDGES = "\u1160\u1161\u1175\u1176\u11a7\u11a8\u11c2\u11c3"
 
 
 def _refused(ch: str) -> bool:
-    """The terminator rule: text cleaning changes ``ch``, or NFC may compose
-    it into the character before it (a mark, a Hangul vowel or final jamo)."""
+    """The terminator rule: text cleaning changes ``ch``, NFC may compose
+    it into the character before it (a mark, a Hangul vowel or final jamo),
+    or it is the space, which cleaning puts at every word boundary."""
     cleaned = unicodedata.normalize("NFC", unicodedata.normalize("NFC", ch).lower())
     return (
         cleaned != ch
+        or ch == " "
         or ch in "\u2018\u2019\u02bc\u2010\u2011"  # folded to ' and -
         or unicodedata.category(ch).startswith("M")
         or "\u1161" <= ch <= "\u1175"
@@ -432,12 +452,12 @@ class TestTerminatorRule:
 
 
 # the neighbor-dependent blanking paths, so each runs on every test run:
-# an orphan mark at the start, after a space terminator, after "-" and
+# an orphan mark at the start, after a tab terminator, after "-" and
 # after a letter, a dropped digit and a joiner that are terminators; a
 # joiner next to a joiner, before a mark, at the start and at the end
 _ORPHAN_MARK_CASES = (
     ("\u0301ab c", PipelineConfig()),
-    ("ab \u0301c. d", PipelineConfig(terminators=" .")),
+    ("ab\t\u0301c. d", PipelineConfig(terminators="\t.")),
     ("ab-\u0301c", PipelineConfig()),
     ("ax\u0301b", PipelineConfig(terminators="x")),
     ("a7\u0301b", PipelineConfig(terminators="7", keep_digits=False)),
